@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -34,7 +33,6 @@ from .errors import (
     DegenerateGradient,
     DimMismatch,
     EmptyDataset,
-    InvalidDelta,
     NoConvergence,
     NonFinite,
     ParseError,
@@ -45,13 +43,12 @@ from .errors import (
 )
 from .models import backward, forward_loss, logistic_model, unflatten_params
 from .protocol import run_experiment, worker_count, write_run_outputs
-from .sweep import SweepSpec, sweep, sweep_csv_text
+from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
 
 _CONFIG_ERRORS = (
     ParseError,
     ValidationError,
-    InvalidDelta,
     EmptyDataset,
     TooManyClients,
     ArchMismatch,
@@ -142,13 +139,8 @@ def _cmd_sweep(args) -> int:
     except Exception as exc:
         partial = getattr(exc, "partial_rows", [])
         if partial:
-            lines = [f"{spec.axis},seed,acc,loss,eps_p"] + [
-                f"{r.value},{r.seed},{r.acc!r},{r.loss!r},"
-                f"{'' if math.isnan(r.eps_p) else repr(r.eps_p)}"
-                for r in partial
-            ]
             with open(csv_path, "w", encoding="ascii") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(sweep_csv_text(SweepResult(spec, partial, [])))
             print(f"sweep failed after {len(partial)} cells; partial rows kept "
                   f"in {csv_path}", file=sys.stderr)
         raise
@@ -239,7 +231,12 @@ def _cmd_analyze(args) -> int:
     manifest = None
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(f"{manifest_path}: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ParseError(f"{manifest_path}: not a run manifest")
     seed = 0 if manifest is None else int(manifest["config"].get("seed", 0))
 
     last_w, _ = _locate_last_weight(tensors, manifest)

@@ -8,8 +8,6 @@ the config dataclasses applies.  An empty file yields the desk defaults.
 
 from __future__ import annotations
 
-import math
-
 from .dp import DpConfig
 from .errors import ParseError, ValidationError
 from .protocol import DataSpec, ModelSpec, RunConfig
@@ -107,28 +105,12 @@ def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
             raise ParseError(
                 f"invalid value {value!r} for key {key!r}", line=lineno
             ) from None
-    _check_dp_fields(groups["dp"])
     return RunConfig(
         dp=DpConfig(**groups["dp"]),
         model=ModelSpec(**groups["model"]),
         data=DataSpec(**groups["data"]),
         **groups["run"],
     )
-
-
-def _check_dp_fields(values: dict) -> None:
-    """Re-state the DpConfig guards with dotted field names, so a bad
-    config value is reported as e.g. ``dp.sigma`` rather than a bare
-    constructor error."""
-    for name in ("clip_c", "sigma", "c1", "c2"):
-        if name in values and not (values[name] > 0 and math.isfinite(values[name])):
-            raise ValidationError(
-                f"must be positive, got {values[name]}", field=f"dp.{name}"
-            )
-    if "delta" in values and not 0.0 < values["delta"] < 1.0:
-        raise ValidationError(
-            f"must lie in (0, 1), got {values['delta']}", field="dp.delta"
-        )
 
 
 def parse_config(path) -> RunConfig:

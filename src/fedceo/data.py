@@ -7,12 +7,13 @@ are written with enough digits to round-trip float64 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dp import rng_stream
-from .errors import EmptyDataset, ParseError, TooManyClients
+from .errors import EmptyDataset, ParseError, TooManyClients, ValidationError
 
 PARTITION_MODES = ("iid", "label_shard", "dirichlet")
 
@@ -54,14 +55,15 @@ def synth_blobs(num_classes: int, dim: int, samples: int, spread: float, seed: i
     """Gaussian blobs: one random center per class, isotropic noise of the
     given spread, exactly samples/num_classes points per class."""
     if num_classes < 1 or dim < 1 or samples < 1:
-        raise ValueError("num_classes, dim and samples must be positive")
+        raise ValidationError("num_classes, dim and samples must be positive")
     if samples % num_classes:
-        raise ValueError(
-            f"samples ({samples}) must be divisible by num_classes ({num_classes}) "
-            "so the label histogram is exactly uniform"
+        raise ValidationError(
+            f"{samples} is not divisible by the number of classes ({num_classes}), "
+            "so the label histogram cannot be exactly uniform",
+            field="samples",
         )
-    if spread < 0:
-        raise ValueError(f"spread must be nonnegative, got {spread}")
+    if not (spread >= 0 and math.isfinite(spread)):
+        raise ValidationError(f"must be finite and >= 0, got {spread}", field="spread")
     rng = rng_stream(seed, purpose="data")
     per_class = samples // num_classes
     centers = rng.standard_normal((num_classes, dim))

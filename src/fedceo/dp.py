@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidDelta, NonFinite
+from .errors import DimMismatch, InvalidDelta, NonFinite, ValidationError
 
 # Stable codes for the stream purposes; values are part of the on-disk
 # reproducibility contract, so append only, never renumber.
@@ -64,14 +64,12 @@ class DpConfig:
     c2: float = 1.0
 
     def __post_init__(self):
-        if not (self.clip_c > 0 and math.isfinite(self.clip_c)):
-            raise ValueError(f"clip_c must be positive, got {self.clip_c}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidDelta(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError("c1 and c2 must be positive")
+        for name in ("clip_c", "sigma", "c1", "c2"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"must be positive, got {value}", field=f"dp.{name}")
+        if not 0.0 < self.delta < 1.0:
+            raise InvalidDelta(f"must lie in (0, 1), got {self.delta}", field="dp.delta")
 
 
 def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
@@ -127,7 +125,7 @@ def privacy_budget(dp: DpConfig, n_total: int, k_selected: int, rounds: int) -> 
     gate and `validity_bound` the right-hand side.
     """
     if not (0.0 < dp.delta < 1.0):
-        raise InvalidDelta(f"delta must lie in (0, 1), got {dp.delta}")
+        raise InvalidDelta(f"must lie in (0, 1), got {dp.delta}", field="dp.delta")
     if n_total < 1 or k_selected < 1 or k_selected > n_total:
         raise ValueError(f"need 1 <= k_selected <= n_total, got {k_selected}/{n_total}")
     if rounds < 1:

@@ -30,10 +30,6 @@ class NoConvergence(FedceoError, ArithmeticError):
     """An iterative factorization failed to converge."""
 
 
-class InvalidDelta(FedceoError, ValueError):
-    """A privacy parameter delta lies outside (0, 1)."""
-
-
 class EmptyDataset(FedceoError, ValueError):
     """A dataset with zero samples was supplied where samples are required."""
 
@@ -48,7 +44,7 @@ class StaleCache(FedceoError, RuntimeError):
 
 
 class ArchMismatch(FedceoError, ValueError):
-    """Client models do not share one architecture (layer shapes differ)."""
+    """Layer stacks do not match the model architecture they belong to."""
 
 
 class ShapeMismatch(FedceoError, ValueError):
@@ -81,3 +77,7 @@ class ValidationError(FedceoError, ValueError):
             message = f"{field}: {message}"
         super().__init__(message)
         self.field = field
+
+
+class InvalidDelta(ValidationError):
+    """A privacy parameter delta lies outside (0, 1)."""

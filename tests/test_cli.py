@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -123,6 +124,9 @@ def test_rerun_from_manifest_config_reproduces_csv(tmp_path):
     ("turbo = on\n", "turbo"),
     ("lr\n", "line 1"),
     ("lr = 0.1\nlr = 0.2\n", "duplicate"),
+    ("data.spread = inf\n", "data.spread"),
+    ("ratio = inf\n", "ratio"),
+    ("data.samples = 1999\n", "samples"),
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     cfg = write_config(tmp_path, bad_text, name="bad.cfg")
@@ -179,6 +183,14 @@ def test_gen_data_then_run_from_file(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--samples", "1999"), ("--spread", "inf")])
+def test_gen_data_bad_values_exit_2(tmp_path, capsys, flag, value):
+    data_path = tmp_path / "blobs.ds"
+    assert main(["gen-data", "--out", str(data_path), flag, value]) == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not data_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -214,6 +226,28 @@ def test_analyze_missing_run_dir_exits_2(tmp_path, capsys):
     code = main(["analyze", "--run", str(tmp_path / "nowhere")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+# A header claiming 2**32 - 1 along every axis, and one claiming 64**3
+# values with one present; neither size is ever allocated.
+HUGE_HEADER = struct.pack("<4sIII", b"T3R1", 2**32 - 1, 2**32 - 1, 2**32 - 1)
+SHORT_HEADER = struct.pack("<4sIII", b"T3R1", 64, 64, 64)
+
+
+@pytest.mark.parametrize("name,content,needle", [
+    ("final_model.t3r", HUGE_HEADER + bytes(8), "tensor header"),
+    ("final_model.t3r", SHORT_HEADER + bytes(8), "tensor header"),
+    ("run_manifest.json", b"{not json", "run_manifest.json"),
+    ("run_manifest.json", b"[]", "run_manifest.json"),
+], ids=["huge-dims", "short-payload", "bad-json", "not-an-object"])
+def test_analyze_corrupt_artifact_exits_2(tmp_path, capsys, name, content, needle):
+    _, run_dir = do_run(tmp_path)
+    (run_dir / name).write_bytes(content)
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedceo.dp import DpConfig, rng_stream
-from fedceo.errors import ArchMismatch, NotSmoothingRound, ValidationError
+from fedceo.errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
 from fedceo.models import flatten_params, mlp_model
 from fedceo.protocol import (
     DataSpec,
@@ -145,36 +145,54 @@ def test_threshold_parameter_validation():
 # stack / unstack
 
 
+def uploads_of(models):
+    """The (K, P) upload array of a list of client models."""
+    return np.stack([flatten_params(m) for m in models])
+
+
 def test_stack_unstack_roundtrip_mlp_with_bias():
     models = [random_mlp(seed=s) for s in range(4)]
-    tensors = stack_clients(models)
+    uploads = uploads_of(models)
+    tensors = stack_clients(uploads, models[0])
     # 2 layers, each with a bias tensor
     assert len(tensors) == 4
     assert tensors[0].shape == (5, 4, 4)   # layer-0 weight
     assert tensors[1].shape == (1, 4, 4)   # layer-0 bias
+    assert tensors[2].shape == (4, 3, 4)   # layer-1 weight
+    assert tensors[3].shape == (1, 3, 4)   # layer-1 bias
     back = unstack_clients(tensors, models[0])
-    for orig, rec in zip(models, back):
-        assert np.array_equal(flatten_params(orig), flatten_params(rec))
+    assert back.shape == uploads.shape
+    assert np.array_equal(back, uploads)
 
 
 def test_stack_slices_match_client_order():
     models = [random_mlp(seed=s) for s in range(3)]
-    tensors = stack_clients(models)
+    tensors = stack_clients(uploads_of(models), models[0])
     for k, m in enumerate(models):
         assert np.array_equal(tensors[0][:, :, k], m.layers[0].weight)
         assert np.array_equal(tensors[1][0, :, k], m.layers[0].bias)
+        assert np.array_equal(tensors[2][:, :, k], m.layers[1].weight)
+        assert np.array_equal(tensors[3][0, :, k], m.layers[1].bias)
 
 
 def test_stack_rejects_mixed_architectures():
-    with pytest.raises(ArchMismatch):
-        stack_clients([random_mlp(hidden=4), random_mlp(hidden=5)])
-    with pytest.raises(ArchMismatch):
-        stack_clients([])
+    # One (K, P) array cannot mix architectures; what is left to reject is
+    # an array whose width is not the template's parameter count.
+    models = [random_mlp(seed=s) for s in range(2)]
+    uploads = uploads_of(models)
+    with pytest.raises(ShapeMismatch):
+        stack_clients(uploads_of([random_mlp(hidden=5)] * 2), models[0])
+    with pytest.raises(ShapeMismatch):
+        stack_clients(uploads[:, :-1], models[0])
+    with pytest.raises(ShapeMismatch):
+        stack_clients(uploads[0], models[0])
+    with pytest.raises(ShapeMismatch):
+        stack_clients(uploads[:0], models[0])
 
 
 def test_unstack_rejects_wrong_tensor_count():
     models = [random_mlp(seed=s) for s in range(2)]
-    tensors = stack_clients(models)
+    tensors = stack_clients(uploads_of(models), models[0])
     with pytest.raises(ArchMismatch):
         unstack_clients(tensors[:-1], models[0])
 
@@ -185,34 +203,38 @@ def test_unstack_rejects_wrong_tensor_count():
 
 def test_server_smooth_zero_threshold_is_identity():
     models = [random_mlp(seed=s) for s in range(3)]
-    out = server_smooth(models, 0.0)
-    for orig, rec in zip(models, out):
-        a, b = flatten_params(orig), flatten_params(rec)
+    uploads = uploads_of(models)
+    out, _ = server_smooth(uploads, models[0], 0.0)
+    for a, b in zip(uploads, out):
         assert np.linalg.norm(a - b) <= 1e-10 * (1 + np.linalg.norm(a))
 
 
 def test_server_smooth_identical_clients_reduce_to_matrix_rule():
     base = random_mlp(seed=7)
     k, tau = 5, 0.8
-    out = server_smooth([base] * k, tau)
+    out, _ = server_smooth(uploads_of([base] * k), base, tau)
     expected_w = truncated_svd_matrix(base.layers[0].weight, tau / k)
-    for m in out:
-        assert np.allclose(m.layers[0].weight, expected_w, atol=1e-9)
+    for w in stack_clients(out, base)[0].transpose(2, 0, 1):
+        assert np.allclose(w, expected_w, atol=1e-9)
 
 
 def test_server_smooth_never_increases_tnn():
     models = [random_mlp(seed=s) for s in range(4)]
-    before = stack_clients(models)
-    after = stack_clients(server_smooth(models, 0.3))
+    uploads = uploads_of(models)
+    out, tnn_total = server_smooth(uploads, models[0], 0.3)
+    before = stack_clients(uploads, models[0])
+    after = stack_clients(out, models[0])
     for b, a in zip(before, after):
         assert tnn(a) <= tnn(b) + 1e-12
+    assert tnn_total == pytest.approx(sum(tnn(a) for a in after), rel=1e-12)
 
 
 def test_server_smooth_huge_threshold_zeroes_everything():
     models = [random_mlp(seed=s) for s in range(3)]
-    out = server_smooth(models, 1e6)
-    for m in out:
-        assert np.allclose(flatten_params(m), 0.0, atol=1e-12)
+    out, tnn_total = server_smooth(uploads_of(models), models[0], 1e6)
+    assert out.shape == (3, flatten_params(models[0]).size)
+    assert np.allclose(out, 0.0, atol=1e-12)
+    assert tnn_total == 0.0
 
 
 # ---------------------------------------------------------------------------

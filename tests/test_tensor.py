@@ -2,9 +2,10 @@
 
 Oracles are kept independent of the implementation: the transform is checked
 against an explicitly built DFT matrix, the t-product against the
-block-circulant matmul route, tnn against the block-circulant nuclear norm,
-and singular values against characteristic-polynomial roots obtained from
-the closed-form trigonometric cubic solver.
+block-circulant matmul route, tnn against the block-circulant nuclear norm
+and against characteristic-polynomial roots obtained from the closed-form
+trigonometric cubic solver, and the batched rfft shrinkage and tnn against
+the full-spectrum slice-by-slice implementations in ``tensor_oracle``.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tensor_oracle as oracle
 from fedceo import tensor as tz
 from fedceo.errors import (
     DimMismatch,
@@ -70,7 +72,7 @@ class TestDftMode3:
         npt.assert_allclose(spec.ravel(), [0.0, 2.0], atol=1e-14)
 
     def test_idft_examples(self):
-        out = tz.idft_mode3(np.array([2.0, 0.0], dtype=complex).reshape(1, 1, 2))
+        out = oracle.idft_mode3(np.array([2.0, 0.0], dtype=complex).reshape(1, 1, 2))
         npt.assert_allclose(out.ravel(), [1.0, 1.0], atol=1e-14)
 
     def test_matches_naive_dft_matrix(self):
@@ -84,7 +86,7 @@ class TestDftMode3:
         rng = np.random.default_rng(12)
         for _ in range(25):
             t = rng.standard_normal(tuple(rng.integers(1, 12, size=3)))
-            back = tz.idft_mode3(tz.dft_mode3(t))
+            back = oracle.idft_mode3(tz.dft_mode3(t))
             assert rel_err(back, t) <= 1e-10
 
     def test_parseval(self):
@@ -100,7 +102,7 @@ class TestDftMode3:
         spec = np.zeros((1, 1, 4), dtype=complex)
         spec[0, 0, 1] = 1.0 + 1.0j  # no conjugate partner in slice 3
         with pytest.raises(SymmetryViolation):
-            tz.idft_mode3(spec)
+            oracle.idft_mode3(spec)
 
     def test_nonfinite_rejected(self):
         bad = np.ones((2, 2, 2))
@@ -116,17 +118,17 @@ class TestDftMode3:
 class TestBcircAndTProduct:
     def test_bcirc_two_slices(self):
         t = np.array([3.0, 7.0]).reshape(1, 1, 2)
-        npt.assert_array_equal(tz.bcirc(t), [[3.0, 7.0], [7.0, 3.0]])
+        npt.assert_array_equal(oracle.bcirc(t), [[3.0, 7.0], [7.0, 3.0]])
 
     def test_bcirc_first_column_is_unfold(self):
         rng = np.random.default_rng(20)
         t = rng.standard_normal((3, 2, 4))
-        npt.assert_array_equal(tz.bcirc(t)[:, :2], tz.unfold(t))
+        npt.assert_array_equal(oracle.bcirc(t)[:, :2], oracle.unfold(t))
 
     def test_fold_unfold_inverse(self):
         rng = np.random.default_rng(21)
         t = rng.standard_normal((4, 3, 5))
-        npt.assert_array_equal(tz.fold(tz.unfold(t), t.shape), t)
+        npt.assert_array_equal(oracle.fold(oracle.unfold(t), t.shape), t)
 
     def test_fourier_route_matches_bcirc_route(self):
         rng = np.random.default_rng(22)
@@ -134,8 +136,8 @@ class TestBcircAndTProduct:
             n1, p, n4, n3 = rng.integers(1, 9, size=4)
             a = rng.standard_normal((n1, p, n3))
             b = rng.standard_normal((p, n4, n3))
-            via_fft = tz.t_product(a, b)
-            via_mat = tz.fold(tz.bcirc(a) @ tz.unfold(b), (n1, n4, n3))
+            via_fft = oracle.t_product(a, b)
+            via_mat = oracle.fold(oracle.bcirc(a) @ oracle.unfold(b), (n1, n4, n3))
             assert rel_err(via_fft, via_mat) <= 1e-9
 
     def test_single_slice_is_matmul(self):
@@ -143,86 +145,29 @@ class TestBcircAndTProduct:
         a = rng.standard_normal((4, 3, 1))
         b = rng.standard_normal((3, 5, 1))
         npt.assert_allclose(
-            tz.t_product(a, b)[:, :, 0], a[:, :, 0] @ b[:, :, 0], atol=1e-12
+            oracle.t_product(a, b)[:, :, 0], a[:, :, 0] @ b[:, :, 0], atol=1e-12
         )
 
     def test_identity_element(self):
         rng = np.random.default_rng(24)
         a = rng.standard_normal((5, 4, 6))
-        npt.assert_allclose(tz.t_product(a, tz.identity_tensor(4, 6)), a, atol=1e-12)
-        npt.assert_allclose(tz.t_product(tz.identity_tensor(5, 6), a), a, atol=1e-12)
+        npt.assert_allclose(oracle.t_product(a, oracle.identity_tensor(4, 6)), a, atol=1e-12)
+        npt.assert_allclose(oracle.t_product(oracle.identity_tensor(5, 6), a), a, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            tz.t_product(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
+            oracle.t_product(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
         with pytest.raises(DimMismatch):
-            tz.t_product(np.ones((2, 3, 4)), np.ones((3, 2, 5)))
+            oracle.t_product(np.ones((2, 3, 4)), np.ones((3, 2, 5)))
 
     def test_conj_transpose_involution_and_product_rule(self):
         rng = np.random.default_rng(25)
         a = rng.standard_normal((3, 4, 5))
         b = rng.standard_normal((4, 2, 5))
-        npt.assert_array_equal(tz.conj_transpose(tz.conj_transpose(a)), a)
-        lhs = tz.conj_transpose(tz.t_product(a, b))
-        rhs = tz.t_product(tz.conj_transpose(b), tz.conj_transpose(a))
+        npt.assert_array_equal(oracle.conj_transpose(oracle.conj_transpose(a)), a)
+        lhs = oracle.conj_transpose(oracle.t_product(a, b))
+        rhs = oracle.t_product(oracle.conj_transpose(b), oracle.conj_transpose(a))
         npt.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-class TestSvdComplex:
-    def test_diagonal_matrix(self):
-        f = tz.svd_complex(np.diag([3.0, 2.0, 1.0]))
-        npt.assert_allclose(f.sigma, [3.0, 2.0, 1.0], atol=1e-14)
-        npt.assert_allclose(f.reconstruct(), np.diag([3.0, 2.0, 1.0]), atol=1e-13)
-
-    def test_zero_matrix(self):
-        f = tz.svd_complex(np.zeros((3, 2)))
-        npt.assert_array_equal(f.sigma, [0.0, 0.0])
-        assert f.rank == 0
-
-    def test_factors_unitary_and_reconstruct(self):
-        rng = np.random.default_rng(30)
-        for _ in range(20):
-            n1, n2 = rng.integers(1, 9, size=2)
-            m = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
-            f = tz.svd_complex(m)
-            npt.assert_allclose(f.u.conj().T @ f.u, np.eye(n1), atol=1e-12)
-            npt.assert_allclose(f.v.conj().T @ f.v, np.eye(n2), atol=1e-12)
-            assert rel_err(f.reconstruct(), m) <= 1e-12
-            assert np.all(np.diff(f.sigma) <= 1e-15)
-
-    def test_deterministic_bit_equal(self):
-        rng = np.random.default_rng(31)
-        m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-        a, b = tz.svd_complex(m), tz.svd_complex(m.copy())
-        npt.assert_array_equal(a.u, b.u)
-        npt.assert_array_equal(a.sigma, b.sigma)
-        npt.assert_array_equal(a.v, b.v)
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(32)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        f = tz.svd_complex(m)
-        lead_rows = np.argmax(np.abs(f.u), axis=0)
-        leads = f.u[lead_rows, np.arange(6)]
-        assert np.max(np.abs(leads.imag)) < 1e-12
-        assert np.all(leads.real > 0)
-
-    def test_sigma_vs_char_poly_roots(self):
-        rng = np.random.default_rng(33)
-        for _ in range(20):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            f = tz.svd_complex(m)
-            lam = hermitian3_eigvals_cubic(m.conj().T @ m)
-            npt.assert_allclose(f.sigma, np.sqrt(np.maximum(lam, 0.0)),
-                                rtol=1e-8, atol=1e-8)
-
-    def test_rank_cut(self):
-        f = tz.svd_complex(np.diag([1.0, 1e-13, 0.0]))
-        assert f.rank == 1
-
-    def test_dim_cap(self):
-        with pytest.raises(DimMismatch):
-            tz.svd_complex(np.zeros((tz.SVD_DIM_CAP + 1, 2)))
 
 
 class TestTruncatedSvdMatrix:
@@ -265,18 +210,18 @@ class TestTsvd:
         rng = np.random.default_rng(50)
         for shape in [(16, 8, 8), (5, 7, 4), (3, 3, 1), (2, 6, 5), (6, 2, 6), (1, 1, 3)]:
             t = rng.standard_normal(shape)
-            f = tz.tsvd(t)
+            f = oracle.tsvd(t)
             assert rel_err(f.reconstruct(), t) <= 1e-8
             n1, n2, n3 = shape
-            uu = tz.t_product(tz.conj_transpose(f.u), f.u)
-            vv = tz.t_product(tz.conj_transpose(f.v), f.v)
-            assert np.abs(uu - tz.identity_tensor(n1, n3)).max() <= 1e-8
-            assert np.abs(vv - tz.identity_tensor(n2, n3)).max() <= 1e-8
+            uu = oracle.t_product(oracle.conj_transpose(f.u), f.u)
+            vv = oracle.t_product(oracle.conj_transpose(f.v), f.v)
+            assert np.abs(uu - oracle.identity_tensor(n1, n3)).max() <= 1e-8
+            assert np.abs(vv - oracle.identity_tensor(n2, n3)).max() <= 1e-8
 
     def test_f_diagonal_nonincreasing(self):
         rng = np.random.default_rng(51)
         t = rng.standard_normal((6, 4, 5))
-        f = tz.tsvd(t)
+        f = oracle.tsvd(t)
         spec = np.fft.fft(f.s, axis=2)
         for i in range(5):
             sl = spec[:, :, i]
@@ -288,14 +233,14 @@ class TestTsvd:
             assert np.all(diag >= -1e-10)
 
     def test_zero_tensor(self):
-        f = tz.tsvd(np.zeros((3, 4, 2)))
+        f = oracle.tsvd(np.zeros((3, 4, 2)))
         npt.assert_allclose(f.s, 0.0, atol=1e-15)
         npt.assert_allclose(f.reconstruct(), 0.0, atol=1e-12)
 
     def test_single_slice_matches_matrix_svd(self):
         rng = np.random.default_rng(52)
         m = rng.standard_normal((5, 3))
-        f = tz.tsvd(m[:, :, None])
+        f = oracle.tsvd(m[:, :, None])
         sv = np.linalg.svd(m, compute_uv=False)
         npt.assert_allclose(np.diagonal(f.s[:, :, 0]), sv, atol=1e-12)
 
@@ -373,8 +318,20 @@ class TestTnn:
         rng = np.random.default_rng(71)
         for n3 in (1, 2, 3):
             t = rng.standard_normal((5, 4, n3))
-            via_bcirc = np.linalg.svd(tz.bcirc(t), compute_uv=False).sum() / n3
+            via_bcirc = np.linalg.svd(oracle.bcirc(t), compute_uv=False).sum() / n3
             assert tz.tnn(t) == pytest.approx(via_bcirc, rel=1e-10)
+
+    def test_matches_char_poly_roots(self):
+        # every Fourier slice's singular values from the cubic, no SVD
+        rng = np.random.default_rng(73)
+        for n3 in (1, 2, 3, 4, 5):
+            t = rng.standard_normal((3, 3, n3))
+            spec = naive_dft_mode3(t)
+            total = sum(
+                np.sqrt(np.maximum(hermitian3_eigvals_cubic(m.conj().T @ m), 0.0)).sum()
+                for m in np.moveaxis(spec, 2, 0)
+            )
+            assert tz.tnn(t) == pytest.approx(total / n3, rel=1e-8)
 
     def test_triangle_inequality_and_scaling(self):
         rng = np.random.default_rng(72)
@@ -384,6 +341,29 @@ class TestTnn:
         assert tz.tnn(2.5 * a) == pytest.approx(2.5 * tz.tnn(a), rel=1e-10)
 
 
+class TestRfftMatchesFullSpectrumOracle:
+    # n3 = 1, 2, odd and even; n1 < n2 and n1 > n2
+    SHAPES = [(4, 7, 1), (7, 4, 1), (3, 5, 2), (5, 3, 2), (4, 6, 5),
+              (6, 4, 7), (5, 8, 6), (8, 5, 10), (1, 9, 4), (9, 1, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_truncated_tsvd(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        t = rng.standard_normal(shape)
+        for tau in (0.0, 0.3, 1.5, 1e3):
+            want = oracle.truncated_tsvd(t, tau)
+            got = tz.truncated_tsvd(t, tau)
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_tnn(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        t = rng.standard_normal(shape)
+        want = oracle.tnn(t)
+        assert abs(tz.tnn(t) - want) <= 1e-12 * want
+
+
 class TestProxObjective:
     def test_shrinkage_minimizes(self):
         rng = np.random.default_rng(80)
@@ -391,19 +371,19 @@ class TestProxObjective:
             target = rng.standard_normal((6, 5, 4))
             coeff = float(rng.uniform(0.2, 3.0))
             w = tz.truncated_tsvd(target, 1.0 / (2.0 * coeff))
-            base = tz.prox_objective(w, target, coeff)
-            assert base <= tz.prox_objective(target, target, coeff) + 1e-9
-            assert base <= tz.prox_objective(np.zeros_like(target), target, coeff) + 1e-9
+            base = oracle.prox_objective(w, target, coeff)
+            assert base <= oracle.prox_objective(target, target, coeff) + 1e-9
+            assert base <= oracle.prox_objective(np.zeros_like(target), target, coeff) + 1e-9
             for _ in range(20):
                 d = rng.standard_normal(target.shape)
                 d /= np.linalg.norm(d)
-                assert base <= tz.prox_objective(w + 1e-2 * d, target, coeff) + 1e-9
+                assert base <= oracle.prox_objective(w + 1e-2 * d, target, coeff) + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tz.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 0.0)
+            oracle.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 0.0)
         with pytest.raises(DimMismatch):
-            tz.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), 1.0)
+            oracle.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), 1.0)
 
 
 class TestSerialization:
@@ -420,7 +400,7 @@ class TestSerialization:
     def test_layout_is_slice_major_row_major(self, tmp_path):
         t = np.arange(12.0).reshape(2, 3, 2, order="C")  # t[i,j,k]
         path = tmp_path / "one.t3r"
-        tz.save_tensor(path, t)
+        tz.save_tensors(path, [t])
         raw = path.read_bytes()
         assert raw[:4] == b"T3R1"
         dims = np.frombuffer(raw[4:16], dtype="<u4")
@@ -438,7 +418,7 @@ class TestSerialization:
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(91)
         path = tmp_path / "cut.t3r"
-        tz.save_tensor(path, rng.standard_normal((3, 3, 3)))
+        tz.save_tensors(path, [rng.standard_normal((3, 3, 3))])
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError):
             tz.load_tensors(path)
