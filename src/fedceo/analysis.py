@@ -1,7 +1,7 @@
-"""Diagnostics over trained runs: utility gap between private and clean
-training, a per-class/per-client roughness map of the last linear layer,
-per-frequency singular-value curves of a stacked layer tensor, and a
-closed-form gradient-inversion attack on a softmax-linear head.
+"""Diagnostics over trained runs: a per-class/per-client roughness map of
+the last linear layer, per-frequency singular-value curves of a stacked
+layer tensor, and a closed-form gradient-inversion attack on a
+softmax-linear head.
 
 Everything here is a pure function of its inputs; callers may fan these
 out across seeds or runs freely.
@@ -17,15 +17,6 @@ from .errors import DegenerateGradient, ShapeMismatch
 from .tensor import as_tensor3, dft_mode3
 
 _BIAS_GRAD_FLOOR = 1e-9
-
-
-def utility_gap(loss_dp_run: float, loss_clean_run: float) -> float:
-    """Converged loss of the private run minus that of the clean baseline.
-
-    Positive values quantify what privacy cost in utility; negative values
-    (private run happened to land lower) are reported as-is.
-    """
-    return float(loss_dp_run) - float(loss_clean_run)
 
 
 @dataclass(frozen=True)

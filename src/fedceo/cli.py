@@ -10,8 +10,9 @@ Subcommands::
                     [--spread S] [--seed S]
 
 Exit codes: 0 on success, 2 for configuration/input errors, 3 for numeric
-failures.  The FEDCEO_THREADS environment variable caps worker threads
-when --threads is not given.
+failures.  Runs and sweeps are serial: --threads (or the FEDCEO_THREADS
+environment variable when --threads is not given) is validated and
+recorded in the run manifest, but selects nothing.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .errors import (
     NonFinite,
     ParseError,
     ShapeMismatch,
-    SymmetryViolation,
     TooManyClients,
     ValidationError,
 )
 from .models import backward, forward_loss, logistic_model, unflatten_params
-from .protocol import run_experiment, worker_count, write_run_outputs
+from .protocol import run_experiment, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
 
@@ -60,7 +60,6 @@ _CONFIG_ERRORS = (
 _NUMERIC_ERRORS = (
     NoConvergence,
     NonFinite,
-    SymmetryViolation,
     DegenerateGradient,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -70,6 +69,27 @@ _NUMERIC_ERRORS = (
 
 ATTACK_SIGMAS = (0.0, 0.5, 1.0, 2.0)
 ATTACK_SEEDS = 20
+
+THREADS_ENV_VAR = "FEDCEO_THREADS"
+
+
+def worker_count(explicit: int | None = None) -> int:
+    """The thread count a run records: --threads, else FEDCEO_THREADS,
+    else 1.  Must be a positive integer; it changes no result."""
+    if explicit is not None:
+        if explicit < 1:
+            raise ValidationError("must be >= 1", field="--threads")
+        return explicit
+    raw = os.environ.get(THREADS_ENV_VAR)
+    if raw is None:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"not an integer: {raw!r}", field=THREADS_ENV_VAR) from None
+    if value < 1:
+        raise ValidationError("must be >= 1", field=THREADS_ENV_VAR)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="flat key=value config file")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: FEDCEO_THREADS or 1)")
+                       help="thread count recorded in the manifest "
+                            "(default: FEDCEO_THREADS or 1)")
 
     sweep_p = sub.add_parser("sweep", help="vary one config field over a value grid")
     sweep_p.add_argument("--config", required=True, help="base config file")
@@ -95,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seeds")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--threads", type=int, default=None,
-                         help="worker threads (default: FEDCEO_THREADS or 1)")
+                         help="validated only; cells run serially "
+                              "(default: FEDCEO_THREADS or 1)")
 
     analyze_p = sub.add_parser("analyze", help="diagnostics for a finished run")
     analyze_p.add_argument("--run", required=True, help="directory written by `run`")
@@ -115,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     threads = worker_count(args.threads)
-    result = run_experiment(cfg, max_workers=threads)
+    result = run_experiment(cfg)
     write_run_outputs(result, args.out, threads=threads)
     last = result.metrics[-1]
     print(f"run complete: round={last.round} loss={last.loss:.6f} acc={last.acc:.4f}")
@@ -131,11 +153,11 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError("seeds must be integers", field="seeds") from None
     spec = SweepSpec(base=base, axis=args.axis, values=values, seeds=seeds)
-    threads = worker_count(args.threads)
+    worker_count(args.threads)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     try:
-        result = sweep(spec, max_workers=threads)
+        result = sweep(spec)
     except Exception as exc:
         partial = getattr(exc, "partial_rows", [])
         if partial:
@@ -152,22 +174,40 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _locate_last_weight(tensors: list[np.ndarray], manifest: dict | None):
-    """(last weight stack, its bias stack or None) from a saved model file."""
-    shapes = None if manifest is None else manifest.get("layer_shapes")
-    if shapes:
-        # Tensors appear weight-first per layer, bias following when present.
-        idx = 0
-        last_w = last_b = None
-        for fan_in, fan_out, has_bias in shapes:
-            last_w, idx = tensors[idx], idx + 1
-            last_b = None
-            if has_bias:
-                last_b, idx = tensors[idx], idx + 1
-        return last_w, last_b
-    weights = [t for t in tensors if t.shape[0] > 1]
-    last_w = weights[-1] if weights else tensors[-1]
-    return last_w, None
+def _locate_last_weight(tensors: list[np.ndarray], shapes: list | None,
+                        model_path: str) -> np.ndarray:
+    """The last layer's weight stack from a saved model file.
+
+    With the manifest's ``layer_shapes`` the file must hold, in order, each
+    layer's (n_in, n_out, K) weight and (1, n_out, K) bias when present,
+    all sharing one K; without them, the last stack with more than one row.
+    """
+    if not shapes:
+        if not tensors:
+            raise ParseError(f"{model_path}: holds no tensors")
+        weights = [t for t in tensors if t.shape[0] > 1]
+        return weights[-1] if weights else tensors[-1]
+    expected, last = [], 0
+    for n_in, n_out, has_bias in shapes:
+        last = len(expected)
+        expected.append((n_in, n_out))
+        if has_bias:
+            expected.append((1, n_out))
+    found = [t.shape for t in tensors]
+    if [s[:2] for s in found] != expected or len({s[2] for s in found}) != 1:
+        raise ParseError(
+            f"{model_path}: stacks {found} do not match the manifest's "
+            f"layer_shapes {shapes}"
+        )
+    return tensors[last]
+
+
+def _is_layer_shapes(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(s, list) and len(s) == 3 and type(s[0]) is int
+        and type(s[1]) is int and isinstance(s[2], bool)
+        for s in value
+    )
 
 
 def _attack_report(last_w: np.ndarray, seed: int) -> dict:
@@ -228,7 +268,7 @@ def _cmd_analyze(args) -> int:
     model_path = os.path.join(run_dir, "final_model.t3r")
     manifest_path = os.path.join(run_dir, "run_manifest.json")
     tensors = load_tensors(model_path)
-    manifest = None
+    seed, shapes = 0, None
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="ascii") as fh:
             try:
@@ -237,9 +277,13 @@ def _cmd_analyze(args) -> int:
                 raise ParseError(f"{manifest_path}: {exc}") from None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
             raise ParseError(f"{manifest_path}: not a run manifest")
-    seed = 0 if manifest is None else int(manifest["config"].get("seed", 0))
+        seed = manifest["config"].get("seed", 0)
+        shapes = manifest.get("layer_shapes")
+        if not (type(seed) is int and seed >= 0
+                and (shapes is None or _is_layer_shapes(shapes))):
+            raise ParseError(f"{manifest_path}: bad config.seed or layer_shapes")
 
-    last_w, _ = _locate_last_weight(tensors, manifest)
+    last_w = _locate_last_weight(tensors, shapes, model_path)
     k = last_w.shape[2]
     rows_per_client = [last_w[:, :, s].T for s in range(k)]
     heat = smoothness_map(rows_per_client)

@@ -60,10 +60,10 @@ def synth_blobs(num_classes: int, dim: int, samples: int, spread: float, seed: i
         raise ValidationError(
             f"{samples} is not divisible by the number of classes ({num_classes}), "
             "so the label histogram cannot be exactly uniform",
-            field="samples",
+            field="data.samples",
         )
     if not (spread >= 0 and math.isfinite(spread)):
-        raise ValidationError(f"must be finite and >= 0, got {spread}", field="spread")
+        raise ValidationError(f"must be finite and >= 0, got {spread}", field="data.spread")
     rng = rng_stream(seed, purpose="data")
     per_class = samples // num_classes
     centers = rng.standard_normal((num_classes, dim))
@@ -85,7 +85,10 @@ def split_train_test(data: Dataset, test_fraction: float, seed: int):
         take = int(round(members.size * test_fraction))
         take = min(max(take, 1), members.size - 1) if members.size > 1 else 0
         test_idx.append(rng.permutation(members)[:take])
-    test_idx = np.sort(np.concatenate(test_idx)) if test_idx else np.array([], dtype=np.int64)
+    test_idx = np.sort(np.concatenate(test_idx))
+    if test_idx.size == 0:
+        raise EmptyDataset("data.samples: no class has two samples, so the test split "
+                           "would be empty")
     mask = np.zeros(data.n, dtype=bool)
     mask[test_idx] = True
     return data.subset(np.flatnonzero(~mask)), data.subset(test_idx)
@@ -109,7 +112,7 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if n_clients > n:
-        raise TooManyClients(f"{n_clients} clients but only {n} samples")
+        raise TooManyClients(f"n_total: {n_clients} clients but only {n} samples to split")
     if mode not in PARTITION_MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
     rng = rng_stream(seed, purpose="partition")

@@ -83,7 +83,10 @@ def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
     arr = np.asarray(delta, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFinite("update contains NaN or infinity")
-    norm = float(np.linalg.norm(arr.ravel()))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr.ravel()))
+    if not math.isfinite(norm):
+        raise NonFinite("update norm overflows: local training diverged")
     return arr / max(1.0, norm / clip_c)
 
 

@@ -3,9 +3,8 @@
 Every error raised on a contract violation derives from :class:`FedceoError`
 so callers can catch the package's failures in one clause.  Config-file
 problems (:class:`ParseError`, :class:`ValidationError`) are kept distinct
-from numeric failures (:class:`NoConvergence`, :class:`NonFinite`,
-:class:`SymmetryViolation`) because the command line maps the two groups to
-different exit codes.
+from numeric failures (:class:`NoConvergence`, :class:`NonFinite`) because
+the command line maps the two groups to different exit codes.
 """
 
 
@@ -19,11 +18,6 @@ class DimMismatch(FedceoError, ValueError):
 
 class NonFinite(FedceoError, ValueError):
     """An input or result contains NaN or infinity."""
-
-
-class SymmetryViolation(FedceoError, ValueError):
-    """A spectrum expected to be conjugate-symmetric is not, so the
-    inverse transform would not be real."""
 
 
 class NoConvergence(FedceoError, ArithmeticError):

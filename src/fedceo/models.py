@@ -50,14 +50,6 @@ class Model:
         return self.layers[-1].weight.shape[1]
 
 
-def arch_signature(model: Model) -> tuple:
-    """Hashable shape fingerprint used to detect architecture mismatches."""
-    return tuple(
-        (layer.weight.shape[0], layer.weight.shape[1], layer.bias is not None)
-        for layer in model.layers
-    )
-
-
 def logistic_model(input_dim: int, num_classes: int, *, bias: bool = True,
                    rng: np.random.Generator) -> Model:
     return Model([_init_layer(input_dim, num_classes, bias, rng)])
@@ -204,18 +196,6 @@ def backward(model: Model, cache: BackwardCache) -> np.ndarray:
         if layer.bias is not None:
             parts.append(grads_b[i])
     return np.concatenate(parts)
-
-
-def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
-    h = np.asarray(x, dtype=np.float64)
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        h = h @ layer.weight
-        if layer.bias is not None:
-            h = h + layer.bias
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray):

@@ -17,7 +17,7 @@ Three algorithms share one round pipeline:
   average of the slices.
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
-results are independent of thread count and identical across replays.
+results are identical across replays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -47,28 +46,6 @@ from .models import (
 from .tensor import tnn, truncated_tsvd
 
 ALGORITHMS = ("fedavg", "ldp_fedavg", "fedceo")
-
-THREADS_ENV_VAR = "FEDCEO_THREADS"
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """Worker threads for one round's client updates; FEDCEO_THREADS wins
-    over the default of 1 unless an explicit count is passed."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValidationError("must be >= 1", field="max_workers")
-        return explicit
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"not an integer: {raw!r}", field=THREADS_ENV_VAR) from None
-    if value < 1:
-        raise ValidationError("must be >= 1", field=THREADS_ENV_VAR)
-    return value
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -120,6 +97,8 @@ class DataSpec:
             raise ValidationError("must be finite and >= 0", field="data.spread")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValidationError("must be in (0, 1)", field="data.test_fraction")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError("must be >= 0", field="data.seed")
         if self.partition_mode not in ("iid", "label_shard", "dirichlet"):
             raise ValidationError(
                 f"unknown mode {self.partition_mode!r}", field="partition.mode"
@@ -327,7 +306,7 @@ def _client_update(cfg: RunConfig, template: Model, part: Dataset,
     return gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected, noise_rng)
 
 
-def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> ExperimentResult:
+def run_experiment(cfg: RunConfig) -> ExperimentResult:
     """Run the configured algorithm for cfg.rounds rounds.
 
     Metrics rows appear every cfg.eval_every rounds and always on the final
@@ -335,7 +314,6 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
     split, summed tensor nuclear norm of the (smoothed) stack when the row
     lands on a smoothing round, and the closed-form privacy budget.
     """
-    workers = worker_count(max_workers)
     train, test, parts = build_dataset(cfg)
     template = build_model(cfg, train.dim, train.num_classes)
     global_vec = flatten_params(template)
@@ -352,36 +330,31 @@ def run_experiment(cfg: RunConfig, *, max_workers: int | None = None) -> Experim
             return personalized[client]
         return global_vec
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for round_no in range(1, cfg.rounds + 1):
-            selected = select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)
-            starts = [start_for(int(c), round_no) for c in selected]
-            jobs = [
-                (cfg, template, parts[int(c)], start, round_no, int(c))
-                for c, start in zip(selected, starts)
-            ]
-            if workers == 1:
-                uploads = np.stack([_client_update(*job) for job in jobs])
-            else:
-                uploads = np.stack(list(pool.map(lambda j: _client_update(*j), jobs)))
+    for round_no in range(1, cfg.rounds + 1):
+        selected = select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)
+        uploads = np.stack([
+            _client_update(cfg, template, parts[int(c)], start_for(int(c), round_no),
+                           round_no, int(c))
+            for c in selected
+        ])
 
-            tnn_total = math.nan
-            if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
-                threshold = smoothing_threshold(
-                    cfg.lambda0, cfg.ratio, round_no, cfg.interval
-                )
-                if cfg.divide_threshold_by_k:
-                    threshold /= cfg.k_selected
-                uploads, tnn_total = server_smooth(uploads, template, threshold)
-                personalized = {int(c): row for c, row in zip(selected, uploads)}
-                personalized_round = round_no
-            global_vec = uploads.mean(axis=0)
+        tnn_total = math.nan
+        if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
+            threshold = smoothing_threshold(
+                cfg.lambda0, cfg.ratio, round_no, cfg.interval
+            )
+            if cfg.divide_threshold_by_k:
+                threshold /= cfg.k_selected
+            uploads, tnn_total = server_smooth(uploads, template, threshold)
+            personalized = {int(c): row for c, row in zip(selected, uploads)}
+            personalized_round = round_no
+        global_vec = uploads.mean(axis=0)
 
-            if round_no % cfg.eval_every == 0 or round_no == cfg.rounds:
-                global_model = unflatten_params(template, global_vec)
-                loss, _ = evaluate(global_model, train.features, train.labels)
-                _, acc = evaluate(global_model, test.features, test.labels)
-                metrics.append(MetricsRow(round_no, loss, acc, tnn_total, eps_p))
+        if round_no % cfg.eval_every == 0 or round_no == cfg.rounds:
+            global_model = unflatten_params(template, global_vec)
+            loss, _ = evaluate(global_model, train.features, train.labels)
+            _, acc = evaluate(global_model, test.features, test.labels)
+            metrics.append(MetricsRow(round_no, loss, acc, tnn_total, eps_p))
 
     return ExperimentResult(
         config=cfg,

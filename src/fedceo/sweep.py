@@ -3,23 +3,23 @@
 A sweep varies exactly one dotted config field (``dp.sigma``, ``lr``,
 ``algorithm``, ...) over a list of values, runs every (value, seed) cell,
 and reports per-cell final accuracy and privacy budget plus per-value
-mean/std summaries.  Cells are independent, so they may run on a thread
-pool; output order is always (value index, seed index) regardless of
-scheduling.  If a cell fails, the cells completed before the failure ride
-along on the raised exception's ``partial_rows`` attribute.
+mean/std summaries.  Cells run one after another in (value index, seed
+index) order, and every cell's config is built before the first cell runs,
+so a bad value fails before any training.  If a cell fails, the cells
+completed before the failure ride along on the raised exception's
+``partial_rows`` attribute.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import _SCHEMA
 from .errors import ValidationError
-from .protocol import RunConfig, run_experiment, worker_count
+from .protocol import RunConfig, run_experiment
 
 SWEEPABLE = tuple(
     key for key in _SCHEMA
@@ -82,40 +82,26 @@ def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
 
 
 def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
-    result = run_experiment(cfg, max_workers=1)
+    result = run_experiment(cfg)
     last = result.metrics[-1]
     return last.acc, last.loss, last.eps_p
 
 
-def sweep(spec: SweepSpec, *, max_workers: int | None = None) -> SweepResult:
+def sweep(spec: SweepSpec) -> SweepResult:
     """Run the full (value, seed) grid and summarize per value.
 
-    Raises the first cell failure after cancelling the rest; completed
-    rows (in grid order, up to the first gap) are attached to the
-    exception as ``partial_rows``.
+    Raises the first cell failure; the rows completed before it (in grid
+    order) are attached to the exception as ``partial_rows``.
     """
     grid = [(value, int(seed)) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in grid]
-    workers = worker_count(max_workers)
-    outcomes: list = [None] * len(grid)
-    if workers == 1:
-        try:
-            for i, cfg in enumerate(configs):
-                outcomes[i] = _run_cell(cfg)
-        except Exception as exc:
-            exc.partial_rows = _finished_rows(grid, outcomes)
-            raise
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, cfg) for cfg in configs]
-            try:
-                for i, fut in enumerate(futures):
-                    outcomes[i] = fut.result()
-            except Exception as exc:
-                for fut in futures:
-                    fut.cancel()
-                exc.partial_rows = _finished_rows(grid, outcomes)
-                raise
+    outcomes = []
+    try:
+        for cfg in configs:
+            outcomes.append(_run_cell(cfg))
+    except Exception as exc:
+        exc.partial_rows = _finished_rows(grid, outcomes)
+        raise
 
     rows = _finished_rows(grid, outcomes)
     summaries = []
@@ -134,13 +120,10 @@ def sweep(spec: SweepSpec, *, max_workers: int | None = None) -> SweepResult:
 
 
 def _finished_rows(grid, outcomes) -> list[SweepRow]:
-    rows = []
-    for (value, seed), outcome in zip(grid, outcomes):
-        if outcome is None:
-            break
-        acc, loss, eps = outcome
-        rows.append(SweepRow(value=value, seed=seed, acc=acc, loss=loss, eps_p=eps))
-    return rows
+    return [
+        SweepRow(value=value, seed=seed, acc=acc, loss=loss, eps_p=eps)
+        for (value, seed), (acc, loss, eps) in zip(grid, outcomes)
+    ]
 
 
 def sweep_csv_text(result: SweepResult) -> str:

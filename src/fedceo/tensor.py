@@ -144,6 +144,8 @@ def _read_one(fh):
     magic, n1, n2, n3 = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if 0 in (n1, n2, n3):
+        raise ParseError(f"tensor header has an empty axis: {n1}x{n2}x{n3}")
     size = 8 * n1 * n2 * n3
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if size > left:
@@ -168,11 +170,15 @@ def save_tensors(path, tensors) -> None:
 
 
 def load_tensors(path) -> list[np.ndarray]:
-    """Read every tensor stored at ``path``."""
+    """Read every tensor stored at ``path``; a malformed file raises
+    :class:`ParseError` naming it."""
     out = []
     with open(path, "rb") as fh:
         while True:
-            t = _read_one(fh)
+            try:
+                t = _read_one(fh)
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc}") from None
             if t is None:
                 return out
             out.append(t)

@@ -22,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedceo.errors import DimMismatch, NonFinite, SymmetryViolation
+from fedceo.errors import DimMismatch, NonFinite
 from fedceo.tensor import as_tensor3, frobenius
+
+class SymmetryViolation(ValueError):
+    """A spectrum expected to be conjugate-symmetric is not, so the
+    inverse transform would not be real."""
+
 
 # Imaginary residue tolerated (relative to the spectrum's Frobenius norm)
 # when an inverse transform is asked to produce a real tensor.

@@ -42,6 +42,8 @@ import numpy as np
 import pytest
 
 from fedceo.analysis import invert_linear_gradient, smoothness_map, spectral_curves
+from fedceo.cli import main
+from fedceo.config import config_file_text
 from fedceo.dp import DpConfig, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.models import (
     backward,
@@ -55,7 +57,6 @@ from fedceo.protocol import (
     DataSpec,
     ModelSpec,
     RunConfig,
-    metrics_csv_text,
     run_experiment,
     smoothing_threshold,
 )
@@ -528,18 +529,23 @@ def test_criterion_11_smoothing_reduces_roughness():
 
 
 # ---------------------------------------------------------------------------
-# 12: byte-identical metrics across worker threads
+# 12: byte-identical metrics across `run --threads` settings
 
 
-def test_criterion_12_thread_reproducibility():
+def test_criterion_12_thread_reproducibility(tmp_path, capsys):
     cfg = dataclasses.replace(
         DESK, rounds=10, local_epochs=3, eval_every=5, algorithm="fedceo",
         interval=5, lambda0=0.5,
         dp=DpConfig(clip_c=1.0, sigma=1.0, delta=1e-2))
-    texts = {
-        n: metrics_csv_text(run_experiment(cfg, max_workers=n).metrics)
-        for n in (1, 2, 8)
-    }
+    config = tmp_path / "run.cfg"
+    config.write_text(config_file_text(cfg))
+    texts = {}
+    for n in (1, 2, 8):
+        out = tmp_path / f"threads{n}"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--threads", str(n)]) == 0
+        texts[n] = (out / "metrics.csv").read_bytes()
+    capsys.readouterr()
     ok = texts[1] == texts[2] == texts[8]
     report(12, "thread reproducibility", ok,
            f"metrics.csv identical across 1/2/8 workers: {ok}")

@@ -7,7 +7,6 @@ from fedceo.analysis import (
     invert_linear_gradient,
     smoothness_map,
     spectral_curves,
-    utility_gap,
 )
 from fedceo.errors import DegenerateGradient, ShapeMismatch
 from fedceo.models import backward, forward_loss, logistic_model, unflatten_params
@@ -23,16 +22,6 @@ def naive_map(mats):
                     for b in range(k) if b != a)
             out[j, a] = s / (k - 1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# utility_gap
-
-
-def test_utility_gap_is_signed_difference():
-    assert utility_gap(2.0, 0.5) == 1.5
-    assert utility_gap(0.3, 0.5) == pytest.approx(-0.2)
-    assert utility_gap(1.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

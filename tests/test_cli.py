@@ -91,6 +91,7 @@ def test_run_is_reproducible_across_invocations_and_threads(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(threaded),
                  "--threads", "3"]) == 0
     assert (first / "metrics.csv").read_bytes() == (threaded / "metrics.csv").read_bytes()
+    assert json.loads((threaded / "run_manifest.json").read_text())["threads"] == 3
 
 
 def test_run_manifest_records_threads_env(tmp_path, monkeypatch):
@@ -98,6 +99,28 @@ def test_run_manifest_records_threads_env(tmp_path, monkeypatch):
     _, out = do_run(tmp_path)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag,env,needle", [
+    ("0", None, "--threads"),
+    (None, "abc", "FEDCEO_THREADS"),
+    (None, "0", "FEDCEO_THREADS"),
+], ids=["flag-0", "env-abc", "env-0"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, command, flag, env, needle):
+    if env is None:
+        monkeypatch.delenv("FEDCEO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FEDCEO_THREADS", env)
+    argv = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "dp.sigma", "--values", "0.5", "--seeds", "0"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
 
 
 def test_rerun_from_manifest_config_reproduces_csv(tmp_path):
@@ -158,7 +181,7 @@ def test_run_missing_data_file_exits_2(tmp_path, capsys):
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     import fedceo.cli as cli_mod
 
-    def explode(cfg, max_workers=None):
+    def explode(cfg):
         raise NoConvergence("iteration cap reached")
 
     monkeypatch.setattr(cli_mod, "run_experiment", explode)
@@ -166,6 +189,16 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numeric failure:" in capsys.readouterr().err
+
+
+def test_diverging_run_exits_3(tmp_path, capsys):
+    # Every update stays finite but its norm overflows; clipping by that
+    # infinite norm would silently upload zeros.
+    text = TINY_CONFIG.replace("lr = 0.1", "lr = 1e200").replace(
+        "algorithm = ldp_fedavg", "algorithm = fedceo")
+    code, _ = do_run(tmp_path, text=text)
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +265,36 @@ def test_analyze_missing_run_dir_exits_2(tmp_path, capsys):
 # values with one present; neither size is ever allocated.
 HUGE_HEADER = struct.pack("<4sIII", b"T3R1", 2**32 - 1, 2**32 - 1, 2**32 - 1)
 SHORT_HEADER = struct.pack("<4sIII", b"T3R1", 64, 64, 64)
+EMPTY_AXIS = struct.pack("<4sIII", b"T3R1", 0, 3, 3)
 
 
-@pytest.mark.parametrize("name,content,needle", [
-    ("final_model.t3r", HUGE_HEADER + bytes(8), "tensor header"),
-    ("final_model.t3r", SHORT_HEADER + bytes(8), "tensor header"),
-    ("run_manifest.json", b"{not json", "run_manifest.json"),
-    ("run_manifest.json", b"[]", "run_manifest.json"),
-], ids=["huge-dims", "short-payload", "bad-json", "not-an-object"])
-def test_analyze_corrupt_artifact_exits_2(tmp_path, capsys, name, content, needle):
+def extra_layer(manifest_bytes):
+    manifest = json.loads(manifest_bytes)
+    manifest["layer_shapes"].append([3, 3, False])
+    return json.dumps(manifest).encode()
+
+
+# Each case maps artifacts to their new bytes, to a function of their old
+# bytes, or to None to delete them.
+@pytest.mark.parametrize("edits,needle", [
+    ({"final_model.t3r": HUGE_HEADER + bytes(8)}, "tensor header"),
+    ({"final_model.t3r": SHORT_HEADER + bytes(8)}, "tensor header"),
+    ({"run_manifest.json": b"{not json"}, "run_manifest.json"),
+    ({"run_manifest.json": b"[]"}, "run_manifest.json"),
+    ({"final_model.t3r": b""}, "final_model.t3r"),
+    ({"final_model.t3r": b"", "run_manifest.json": None}, "final_model.t3r"),
+    ({"run_manifest.json": extra_layer}, "layer_shapes"),
+    ({"final_model.t3r": EMPTY_AXIS, "run_manifest.json": None}, "empty axis"),
+], ids=["huge-dims", "short-payload", "bad-json", "not-an-object", "empty-model",
+        "empty-model-no-manifest", "manifest-extra-layer", "empty-axis"])
+def test_analyze_corrupt_artifact_exits_2(tmp_path, capsys, edits, needle):
     _, run_dir = do_run(tmp_path)
-    (run_dir / name).write_bytes(content)
+    for name, new in edits.items():
+        path = run_dir / name
+        if new is None:
+            path.unlink()
+        else:
+            path.write_bytes(new(path.read_bytes()) if callable(new) else new)
     capsys.readouterr()
     assert main(["analyze", "--run", str(run_dir)]) == 2
     err = capsys.readouterr().err

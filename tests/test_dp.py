@@ -43,6 +43,12 @@ class TestClipUpdate:
         with pytest.raises(ValueError):
             clip_update(np.ones(3), 0.0)
 
+    def test_finite_update_with_overflowing_norm_rejected(self):
+        # Every entry is finite but the squared norm is not: dividing by
+        # an infinite norm would silently upload zeros.
+        with pytest.raises(NonFinite, match="diverged"):
+            clip_update(np.full(4, 1e200), 1.0)
+
 
 class TestGaussianize:
     def test_vanishing_sigma_recovers_sgd_step(self):

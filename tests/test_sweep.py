@@ -1,4 +1,4 @@
-"""Parameter sweeps: grid construction, parallel determinism, CSV output."""
+"""Parameter sweeps: grid construction, thread-flag determinism, CSV output."""
 
 import dataclasses
 import math
@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from fedceo.cli import main
+from fedceo.config import config_file_text
 from fedceo.dp import DpConfig
 from fedceo.errors import ValidationError
 from fedceo.protocol import DataSpec, ModelSpec, RunConfig, run_experiment
@@ -93,11 +95,18 @@ def test_rows_ordered_by_value_then_seed():
     assert [s.value for s in res.summaries] == [0.5, 1.0]
 
 
-def test_parallel_equals_serial():
-    spec = tiny_spec()
-    serial = sweep(spec, max_workers=1)
-    parallel = sweep(spec, max_workers=4)
-    assert sweep_csv_text(serial) == sweep_csv_text(parallel)
+def test_parallel_equals_serial(tmp_path):
+    config = tmp_path / "base.cfg"
+    config.write_text(config_file_text(TINY))
+    texts = {}
+    for n in (1, 4):
+        out = tmp_path / f"threads{n}"
+        assert main(["sweep", "--config", str(config), "--axis", "dp.sigma",
+                     "--values", "0.5,1.0", "--seeds", "0,1", "--out", str(out),
+                     "--threads", str(n)]) == 0
+        texts[n] = (out / "sweep.csv").read_bytes()
+    assert texts[1] == texts[4]
+    assert texts[1].decode() == sweep_csv_text(sweep(tiny_spec()))
 
 
 def test_summaries_aggregate_rows():
