@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradient, ShapeMismatch
+from .errors import DegenerateGradient, NonFinite, ShapeMismatch
 from .tensor import as_tensor3, dft_mode3
 
 _BIAS_GRAD_FLOOR = 1e-9
@@ -57,12 +57,15 @@ def smoothness_map(last_layer_weights: list[np.ndarray]) -> SmoothnessMap:
     if k == 1:
         return SmoothnessMap(matrix=np.zeros((shape[0], 1)))
     # ||row_jk - row_jl||^2 summed over l, via the expanded square.
-    sq = np.einsum("kjf,kjf->kj", stack, stack)         # (K, classes)
-    total_sq = sq.sum(axis=0)                           # (classes,)
-    total_row = stack.sum(axis=0)                       # (classes, features)
-    cross = np.einsum("kjf,jf->kj", stack, total_row)   # (K, classes)
-    dist = k * sq + total_sq[None, :] - 2.0 * cross     # sum_l ||row_k - row_l||^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("kjf,kjf->kj", stack, stack)         # (K, classes)
+        total_sq = sq.sum(axis=0)                           # (classes,)
+        total_row = stack.sum(axis=0)                       # (classes, features)
+        cross = np.einsum("kjf,jf->kj", stack, total_row)   # (K, classes)
+        dist = k * sq + total_sq[None, :] - 2.0 * cross     # sum_l ||row_k - row_l||^2
     matrix = np.maximum(dist, 0.0).T / (k - 1)
+    if not np.all(np.isfinite(matrix)):
+        raise NonFinite("smoothness map overflows float64 for these weights")
     return SmoothnessMap(matrix=matrix)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     TooManyClients,
     ValidationError,
 )
-from .models import backward, forward_loss, logistic_model, unflatten_params
+from .models import backward, forward_loss, logistic_model, param_blocks, unflatten_params
 from .protocol import run_experiment, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
@@ -178,28 +178,24 @@ def _locate_last_weight(tensors: list[np.ndarray], shapes: list | None,
                         model_path: str) -> np.ndarray:
     """The last layer's weight stack from a saved model file.
 
-    With the manifest's ``layer_shapes`` the file must hold, in order, each
-    layer's (n_in, n_out, K) weight and (1, n_out, K) bias when present,
-    all sharing one K; without them, the last stack with more than one row.
+    With the manifest's ``layer_shapes`` the file must hold one
+    (rows, cols, K) stack per block of their parameter layout, all sharing
+    one K; without them, the last stack with more than one row.
     """
     if not shapes:
         if not tensors:
             raise ParseError(f"{model_path}: holds no tensors")
         weights = [t for t in tensors if t.shape[0] > 1]
         return weights[-1] if weights else tensors[-1]
-    expected, last = [], 0
-    for n_in, n_out, has_bias in shapes:
-        last = len(expected)
-        expected.append((n_in, n_out))
-        if has_bias:
-            expected.append((1, n_out))
     found = [t.shape for t in tensors]
-    if [s[:2] for s in found] != expected or len({s[2] for s in found}) != 1:
+    if ([s[:2] for s in found] != param_blocks(shapes)
+            or len({s[2] for s in found}) != 1):
         raise ParseError(
             f"{model_path}: stacks {found} do not match the manifest's "
             f"layer_shapes {shapes}"
         )
-    return tensors[last]
+    # The last layer's blocks start with its weight.
+    return tensors[len(param_blocks(shapes[:-1]))]
 
 
 def _is_layer_shapes(value) -> bool:
@@ -303,7 +299,7 @@ def _cmd_analyze(args) -> int:
             curves = spectral_curves(t).curves
             for si in range(curves.shape[0]):
                 for vi in range(curves.shape[1]):
-                    fh.write(f"{ti},{si},{vi},{curves[si, vi]!r}\n")
+                    fh.write(f"{ti},{si},{vi},{float(curves[si, vi])!r}\n")
 
     report = _attack_report(last_w, seed)
     report_path = os.path.join(out_dir, "attack_report.json")

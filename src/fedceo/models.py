@@ -1,9 +1,11 @@
 """Dense softmax classifiers with hand-written gradients.
 
 Two architectures cover the experiments: plain multinomial logistic
-regression and a one-hidden-layer ReLU network.  Parameters live in plain
-float64 arrays; a model flattens to a single vector and back bit-exactly,
-which is the currency the federated protocol trades in.
+regression and a one-hidden-layer ReLU network.  A model's parameters are
+one float64 vector, the currency the federated protocol trades in; each
+layer's weight and bias are views into it.  :func:`param_blocks` is the
+one statement of that flat layout, and :func:`block_views` reads any
+``(..., P)`` array through it.
 
 The loss is mean softmax cross-entropy over the batch fed in (a ragged
 final minibatch divides by its own size).  ReLU uses subgradient 0 at the
@@ -13,108 +15,99 @@ kink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimMismatch, EmptyDataset, ShapeMismatch, StaleCache
 
 
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray | None = None  # (fan_out,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ShapeMismatch(f"weight must be 2-d, got {self.weight.shape}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.weight.shape[1],):
-                raise ShapeMismatch(
-                    f"bias shape {self.bias.shape} does not match fan_out "
-                    f"{self.weight.shape[1]}"
-                )
+def param_blocks(shapes) -> list[tuple[int, int]]:
+    """The flat parameter layout of (fan_in, fan_out, has_bias) layers: in
+    layer order, each weight as a row-major (fan_in, fan_out) block, then
+    its bias as a (1, fan_out) block when the layer has one."""
+    blocks = []
+    for fan_in, fan_out, has_bias in shapes:
+        blocks.append((fan_in, fan_out))
+        if has_bias:
+            blocks.append((1, fan_out))
+    return blocks
 
 
-@dataclass
+def block_views(arr: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the last axis of a ``(..., P)`` array as the layout's
+    blocks, each ``(..., rows, cols)``."""
+    blocks = param_blocks(shapes)
+    sizes = [rows * cols for rows, cols in blocks]
+    if arr.shape[-1:] != (sum(sizes),):
+        raise ShapeMismatch(
+            f"parameter axis of shape {arr.shape} does not hold the "
+            f"{sum(sizes)} parameters of layers {shapes}"
+        )
+    return [arr[..., end - size:end].reshape(arr.shape[:-1] + block)
+            for block, size, end in zip(blocks, sizes, accumulate(sizes))]
+
+
+class DenseLayer(NamedTuple):
+    """One layer's views into its model's parameter vector."""
+    weight: np.ndarray       # (fan_in, fan_out)
+    bias: np.ndarray | None  # (fan_out,)
+
+
+def _layer_views(params: np.ndarray, shapes) -> list[DenseLayer]:
+    blocks = iter(block_views(params, shapes))
+    return [DenseLayer(next(blocks), next(blocks)[..., 0, :] if has_bias else None)
+            for _, _, has_bias in shapes]
+
+
 class Model:
-    layers: list[DenseLayer]
+    """Dense layers given as (fan_in, fan_out, has_bias) triples, whose
+    parameters are the flat vector ``params``; ``layers`` are views into
+    it, so writing through either changes both."""
+
+    def __init__(self, shapes, params: np.ndarray):
+        self.shapes = [(int(n_in), int(n_out), bool(b)) for n_in, n_out, b in shapes]
+        self.params = np.asarray(params, dtype=np.float64)
+        if self.params.ndim != 1:
+            raise ShapeMismatch(f"parameters must be a vector, got {self.params.shape}")
+        self.layers = _layer_views(self.params, self.shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
+        return self.shapes[0][0]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].weight.shape[1]
+        return self.shapes[-1][1]
 
 
 def logistic_model(input_dim: int, num_classes: int, *, bias: bool = True,
                    rng: np.random.Generator) -> Model:
-    return Model([_init_layer(input_dim, num_classes, bias, rng)])
+    return _uniform_init([(input_dim, num_classes, bias)], rng)
 
 
 def mlp_model(input_dim: int, hidden: int, num_classes: int, *, bias: bool = False,
               rng: np.random.Generator) -> Model:
-    return Model([
-        _init_layer(input_dim, hidden, bias, rng),
-        _init_layer(hidden, num_classes, bias, rng),
-    ])
+    return _uniform_init([(input_dim, hidden, bias), (hidden, num_classes, bias)], rng)
 
 
-def _init_layer(fan_in: int, fan_out: int, bias: bool, rng: np.random.Generator) -> DenseLayer:
-    bound = 1.0 / np.sqrt(fan_in)
-    weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    return DenseLayer(weight=weight, bias=np.zeros(fan_out) if bias else None)
-
-
-def clone_model(model: Model) -> Model:
-    return Model([
-        DenseLayer(layer.weight.copy(),
-                   None if layer.bias is None else layer.bias.copy())
-        for layer in model.layers
-    ])
-
-
-# ---------------------------------------------------------------------------
-# Flat parameter vector view
-
-
-def param_count(model: Model) -> int:
-    return sum(
-        layer.weight.size + (0 if layer.bias is None else layer.bias.size)
-        for layer in model.layers
-    )
+def _uniform_init(shapes, rng: np.random.Generator) -> Model:
+    """Weights U(-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn layer by layer."""
+    model = Model(shapes, np.zeros(sum(r * c for r, c in param_blocks(shapes))))
+    for layer in model.layers:
+        bound = 1.0 / np.sqrt(layer.weight.shape[0])
+        layer.weight[:] = rng.uniform(-bound, bound, size=layer.weight.shape)
+    return model
 
 
 def flatten_params(model: Model) -> np.ndarray:
-    parts = []
-    for layer in model.layers:
-        parts.append(layer.weight.ravel())
-        if layer.bias is not None:
-            parts.append(layer.bias)
-    return np.concatenate(parts)
+    return model.params.copy()
 
 
 def unflatten_params(template: Model, vec: np.ndarray) -> Model:
-    """Rebuild a model shaped like ``template`` from a flat vector."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (param_count(template),):
-        raise ShapeMismatch(
-            f"vector length {vec.shape} does not match parameter count "
-            f"{param_count(template)}"
-        )
-    layers, pos = [], 0
-    for layer in template.layers:
-        w = vec[pos:pos + layer.weight.size].reshape(layer.weight.shape).copy()
-        pos += layer.weight.size
-        b = None
-        if layer.bias is not None:
-            b = vec[pos:pos + layer.bias.size].copy()
-            pos += layer.bias.size
-        layers.append(DenseLayer(w, b))
-    return Model(layers)
+    """A model shaped like ``template`` on a copy of the flat vector."""
+    return Model(template.shapes, np.array(vec, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +164,8 @@ def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
 
 
 def backward(model: Model, cache: BackwardCache) -> np.ndarray:
-    """Gradient of the cached batch loss w.r.t. every parameter, flattened
-    in the same order as :func:`flatten_params`."""
+    """Gradient of the cached batch loss w.r.t. every parameter, as a
+    vector in the model's parameter layout."""
     if cache.model is not model:
         raise StaleCache("cache was produced by a different model object")
     n = cache.labels.shape[0]
@@ -180,22 +173,14 @@ def backward(model: Model, cache: BackwardCache) -> np.ndarray:
     dz[np.arange(n), cache.labels] -= 1.0
     dz /= n
 
-    grads_w = [None] * len(model.layers)
-    grads_b = [None] * len(model.layers)
+    grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        grads_w[i] = cache.inputs[i].T @ dz
-        if layer.bias is not None:
-            grads_b[i] = dz.sum(axis=0)
+        grads[i] = DenseLayer(cache.inputs[i].T @ dz,
+                              None if layer.bias is None else dz.sum(axis=0))
         if i > 0:
             dz = (dz @ layer.weight.T) * (cache.pre[i - 1] > 0.0)
-
-    parts = []
-    for i, layer in enumerate(model.layers):
-        parts.append(grads_w[i].ravel())
-        if layer.bias is not None:
-            parts.append(grads_b[i])
-    return np.concatenate(parts)
+    return np.concatenate([g.ravel() for layer in grads for g in layer if g is not None])
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
@@ -224,19 +209,11 @@ def local_train(model: Model, features: np.ndarray, labels: np.ndarray,
     n = np.asarray(features).shape[0]
     if n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    out = clone_model(model)
+    out = unflatten_params(model, model.params)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             _, cache = forward_loss(out, features[idx], labels[idx])
-            grad = backward(out, cache)
-            pos = 0
-            for layer in out.layers:
-                w_len = layer.weight.size
-                layer.weight -= lr * grad[pos:pos + w_len].reshape(layer.weight.shape)
-                pos += w_len
-                if layer.bias is not None:
-                    layer.bias -= lr * grad[pos:pos + layer.bias.size]
-                    pos += layer.bias.size
+            out.params -= lr * backward(out, cache)
     return out

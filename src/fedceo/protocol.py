@@ -36,11 +36,13 @@ from .dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budge
 from .errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
 from .models import (
     Model,
+    block_views,
     evaluate,
     flatten_params,
     local_train,
     logistic_model,
     mlp_model,
+    param_blocks,
     unflatten_params,
 )
 from .tensor import tnn, truncated_tsvd
@@ -189,40 +191,23 @@ def smoothing_threshold(lambda0: float, ratio: float, round_no: int, interval: i
     return (1.0 / (2.0 * lambda0)) * ratio ** (round_no // interval)
 
 
-def _stack_shapes(template: Model) -> list[tuple[int, int]]:
-    """Per-layer stack shapes without the client axis, in flat-parameter
-    order: each weight (in, out), then its bias as (1, out) when present."""
-    shapes = []
-    for layer in template.layers:
-        shapes.append(layer.weight.shape)
-        if layer.bias is not None:
-            shapes.append((1, layer.bias.shape[0]))
-    return shapes
-
-
 def stack_clients(uploads: np.ndarray, template: Model) -> list[np.ndarray]:
     """Per-layer third-order stacks of a (K, P) array of K flat uploads.
 
-    Layer weights (in x out) stack into in x out x K; biases become
-    1 x out x K.  Tensors appear in layer order, weight before bias, and
-    are views into ``uploads``.
+    Each block of the template's parameter layout (:func:`param_blocks`)
+    stacks into rows x cols x K, so a weight is in x out x K and a bias
+    1 x out x K; the tensors are views into ``uploads``.
     """
     uploads = np.asarray(uploads, dtype=np.float64)
-    shapes = _stack_shapes(template)
-    sizes = [n_in * n_out for n_in, n_out in shapes]
-    if uploads.ndim != 2 or uploads.shape[0] < 1 or uploads.shape[1] != sum(sizes):
-        raise ShapeMismatch(
-            f"expected a (K, {sum(sizes)}) upload array with K >= 1, "
-            f"got shape {uploads.shape}"
-        )
-    k = uploads.shape[0]
-    blocks = np.split(uploads, np.cumsum(sizes)[:-1], axis=1)
-    return [np.moveaxis(b.reshape((k,) + shape), 0, 2) for b, shape in zip(blocks, shapes)]
+    if uploads.ndim != 2 or uploads.shape[0] < 1:
+        raise ShapeMismatch(f"expected a (K, P) upload array with K >= 1, "
+                            f"got shape {uploads.shape}")
+    return [np.moveaxis(b, 0, 2) for b in block_views(uploads, template.shapes)]
 
 
 def unstack_clients(tensors: list[np.ndarray], template: Model) -> np.ndarray:
     """Inverse of :func:`stack_clients`: the (K, P) array of flat uploads."""
-    shapes = _stack_shapes(template)
+    shapes = param_blocks(template.shapes)
     if len(tensors) != len(shapes):
         raise ArchMismatch(f"expected {len(shapes)} tensors, got {len(tensors)}")
     k = tensors[0].shape[2]
@@ -362,10 +347,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
         final_model=unflatten_params(template, global_vec),
         final_stack=stack_clients(uploads, template),
         budget=budget,
-        layer_shapes=[
-            (layer.weight.shape[0], layer.weight.shape[1], layer.bias is not None)
-            for layer in template.layers
-        ],
+        layer_shapes=template.shapes,
     )
 
 

@@ -157,7 +157,7 @@ def _read_one(fh):
     arr = np.frombuffer(payload, dtype="<f8").reshape(n3, n1, n2)
     arr = np.ascontiguousarray(np.moveaxis(arr, 0, 2))
     if not np.all(np.isfinite(arr)):
-        raise NonFinite("stored tensor contains NaN or infinity")
+        raise ParseError("stored tensor contains NaN or infinity")
     return arr
 
 

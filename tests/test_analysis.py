@@ -8,7 +8,7 @@ from fedceo.analysis import (
     smoothness_map,
     spectral_curves,
 )
-from fedceo.errors import DegenerateGradient, ShapeMismatch
+from fedceo.errors import DegenerateGradient, NonFinite, ShapeMismatch
 from fedceo.models import backward, forward_loss, logistic_model, unflatten_params
 
 
@@ -86,6 +86,14 @@ def test_smoothness_shape_errors():
         smoothness_map([np.zeros((2, 3)), np.zeros((3, 2))])
     with pytest.raises(ShapeMismatch):
         smoothness_map([np.zeros(4)])
+
+
+def test_smoothness_overflow_raises_non_finite():
+    # finite weights whose squared distances overflow float64
+    huge = np.zeros((2, 3))
+    huge[0, 0] = 1e300
+    with pytest.raises(NonFinite):
+        smoothness_map([huge, np.zeros((2, 3))])
 
 
 def test_smoothness_total_scales_quadratically():

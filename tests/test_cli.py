@@ -10,6 +10,7 @@ import pytest
 from fedceo import __version__
 from fedceo.cli import main
 from fedceo.errors import NoConvergence
+from fedceo.tensor import load_tensors, save_tensors
 
 TINY_CONFIG = """\
 n_total = 6
@@ -245,6 +246,21 @@ def test_analyze_writes_diagnostics(tmp_path, capsys):
     assert len(heat_lines) == 1 + 3  # three classes
     spectra_lines = (out / "spectra.csv").read_text().splitlines()
     assert spectra_lines[0] == "tensor,slice,index,value"
+    assert len(spectra_lines) == 1 + 3 * 3 + 3 * 1  # (5, 3, 3) weight, (1, 3, 3) bias
+    for line in spectra_lines[1:]:
+        assert float(line.split(",")[3]) >= 0.0
+
+
+def test_analyze_overflowing_weights_exit_3(tmp_path, capsys):
+    _, run_dir = do_run(tmp_path)
+    path = run_dir / "final_model.t3r"
+    tensors = load_tensors(path)
+    tensors[0][0, 0, 0] = 1e300
+    save_tensors(path, tensors)
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not (run_dir / "heatmap.csv").exists()
 
 
 def test_analyze_separate_out_dir(tmp_path):
@@ -266,6 +282,7 @@ def test_analyze_missing_run_dir_exits_2(tmp_path, capsys):
 HUGE_HEADER = struct.pack("<4sIII", b"T3R1", 2**32 - 1, 2**32 - 1, 2**32 - 1)
 SHORT_HEADER = struct.pack("<4sIII", b"T3R1", 64, 64, 64)
 EMPTY_AXIS = struct.pack("<4sIII", b"T3R1", 0, 3, 3)
+NAN_PAYLOAD = struct.pack("<4sIIId", b"T3R1", 1, 1, 1, float("nan"))
 
 
 def extra_layer(manifest_bytes):
@@ -285,8 +302,10 @@ def extra_layer(manifest_bytes):
     ({"final_model.t3r": b"", "run_manifest.json": None}, "final_model.t3r"),
     ({"run_manifest.json": extra_layer}, "layer_shapes"),
     ({"final_model.t3r": EMPTY_AXIS, "run_manifest.json": None}, "empty axis"),
+    ({"final_model.t3r": NAN_PAYLOAD, "run_manifest.json": None},
+     "final_model.t3r: stored tensor contains NaN"),
 ], ids=["huge-dims", "short-payload", "bad-json", "not-an-object", "empty-model",
-        "empty-model-no-manifest", "manifest-extra-layer", "empty-axis"])
+        "empty-model-no-manifest", "manifest-extra-layer", "empty-axis", "nan-payload"])
 def test_analyze_corrupt_artifact_exits_2(tmp_path, capsys, edits, needle):
     _, run_dir = do_run(tmp_path)
     for name, new in edits.items():

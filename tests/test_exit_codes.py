@@ -9,6 +9,8 @@ checks the same inputs.
 
 import contextlib
 import io
+import json
+import math
 import os
 import tempfile
 
@@ -138,4 +140,21 @@ def test_any_damaged_artifact_keeps_the_exit_code_contract(tiny_run, hit):
             with open(os.path.join(tmp, artifact), "wb") as fh:
                 fh.write(content)
         code, err = run_cli(["analyze", "--run", tmp])
+        if code == 0:
+            check_finite_outputs(tmp)
     check_contract(code, err, ARTIFACTS)
+
+
+def check_finite_outputs(run_dir):
+    """Every value cell of a successful analyze is a finite float."""
+    for name in ("heatmap.csv", "spectra.csv"):
+        with open(os.path.join(run_dir, name), encoding="ascii") as fh:
+            rows = fh.read().splitlines()[1:]
+        cells = [cell for row in rows for cell in row.split(",")[1:]]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells), name
+
+    def reject(constant):
+        raise AssertionError(f"attack_report.json holds {constant}")
+
+    with open(os.path.join(run_dir, "attack_report.json"), encoding="ascii") as fh:
+        json.load(fh, parse_constant=reject)

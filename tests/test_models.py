@@ -8,17 +8,14 @@ from fedceo.dp import rng_stream
 from fedceo.data import synth_blobs
 from fedceo.errors import DimMismatch, EmptyDataset, ShapeMismatch, StaleCache
 from fedceo.models import (
-    DenseLayer,
     Model,
     backward,
-    clone_model,
     evaluate,
     flatten_params,
     forward_loss,
     local_train,
     logistic_model,
     mlp_model,
-    param_count,
     unflatten_params,
 )
 
@@ -63,7 +60,7 @@ def finite_diff_worst_rel(model, x, y, rng, coords=20, step=1e-6):
 
 class TestForwardLoss:
     def test_zero_weights_give_log_num_classes(self):
-        model = Model([DenseLayer(np.zeros((5, 7)), np.zeros(7))])
+        model = Model([(5, 7, True)], np.zeros(5 * 7 + 7))
         rng = np.random.default_rng(0)
         x, y = make_batch(rng, dim=5, classes=7)
         loss, _ = forward_loss(model, x, y)
@@ -82,7 +79,7 @@ class TestForwardLoss:
 
     def test_loss_nonnegative_and_zero_at_certainty(self):
         # a huge margin on the true class drives the loss to ~0
-        model = Model([DenseLayer(np.eye(3) * 50.0)])
+        model = Model([(3, 3, False)], (np.eye(3) * 50.0).ravel())
         x = np.eye(3)
         y = np.arange(3)
         loss, _ = forward_loss(model, x, y)
@@ -141,7 +138,7 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(6)
         model = logistic_model(6, 4, rng=rng_stream(4, purpose="init"))
-        other = clone_model(model)
+        other = unflatten_params(model, flatten_params(model))
         x, y = make_batch(rng)
         _, cache = forward_loss(model, x, y)
         with pytest.raises(StaleCache):
@@ -152,7 +149,7 @@ class TestFlattening:
     def test_round_trip_bit_exact(self):
         model = mlp_model(5, 7, 3, bias=True, rng=rng_stream(5, purpose="init"))
         vec = flatten_params(model)
-        assert vec.size == param_count(model) == 5 * 7 + 7 + 7 * 3 + 3
+        assert vec.size == 5 * 7 + 7 + 7 * 3 + 3
         back = unflatten_params(model, vec)
         for got, want in zip(back.layers, model.layers):
             npt.assert_array_equal(got.weight, want.weight)
@@ -162,7 +159,30 @@ class TestFlattening:
     def test_wrong_length_rejected(self):
         model = logistic_model(4, 3, rng=rng_stream(6, purpose="init"))
         with pytest.raises(ShapeMismatch):
-            unflatten_params(model, np.zeros(param_count(model) + 1))
+            unflatten_params(model, np.zeros(model.params.size + 1))
+        with pytest.raises(ShapeMismatch):
+            Model(model.shapes, np.zeros(model.params.size - 1))
+
+    def test_layers_are_views_of_params(self):
+        model = mlp_model(5, 7, 3, bias=True, rng=rng_stream(7, purpose="init"))
+        model.layers[0].weight[2, 4] = 11.0
+        model.layers[1].bias[1] = 12.0
+        assert model.params[2 * 7 + 4] == 11.0
+        assert model.params[-2] == 12.0
+        model.params[5 * 7 + 6] = 13.0  # the first layer's last bias entry
+        assert model.layers[0].bias[6] == 13.0
+        model.params[5 * 7 + 7] = 14.0  # the second layer's first weight entry
+        assert model.layers[1].weight[0, 0] == 14.0
+
+    def test_unflattened_model_owns_its_vector(self):
+        model = logistic_model(4, 3, rng=rng_stream(8, purpose="init"))
+        vec = flatten_params(model)
+        before = vec.copy()
+        copy = unflatten_params(model, vec)
+        copy.params[:] = 0.0
+        copy.layers[0].weight[:] = 1.0
+        copy.layers[0].bias[:] = 2.0
+        npt.assert_array_equal(vec, before)
 
 
 class TestLocalTrain:
@@ -210,7 +230,7 @@ class TestLocalTrain:
 
 class TestEvaluate:
     def test_predicts_by_largest_logit(self):
-        model = Model([DenseLayer(np.eye(3))])
+        model = Model([(3, 3, False)], np.eye(3).ravel())
         x = np.array([[5.0, 1.0, 0.0], [0.0, 2.0, 9.0]])
         _, acc = evaluate(model, x, np.array([0, 2]))
         assert acc == 1.0
