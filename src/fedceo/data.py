@@ -2,7 +2,9 @@
 
 The file format is one header line ``d num_classes num_samples`` followed
 by one ``label f1 ... fd`` line per sample, plain ASCII decimals.  Floats
-are written with enough digits to round-trip float64 exactly.
+are written with enough digits to round-trip float64 exactly.  A header
+must declare d >= 1 and 2 <= num_classes <= num_samples, and every line's
+field count is checked before the samples are allocated.
 """
 
 from __future__ import annotations
@@ -78,10 +80,8 @@ def split_train_test(data: Dataset, test_fraction: float, seed: int):
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = rng_stream(seed, round_no=1, purpose="data")
     test_idx = []
-    for c in range(data.num_classes):
+    for c in np.flatnonzero(np.bincount(data.labels)):  # the labels present
         members = np.flatnonzero(data.labels == c)
-        if members.size == 0:
-            continue
         take = int(round(members.size * test_fraction))
         take = min(max(take, 1), members.size - 1) if members.size > 1 else 0
         test_idx.append(rng.permutation(members)[:take])
@@ -189,19 +189,25 @@ def load_dataset(path) -> Dataset:
         raise ParseError("header fields must be integers", line=1) from None
     if count < 1:
         raise EmptyDataset("dataset file declares zero samples")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    if dim < 1:
+        raise ParseError(f"header dim must be >= 1, got {dim}", line=1)
+    if not 2 <= num_classes <= count:
+        raise ParseError(f"header num_classes must be in [2, num_samples = {count}], "
+                         f"got {num_classes}", line=1)
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise ParseError(
             f"header declares {count} samples but file has {len(body)}",
             line=len(lines),
         )
+    for lineno, ln in body:  # before allocating what the header claims
+        got = len(ln.split())
+        if got != dim + 1:
+            raise ParseError(f"expected {dim + 1} fields, got {got}", line=lineno)
     features = np.empty((count, dim))
     labels = np.empty(count, dtype=np.int64)
-    for i, ln in enumerate(body):
+    for i, (lineno, ln) in enumerate(body):
         tokens = ln.split()
-        lineno = i + 2
-        if len(tokens) != dim + 1:
-            raise ParseError(f"expected {dim + 1} fields, got {len(tokens)}", line=lineno)
         try:
             label = int(tokens[0])
             row = [float(tok) for tok in tokens[1:]]
@@ -209,8 +215,9 @@ def load_dataset(path) -> Dataset:
             raise ParseError("malformed number", line=lineno) from None
         if not 0 <= label < num_classes:
             raise ParseError(f"label {label} outside [0, {num_classes})", line=lineno)
-        if not all(np.isfinite(row)):
-            raise ParseError("non-finite feature value", line=lineno)
         labels[i] = label
         features[i] = row
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite feature value", line=body[np.argmin(finite)][0])
     return Dataset(features, labels, num_classes)

@@ -7,6 +7,12 @@ layer's weight and bias are views into it.  :func:`param_blocks` is the
 one statement of that flat layout, and :func:`block_views` reads any
 ``(..., P)`` array through it.
 
+A model's ``params`` may also carry a leading client axis, ``(K, P)``:
+every layer view then has it too, and :func:`forward_loss` and
+:func:`backward` broadcast over it.  :func:`local_train` uses that to
+train the K clients of a round in lock step, in place in the round's
+array.
+
 The loss is mean softmax cross-entropy over the batch fed in (a ragged
 final minibatch divides by its own size).  ReLU uses subgradient 0 at the
 kink.
@@ -50,9 +56,9 @@ def block_views(arr: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 class DenseLayer(NamedTuple):
-    """One layer's views into its model's parameter vector."""
-    weight: np.ndarray       # (fan_in, fan_out)
-    bias: np.ndarray | None  # (fan_out,)
+    """One layer's views into its model's parameter array."""
+    weight: np.ndarray       # (..., fan_in, fan_out)
+    bias: np.ndarray | None  # (..., fan_out)
 
 
 def _layer_views(params: np.ndarray, shapes) -> list[DenseLayer]:
@@ -64,13 +70,18 @@ def _layer_views(params: np.ndarray, shapes) -> list[DenseLayer]:
 class Model:
     """Dense layers given as (fan_in, fan_out, has_bias) triples, whose
     parameters are the flat vector ``params``; ``layers`` are views into
-    it, so writing through either changes both."""
+    it, so writing through either changes both.
+
+    ``params`` may also be a ``(K, P)`` array of K clients' vectors, one
+    per row; every layer view then has a leading client axis.
+    """
 
     def __init__(self, shapes, params: np.ndarray):
         self.shapes = [(int(n_in), int(n_out), bool(b)) for n_in, n_out, b in shapes]
         self.params = np.asarray(params, dtype=np.float64)
-        if self.params.ndim != 1:
-            raise ShapeMismatch(f"parameters must be a vector, got {self.params.shape}")
+        if self.params.ndim not in (1, 2):
+            raise ShapeMismatch(f"parameters must be a vector or a (K, P) array, "
+                                f"got {self.params.shape}")
         self.layers = _layer_views(self.params, self.shapes)
 
     @property
@@ -121,17 +132,16 @@ class BackwardCache:
     inputs: list[np.ndarray]   # activation fed into each layer
     pre: list[np.ndarray]      # pre-activation of each layer
     probs: np.ndarray          # softmax of the final logits
-    labels: np.ndarray
+    label_at: tuple            # index of each row's label logit, rows flattened
+    sizes: int | np.ndarray    # each row's loss is divided by its size
 
 
-def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy of the batch; returns (loss, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
+def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless x (n, d) and y (n,) are n >= 1 samples the model takes."""
     if x.ndim != 2:
         raise DimMismatch(f"features must be 2-d, got {x.shape}")
     if x.shape[0] == 0:
-        raise EmptyDataset("cannot evaluate an empty batch")
+        raise EmptyDataset("no samples to evaluate or train on")
     if x.shape[0] != y.shape[0]:
         raise DimMismatch(f"{x.shape[0]} feature rows vs {y.shape[0]} labels")
     if x.shape[1] != model.input_dim:
@@ -141,6 +151,25 @@ def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
     if y.min() < 0 or y.max() >= model.num_classes:
         raise ShapeMismatch("label outside [0, num_classes)")
 
+
+def forward_loss(model: Model, x: np.ndarray, y: np.ndarray,
+                 batch_sizes: np.ndarray | None = None):
+    """Mean cross-entropy of the batch; returns (loss, cache).
+
+    Without ``batch_sizes``, x (n, d) and y (n,) are checked samples and
+    the loss is a float.  With it, the model holds K clients' parameters
+    and x (K, R, d), y (K, R) are a lock-step batch: row r of client k
+    counts 1 / batch_sizes[k, r] towards entry k of the (K,) loss, its
+    minibatch's size for one of its samples and infinity for padding, so
+    padding adds nothing to the loss or the gradient.  A lock-step batch
+    is not checked here: :func:`local_train` checks each client's samples
+    once.
+    """
+    if batch_sizes is None:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y)
+        _check_samples(model, x, y)
+
     inputs, pre = [], []
     h = x
     last = len(model.layers) - 1
@@ -148,39 +177,48 @@ def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
         inputs.append(h)
         z = h @ layer.weight
         if layer.bias is not None:
-            z = z + layer.bias
+            z = z + layer.bias[..., None, :]
         pre.append(z)
         h = np.maximum(z, 0.0) if i < last else z
 
     logits = pre[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    n = x.shape[0]
-    loss = -float(log_probs[np.arange(n), y].mean())
-    cache = BackwardCache(model=model, inputs=inputs, pre=pre,
-                          probs=np.exp(log_probs), labels=y)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    label_at = (np.arange(y.size), y.ravel())
+    picked = log_probs.reshape(-1, log_probs.shape[-1])[label_at].reshape(y.shape)
+    if batch_sizes is None:
+        loss, sizes = -float(picked.mean()), x.shape[0]
+    else:
+        loss, sizes = -(picked / batch_sizes).sum(axis=-1), batch_sizes[..., None]
+    cache = BackwardCache(model=model, inputs=inputs, pre=pre, probs=np.exp(log_probs),
+                          label_at=label_at, sizes=sizes)
     return loss, cache
 
 
-def backward(model: Model, cache: BackwardCache) -> np.ndarray:
-    """Gradient of the cached batch loss w.r.t. every parameter, as a
-    vector in the model's parameter layout."""
+def backward(model: Model, cache: BackwardCache, out: Model | None = None) -> np.ndarray:
+    """Gradient of the cached batch loss w.r.t. every parameter, shaped
+    like ``model.params`` (a row per client for a lock-step batch).
+
+    It is written into the parameters of ``out``, a model shaped like
+    ``model``, when one is given, and into a new array otherwise.
+    """
     if cache.model is not model:
         raise StaleCache("cache was produced by a different model object")
-    n = cache.labels.shape[0]
+    if out is None:
+        out = Model(model.shapes, np.empty_like(model.params))
     dz = cache.probs.copy()
-    dz[np.arange(n), cache.labels] -= 1.0
-    dz /= n
+    dz.reshape(-1, dz.shape[-1])[cache.label_at] -= 1.0
+    dz /= cache.sizes
 
-    grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        grads[i] = DenseLayer(cache.inputs[i].T @ dz,
-                              None if layer.bias is None else dz.sum(axis=0))
+        layer, grad = model.layers[i], out.layers[i]
+        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=grad.weight)
+        if layer.bias is not None:
+            np.sum(dz, axis=-2, out=grad.bias)
         if i > 0:
-            dz = (dz @ layer.weight.T) * (cache.pre[i - 1] > 0.0)
-    return np.concatenate([g.ravel() for layer in grads for g in layer if g is not None])
+            dz = (dz @ layer.weight.swapaxes(-1, -2)) * (cache.pre[i - 1] > 0.0)
+    return out.params
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
@@ -194,26 +232,57 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
 # Local optimization
 
 
-def local_train(model: Model, features: np.ndarray, labels: np.ndarray,
-                epochs: int, batch_size: int, lr: float,
-                rng: np.random.Generator) -> Model:
-    """Plain minibatch SGD for ``epochs`` passes; returns a new model.
+def local_train(model: Model, features, labels, epochs: int, batch_size: int,
+                lr: float, rngs) -> None:
+    """Plain minibatch SGD for ``epochs`` passes over each of K clients'
+    samples, the K clients in lock step, training the (K, P)
+    ``model.params`` in place.
 
-    Shuffling is redrawn from ``rng`` each epoch; the final short minibatch
-    is kept.  The input model is not modified.
+    Client k starts from row k and trains on ``features[k]``,
+    ``labels[k]`` as it would alone: it redraws its shuffle from
+    ``rngs[k]`` each epoch and keeps its final short minibatch.  Each lock
+    step is one :func:`forward_loss` call on every client's next
+    minibatch, padded to a common row count.  A client with fewer
+    minibatches in an epoch than the largest client gets a zero gradient
+    for the steps left, so its row does not move.  One gradient array is
+    allocated per call and reused by every step.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = np.asarray(features).shape[0]
-    if n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    out = unflatten_params(model, model.params)
+    params = model.params
+    k = params.shape[0] if params.ndim == 2 else 0
+    if k < 1 or not len(features) == len(labels) == len(rngs) == k:
+        raise ShapeMismatch(f"need one dataset and one generator per row of a (K, P) "
+                            f"parameter array, got {len(features)} datasets, "
+                            f"{len(rngs)} generators and shape {params.shape}")
+    features = [np.asarray(x, dtype=np.float64) for x in features]
+    labels = [np.asarray(y) for y in labels]
+    for x, y in zip(features, labels):
+        _check_samples(model, x, y)
+
+    sizes = [y.shape[0] for y in labels]
+    offsets = np.cumsum([0] + sizes[:-1])
+    pad = sum(sizes)  # the all-zero row appended to the pooled samples
+    x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
+    y_all = np.concatenate(labels + [np.zeros(1, dtype=np.int64)])
+    steps = -(-max(sizes) // batch_size)
+    rows = min(batch_size, max(sizes))
+    grad = Model(model.shapes, np.empty_like(params))
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            _, cache = forward_loss(out, features[idx], labels[idx])
-            out.params -= lr * backward(out, cache)
-    return out
+        order = np.full((k, steps * batch_size), pad)
+        for c, (n, rng) in enumerate(zip(sizes, rngs)):
+            order[c, :n] = offsets[c] + rng.permutation(n)
+        # batches[t, c] is client c's t-th minibatch, its samples first
+        batches = order.reshape(k, steps, batch_size)[:, :, :rows].swapaxes(0, 1)
+        real = batches != pad
+        counts = real.sum(axis=2, keepdims=True)
+        batch_sizes = np.where(real, counts, np.inf)
+        xs, ys = x_all[batches], y_all[batches]
+        for t, width in enumerate(counts.max(axis=(1, 2))):
+            _, cache = forward_loss(model, xs[t, :, :width], ys[t, :, :width],
+                                    batch_sizes[t, :, :width])
+            backward(model, cache, out=grad)
+            np.multiply(grad.params, lr, out=grad.params)
+            params -= grad.params

@@ -275,20 +275,30 @@ def build_model(cfg: RunConfig, dim: int, classes: int) -> Model:
     return mlp_model(dim, cfg.model.hidden, classes, bias=cfg.model.use_bias, rng=rng)
 
 
-def _client_update(cfg: RunConfig, template: Model, part: Dataset,
-                   start: np.ndarray, round_no: int, client: int) -> np.ndarray:
-    """One client's upload vector for this round."""
-    model = unflatten_params(template, start)
-    trained = local_train(
-        model, part.features, part.labels, cfg.local_epochs, cfg.batch, cfg.lr,
-        rng_stream(cfg.seed, round_no=round_no, client=client, purpose="train"),
+def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
+                    parts: list[Dataset], starts: list[np.ndarray],
+                    round_no: int) -> np.ndarray:
+    """The round's (K, P) uploads: the selected clients train in lock step
+    from their starts, then each row becomes its client's upload."""
+    uploads = np.stack(starts)
+    local_train(
+        Model(template.shapes, uploads),
+        [p.features for p in parts], [p.labels for p in parts],
+        cfg.local_epochs, cfg.batch, cfg.lr,
+        [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
+         for c in clients],
     )
-    delta = flatten_params(trained) - start
-    if cfg.algorithm == "fedavg":
-        return start + cfg.lr * delta
-    clipped = clip_update(delta, cfg.dp.clip_c)
-    noise_rng = rng_stream(cfg.seed, round_no=round_no, client=client, purpose="noise")
-    return gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected, noise_rng)
+    for row, start, client in zip(uploads, starts, clients):
+        row -= start  # the client's delta
+        if cfg.algorithm == "fedavg":
+            row *= cfg.lr
+            row += start
+        else:
+            clipped = clip_update(row, cfg.dp.clip_c)
+            noise_rng = rng_stream(cfg.seed, round_no=round_no, client=client,
+                                   purpose="noise")
+            row[:] = gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected, noise_rng)
+    return uploads
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
@@ -316,12 +326,12 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
         return global_vec
 
     for round_no in range(1, cfg.rounds + 1):
-        selected = select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)
-        uploads = np.stack([
-            _client_update(cfg, template, parts[int(c)], start_for(int(c), round_no),
-                           round_no, int(c))
-            for c in selected
-        ])
+        clients = [int(c) for c in
+                   select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)]
+        uploads = _client_uploads(
+            cfg, template, clients, [parts[c] for c in clients],
+            [start_for(c, round_no) for c in clients], round_no,
+        )
 
         tnn_total = math.nan
         if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
@@ -331,7 +341,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
             if cfg.divide_threshold_by_k:
                 threshold /= cfg.k_selected
             uploads, tnn_total = server_smooth(uploads, template, threshold)
-            personalized = {int(c): row for c, row in zip(selected, uploads)}
+            personalized = dict(zip(clients, uploads))
             personalized_round = round_no
         global_vec = uploads.mean(axis=0)
 

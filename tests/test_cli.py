@@ -161,6 +161,22 @@ def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("header,needle", [
+    ("2 99999999999 6", "line 1: header num_classes"),
+    ("99999999999 2 6", "line 2: expected 100000000000 fields"),
+    ("2 1 6", "line 1: header num_classes"),
+])
+def test_run_bad_dataset_header_exits_2(tmp_path, capsys, header, needle):
+    data_path = tmp_path / "six.ds"
+    data_path.write_text(header + "\n" + "".join(f"{i % 2} 1.0 2.0\n" for i in range(6)))
+    text = TINY_CONFIG + f"data.source = file\ndata.path = {data_path}\n"
+    code, _ = do_run(tmp_path, text=text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
+
+
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "out")])

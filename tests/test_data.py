@@ -161,6 +161,30 @@ class TestAsciiFormat:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header,needle,line", [
+        ("2 99999999999 6", "num_classes", 1),   # split_train_test never ended
+        ("99999999999 2 6", "fields", 2),        # allocated before reading a row
+        ("2 1 6", "num_classes", 1),             # one class loaded and ran
+        ("0 2 6", "dim", 1),
+    ])
+    def test_header_out_of_range_rejected(self, tmp_path, header, needle, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n" + "".join(f"{i % 2} 1.0 2.0\n" for i in range(6)))
+        with pytest.raises(ParseError, match=needle) as err:
+            load_dataset(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("row,needle", [
+        ("1 inf 2.0", "non-finite"),
+        ("5 1.0 2.0", "label 5"),
+    ])
+    def test_bad_row_under_a_valid_header_rejected(self, tmp_path, row, needle):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2 2\n0 1.0 2.0\n{row}\n")
+        with pytest.raises(ParseError, match=needle) as err:
+            load_dataset(path)
+        assert err.value.line == 3
+
     def test_zero_samples_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("2 2 0\n")

@@ -1,9 +1,12 @@
 """Model construction, loss, gradients, flattening, and local SGD."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sgd_oracle
 from fedceo.dp import rng_stream
 from fedceo.data import synth_blobs
 from fedceo.errors import DimMismatch, EmptyDataset, ShapeMismatch, StaleCache
@@ -18,6 +21,8 @@ from fedceo.models import (
     mlp_model,
     unflatten_params,
 )
+from fedceo.protocol import ModelSpec, build_dataset, build_model, select_clients
+from test_acceptance import DESK
 
 
 def make_batch(rng, n=32, dim=6, classes=4):
@@ -185,13 +190,20 @@ class TestFlattening:
         npt.assert_array_equal(vec, before)
 
 
+def train_alone(model, x, y, epochs, batch_size, lr, rng):
+    """A new model: ``model`` trained by local_train as a round of one client."""
+    params = model.params[None].copy()
+    local_train(Model(model.shapes, params), [x], [y], epochs, batch_size, lr, [rng])
+    return unflatten_params(model, params[0])
+
+
 class TestLocalTrain:
     def test_full_batch_epoch_is_one_gd_step(self):
         rng = np.random.default_rng(7)
         model = logistic_model(6, 4, rng=rng_stream(10, purpose="init"))
         x, y = make_batch(rng, n=24)
         lr = 0.3
-        trained = local_train(model, x, y, epochs=1, batch_size=24, lr=lr,
+        trained = train_alone(model, x, y, epochs=1, batch_size=24, lr=lr,
                               rng=rng_stream(0, purpose="train"))
         # replay the shuffle so the summation order matches bit for bit
         perm = rng_stream(0, purpose="train").permutation(24)
@@ -203,7 +215,7 @@ class TestLocalTrain:
         data = synth_blobs(num_classes=3, dim=5, samples=300, spread=0.25, seed=1)
         model = logistic_model(5, 3, rng=rng_stream(11, purpose="init"))
         before, _ = evaluate(model, data.features, data.labels)
-        trained = local_train(model, data.features, data.labels, epochs=30,
+        trained = train_alone(model, data.features, data.labels, epochs=30,
                               batch_size=300, lr=0.5,
                               rng=rng_stream(1, purpose="train"))
         after, acc = evaluate(trained, data.features, data.labels)
@@ -213,19 +225,164 @@ class TestLocalTrain:
     def test_deterministic_replay(self):
         data = synth_blobs(num_classes=3, dim=5, samples=90, spread=0.5, seed=2)
         model = logistic_model(5, 3, rng=rng_stream(12, purpose="init"))
-        a = local_train(model, data.features, data.labels, 2, 16, 0.1,
-                        rng_stream(3, round_no=4, client=1, purpose="train"))
-        b = local_train(model, data.features, data.labels, 2, 16, 0.1,
-                        rng_stream(3, round_no=4, client=1, purpose="train"))
-        npt.assert_array_equal(flatten_params(a), flatten_params(b))
-        # input model untouched
-        assert not np.array_equal(flatten_params(a), flatten_params(model))
+        start = flatten_params(model)
+        a, b = start[None].copy(), start[None].copy()
+        for params in (a, b):
+            local_train(Model(model.shapes, params), [data.features], [data.labels],
+                        2, 16, 0.1, [rng_stream(3, round_no=4, client=1, purpose="train")])
+        npt.assert_array_equal(a, b)
+        # trained in place; the model it started from is untouched
+        assert not np.array_equal(a[0], flatten_params(model))
+        npt.assert_array_equal(flatten_params(model), start)
 
     def test_empty_dataset_rejected(self):
         model = logistic_model(5, 3, rng=rng_stream(13, purpose="init"))
         with pytest.raises(EmptyDataset):
-            local_train(model, np.zeros((0, 5)), np.zeros(0, dtype=int), 1, 8, 0.1,
-                        rng_stream(0, purpose="train"))
+            local_train(Model(model.shapes, model.params[None].copy()),
+                        [np.zeros((0, 5))], [np.zeros(0, dtype=int)], 1, 8, 0.1,
+                        [rng_stream(0, purpose="train")])
+
+
+# ---------------------------------------------------------------------------
+# Lock-step training against the one-client reference trainer
+
+
+def train_streams(clients, seed=0):
+    return [rng_stream(seed, round_no=1, client=c, purpose="train") for c in clients]
+
+
+def lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients):
+    """The (K, P) array local_train makes of ``starts``, trained in place."""
+    params = np.array(starts, dtype=np.float64)
+    local_train(Model(model.shapes, params), xs, ys, epochs, batch_size, lr,
+                train_streams(clients))
+    return params
+
+
+def one_by_one(model, starts, xs, ys, epochs, batch_size, lr, clients):
+    return sgd_oracle.train_each(model.shapes, starts, xs, ys, epochs, batch_size, lr,
+                                 train_streams(clients))
+
+
+def worst_rel(got, want):
+    """Largest over clients of max |got - want| / max |want| on its row."""
+    return float((np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)).max())
+
+
+def ragged_clients(sizes, dim=6, classes=4, seed=0):
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal((n, dim)) for n in sizes]
+    ys = [rng.integers(0, classes, size=n) for n in sizes]
+    return xs, ys
+
+
+def spread_starts(model, k):
+    """K distinct starts around the model, so rows cannot agree by accident."""
+    return model.params + 0.01 * np.arange(k)[:, None]
+
+
+ARCHS = {
+    "logistic": lambda bias: logistic_model(6, 4, bias=bias, rng=rng_stream(20, purpose="init")),
+    "mlp": lambda bias: mlp_model(6, 8, 4, bias=bias, rng=rng_stream(21, purpose="init")),
+}
+
+
+class TestLockStepMatchesOneByOne:
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_equal_desk_clients_bit_identical(self, bias):
+        cfg = dataclasses.replace(DESK, model=dataclasses.replace(DESK.model, bias=bias))
+        train, _, parts = build_dataset(cfg)
+        model = build_model(cfg, train.dim, train.num_classes)
+        clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
+        xs, ys = [parts[c].features for c in clients], [parts[c].labels for c in clients]
+        assert {x.shape[0] for x in xs} == {80}
+        starts = spread_starts(model, len(clients))
+        args = (xs, ys, cfg.local_epochs, cfg.batch, cfg.lr, clients)
+        npt.assert_array_equal(lock_step(model, starts, *args),
+                               one_by_one(model, starts, *args))
+
+    @pytest.mark.parametrize("mode", ["iid", "label_shard", "dirichlet"])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_partitions_agree(self, mode, kind, bias):
+        cfg = dataclasses.replace(
+            DESK, local_epochs=3, model=ModelSpec(kind=kind, hidden=8, bias=bias),
+            data=dataclasses.replace(DESK.data, partition_mode=mode, alpha=0.3))
+        train, _, parts = build_dataset(cfg)
+        model = build_model(cfg, train.dim, train.num_classes)
+        clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
+        xs, ys = [parts[c].features for c in clients], [parts[c].labels for c in clients]
+        starts = spread_starts(model, len(clients))
+        args = (xs, ys, cfg.local_epochs, cfg.batch, cfg.lr, clients)
+        assert worst_rel(lock_step(model, starts, *args),
+                         one_by_one(model, starts, *args)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("sizes,batch_size,epochs", [
+        ((5, 40), 16, 2),          # a client smaller than one batch
+        ((1, 30), 8, 2),           # a one-sample client
+        ((37,), 16, 2),            # K = 1
+        ((7, 12, 3), 64, 3),       # the batch is larger than every client
+        ((5, 23, 40, 17), 8, 3),   # ragged clients over several epochs
+    ])
+    def test_edge_cases_agree(self, kind, sizes, batch_size, epochs):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients(sizes)
+        clients = list(range(len(sizes)))
+        starts = spread_starts(model, len(sizes))
+        args = (xs, ys, epochs, batch_size, 0.2, clients)
+        got = lock_step(model, starts, *args)
+        assert worst_rel(got, one_by_one(model, starts, *args)) <= 1e-12
+        assert not np.any(np.all(got == starts, axis=1)), "a client did not train"
+
+    def test_needs_a_client_axis_and_one_dataset_and_stream_per_row(self):
+        model = ARCHS["logistic"](True)
+        xs, ys = ragged_clients((4, 9))
+        with pytest.raises(ShapeMismatch):  # a vector model has no client axis
+            local_train(model, xs[:1], ys[:1], 1, 4, 0.2, train_streams([0]))
+        with pytest.raises(ShapeMismatch):
+            lock_step(model, spread_starts(model, 2), xs[:1], ys[:1], 1, 4, 0.2, [0])
+
+    def test_zero_epochs_leave_rows_alone(self):
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((4, 9))
+        starts = spread_starts(model, 2)
+        npt.assert_array_equal(lock_step(model, starts, xs, ys, 0, 4, 0.2, [0, 1]), starts)
+
+
+class TestLockStepIndependence:
+    """A client's trained row does not depend on who else shares the round."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_equal_sizes_exact(self, kind):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients((24, 24, 24))
+        starts = spread_starts(model, 3)
+        together = lock_step(model, starts, xs, ys, 2, 10, 0.2, [0, 1, 2])
+        alone = lock_step(model, starts[1:2], xs[1:2], ys[1:2], 2, 10, 0.2, [1])
+        npt.assert_array_equal(together[1], alone[0])
+
+    def test_finished_client_does_not_move(self):
+        # Client 0's one minibatch is as wide as client 1's, so their first
+        # lock step matches training alone bit for bit; the four steps it
+        # then sits out must leave its row exactly where it was.
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((8, 40))
+        starts = spread_starts(model, 2)
+        together = lock_step(model, starts, xs, ys, 1, 8, 0.2, [0, 1])
+        alone = lock_step(model, starts[:1], xs[:1], ys[:1], 1, 8, 0.2, [0])
+        npt.assert_array_equal(together[0], alone[0])
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_ragged_sizes_agree(self, kind):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients((5, 23, 40))
+        starts = spread_starts(model, 3)
+        together = lock_step(model, starts, xs, ys, 3, 8, 0.2, [0, 1, 2])
+        for c in range(3):
+            alone = lock_step(model, starts[c:c + 1], xs[c:c + 1], ys[c:c + 1],
+                              3, 8, 0.2, [c])
+            assert worst_rel(together[c:c + 1], alone) <= 1e-12
 
 
 class TestEvaluate:

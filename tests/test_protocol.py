@@ -8,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+import sgd_oracle
+from fedceo import protocol
 from fedceo.cli import worker_count
 from fedceo.dp import DpConfig, rng_stream
 from fedceo.errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
@@ -299,6 +301,43 @@ def test_fedavg_ignores_noise_settings():
         TINY, algorithm="fedavg", dp=DpConfig(sigma=0.01)))
     assert np.array_equal(flatten_params(a.final_model),
                           flatten_params(b.final_model))
+
+
+# ---------------------------------------------------------------------------
+# run_experiment: lock-step training against clients trained one by one
+
+
+def train_one_by_one(model, features, labels, epochs, batch_size, lr, rngs):
+    """A stand-in for local_train: the reference trainer, client by client."""
+    model.params[:] = sgd_oracle.train_each(model.shapes, model.params, features,
+                                            labels, epochs, batch_size, lr, rngs)
+
+
+@pytest.mark.parametrize("mode", ["iid", "label_shard", "dirichlet"])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("bias", [False, True])
+def test_rounds_match_clients_trained_one_by_one(monkeypatch, mode, kind, bias):
+    # 30 samples per client (a short last minibatch) for iid and label
+    # shards; ragged Dirichlet clients.  fedceo smooths every other round,
+    # so personalized restarts reach the later rounds.
+    cfg = dataclasses.replace(
+        TINY, n_total=8, k_selected=4, rounds=5, local_epochs=2, interval=2,
+        eval_every=1, algorithm="fedceo", model=ModelSpec(kind=kind, hidden=6, bias=bias),
+        data=dataclasses.replace(TINY.data, samples=300, partition_mode=mode, alpha=0.3))
+    got = run_experiment(cfg)
+    monkeypatch.setattr(protocol, "local_train", train_one_by_one)
+    want = run_experiment(cfg)
+    if mode != "dirichlet":
+        assert metrics_csv_text(got.metrics) == metrics_csv_text(want.metrics)
+        for g, w in zip(got.final_stack, want.final_stack):
+            assert np.array_equal(g, w)
+        return
+    for g, w in zip(got.metrics, want.metrics):
+        assert (g.round, g.acc) == (w.round, w.acc)
+        assert abs(g.loss - w.loss) <= 1e-12 * abs(w.loss)
+        assert math.isnan(w.tnn_total) or abs(g.tnn_total - w.tnn_total) <= 1e-12 * w.tnn_total
+    for g, w in zip(got.final_stack, want.final_stack):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # ---------------------------------------------------------------------------
