@@ -25,8 +25,9 @@ import dataclasses
 import numpy as np
 
 from fedceo.analysis import smoothness_map
+from fedceo.config import DataSpec, ModelSpec, RunConfig
 from fedceo.dp import DpConfig, privacy_budget
-from fedceo.protocol import DataSpec, ModelSpec, RunConfig, run_experiment
+from fedceo.protocol import run_experiment
 
 base = RunConfig(
     n_total=20, k_selected=5, rounds=30, local_epochs=3, batch=32, lr=0.1,

@@ -1,16 +1,134 @@
-"""Flat key=value run-configuration files.
+"""Run configuration: the config types, and their flat key=value files.
 
-One option per line, ``key = value``; blank lines and ``#`` comments are
-skipped.  The schema is strict: unknown keys and repeated keys are hard
-errors, values must parse as the key's type, and every semantic rule of
-the config dataclasses applies.  An empty file yields the desk defaults.
+``_SCHEMA`` maps each file key onto a field of :class:`RunConfig` or its
+nested parts; parsing, rendering and value conversion all derive from it.
+A file holds one ``key = value`` per line; blank lines and ``#`` comments
+are skipped.  Unknown and repeated keys are errors, values must parse as
+the key's type, and the config types check every semantic rule on
+construction.  An empty file yields the desk defaults.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
+from .data import PARTITION_MODES
 from .dp import DpConfig
-from .errors import ParseError, ValidationError
-from .protocol import DataSpec, ModelSpec, RunConfig
+from .errors import ParseError, ValidationError, naming_file
+
+ALGORITHMS = ("fedavg", "ldp_fedavg", "fedceo")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    kind: str = "logistic"     # logistic | mlp
+    hidden: int = 64
+    bias: bool | None = None   # None: logistic yes, mlp no
+
+    def __post_init__(self):
+        if self.kind not in ("logistic", "mlp"):
+            raise ValidationError(f"unknown kind {self.kind!r}", field="model.kind")
+        if self.hidden < 1:
+            raise ValidationError("must be >= 1", field="model.hidden")
+
+    @property
+    def use_bias(self) -> bool:
+        return self.kind == "logistic" if self.bias is None else self.bias
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    source: str = "blobs"      # blobs | file
+    classes: int = 10
+    dim: int = 20
+    samples: int = 2000
+    spread: float = 1.0
+    test_fraction: float = 0.2
+    seed: int | None = None    # defaults to the run seed
+    path: str | None = None    # for source=file
+    partition_mode: str = "iid"
+    shards_per_client: int = 2
+    alpha: float = 0.5
+
+    def __post_init__(self):
+        if self.source not in ("blobs", "file"):
+            raise ValidationError(f"unknown source {self.source!r}", field="data.source")
+        if self.source == "file" and not self.path:
+            raise ValidationError("required when data.source=file", field="data.path")
+        if self.classes < 2:
+            raise ValidationError("must be >= 2", field="data.classes")
+        if self.dim < 1:
+            raise ValidationError("must be >= 1", field="data.dim")
+        if self.samples < 1:
+            raise ValidationError("must be >= 1", field="data.samples")
+        if not (self.spread >= 0 and math.isfinite(self.spread)):
+            raise ValidationError("must be finite and >= 0", field="data.spread")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValidationError("must be in (0, 1)", field="data.test_fraction")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError("must be >= 0", field="data.seed")
+        if self.partition_mode not in PARTITION_MODES:
+            raise ValidationError(
+                f"unknown mode {self.partition_mode!r}", field="partition.mode"
+            )
+        if self.shards_per_client < 1:
+            raise ValidationError("must be >= 1", field="partition.shards_per_client")
+        if self.alpha <= 0:
+            raise ValidationError("must be > 0", field="partition.alpha")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    n_total: int = 20
+    k_selected: int = 5
+    rounds: int = 60
+    local_epochs: int = 3
+    batch: int = 32
+    lr: float = 0.1
+    dp: DpConfig = field(default_factory=DpConfig)
+    lambda0: float = 0.5
+    ratio: float = 1.05
+    interval: int = 5
+    algorithm: str = "fedceo"
+    seed: int = 0
+    eval_every: int = 5
+    divide_threshold_by_k: bool = False
+    model: ModelSpec = field(default_factory=ModelSpec)
+    data: DataSpec = field(default_factory=DataSpec)
+
+    def __post_init__(self):
+        if self.n_total < 1:
+            raise ValidationError("must be >= 1", field="n_total")
+        if not 1 <= self.k_selected <= self.n_total:
+            raise ValidationError("must be in [1, n_total]", field="k_selected")
+        if self.rounds < 1:
+            raise ValidationError("must be >= 1", field="rounds")
+        if self.local_epochs < 1:
+            raise ValidationError("must be >= 1", field="local_epochs")
+        if self.batch < 1:
+            raise ValidationError("must be >= 1", field="batch")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValidationError("must be positive", field="lr")
+        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
+            raise ValidationError("must be positive", field="lambda0")
+        if not (self.ratio >= 1.0 and math.isfinite(self.ratio)):
+            raise ValidationError("must be finite and >= 1", field="ratio")
+        if self.interval < 1:
+            raise ValidationError("must be >= 1", field="interval")
+        if self.algorithm not in ALGORITHMS:
+            raise ValidationError(
+                f"must be one of {', '.join(ALGORITHMS)}", field="algorithm"
+            )
+        if self.seed < 0:
+            raise ValidationError("must be >= 0", field="seed")
+        if self.eval_every < 1:
+            raise ValidationError("must be >= 1", field="eval_every")
+
+    @property
+    def data_seed(self) -> int:
+        return self.seed if self.data.seed is None else self.data.seed
+
 
 _TRUE_WORDS = frozenset(("true", "yes", "on", "1"))
 _FALSE_WORDS = frozenset(("false", "no", "off", "0"))
@@ -37,8 +155,10 @@ def _to_str(text: str) -> str:
     return text
 
 
-# key -> (group, field name, converter); groups map onto the nested
-# config dataclasses ("run" is RunConfig itself).
+# key -> (group, field name, converter[, field, value]); groups map onto the
+# nested config types ("run" is RunConfig itself).  Rendering keeps this order,
+# skips None values, and writes a key with a (field, value) pair only when its
+# group's field holds that value.
 _SCHEMA = {
     "n_total": ("run", "n_total", _to_int),
     "k_selected": ("run", "k_selected", _to_int),
@@ -62,20 +182,30 @@ _SCHEMA = {
     "model.hidden": ("model", "hidden", _to_int),
     "model.bias": ("model", "bias", _to_bool),
     "data.source": ("data", "source", _to_str),
-    "data.classes": ("data", "classes", _to_int),
-    "data.dim": ("data", "dim", _to_int),
-    "data.samples": ("data", "samples", _to_int),
-    "data.spread": ("data", "spread", _to_float),
+    "data.path": ("data", "path", _to_str, "source", "file"),
+    "data.classes": ("data", "classes", _to_int, "source", "blobs"),
+    "data.dim": ("data", "dim", _to_int, "source", "blobs"),
+    "data.samples": ("data", "samples", _to_int, "source", "blobs"),
+    "data.spread": ("data", "spread", _to_float, "source", "blobs"),
     "data.test_fraction": ("data", "test_fraction", _to_float),
     "data.seed": ("data", "seed", _to_int),
-    "data.path": ("data", "path", _to_str),
     "partition.mode": ("data", "partition_mode", _to_str),
-    "partition.shards_per_client": ("data", "shards_per_client", _to_int),
-    "partition.alpha": ("data", "alpha", _to_float),
+    "partition.shards_per_client": ("data", "shards_per_client", _to_int,
+                                    "partition_mode", "label_shard"),
+    "partition.alpha": ("data", "alpha", _to_float, "partition_mode", "dirichlet"),
 }
 
 
-def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
+def convert_value(key: str, text: str, line: int | None = None):
+    """``text`` as a value of config key ``key``; text that does not convert
+    raises :class:`ParseError` naming the key (and ``line``, if given)."""
+    try:
+        return _SCHEMA[key][2](text)
+    except ValueError:
+        raise ParseError(f"invalid value {text!r} for key {key!r}", line=line) from None
+
+
+def parse_config_text(text: str) -> RunConfig:
     """Parse config-file content into a validated :class:`RunConfig`."""
     groups: dict[str, dict] = {"run": {}, "dp": {}, "model": {}, "data": {}}
     seen: dict[str, int] = {}
@@ -98,13 +228,8 @@ def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
                 f"duplicate key {key!r} (first set on line {seen[key]})", line=lineno
             )
         seen[key] = lineno
-        group, attr, convert = _SCHEMA[key]
-        try:
-            groups[group][attr] = convert(value)
-        except ValueError:
-            raise ParseError(
-                f"invalid value {value!r} for key {key!r}", line=lineno
-            ) from None
+        group, attr = _SCHEMA[key][:2]
+        groups[group][attr] = convert_value(key, value, line=lineno)
     return RunConfig(
         dp=DpConfig(**groups["dp"]),
         model=ModelSpec(**groups["model"]),
@@ -115,14 +240,24 @@ def parse_config_text(text: str, *, source: str = "<config>") -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Parse the config file at ``path``; empty files give desk defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    with open(path, "r", encoding="utf-8") as fh, naming_file(path):
+        return parse_config_text(fh.read())
+
+
+def config_to_dict(cfg: RunConfig) -> dict:
+    """Flat key -> value mapping mirroring the config file syntax."""
+    groups = {"run": cfg, "dp": cfg.dp, "model": cfg.model, "data": cfg.data}
+    out = {}
+    for key, (group, attr, _, *when) in _SCHEMA.items():
+        spec = groups[group]
+        value = getattr(spec, attr)
+        if value is not None and (not when or getattr(spec, when[0]) == when[1]):
+            out[key] = value
+    return out
 
 
 def config_file_text(cfg: RunConfig) -> str:
     """Render a config back to file syntax that re-parses identically."""
-    from .protocol import config_to_dict
-
     lines = []
     for key, value in config_to_dict(cfg).items():
         if isinstance(value, bool):

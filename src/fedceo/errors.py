@@ -7,6 +7,8 @@ from numeric failures (:class:`NoConvergence`, :class:`NonFinite`) because
 the command line maps the two groups to different exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class FedceoError(Exception):
     """Base class for all package errors."""
@@ -61,6 +63,17 @@ class ParseError(FedceoError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+@contextmanager
+def naming_file(path):
+    """Prefix ``path`` to the message of a :class:`ParseError` raised in the
+    block; the error keeps its ``line``."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class ValidationError(FedceoError, ValueError):

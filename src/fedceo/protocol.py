@@ -17,7 +17,10 @@ Three algorithms share one round pipeline:
   average of the slices.
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
-results are identical across replays.
+results are identical across replays.  The run's outputs are
+``metrics.csv``, ``final_model.t3r`` and ``run_manifest.json``; the config
+types a run takes, and their flat rendering in the manifest, live in
+:mod:`fedceo.config`.
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
-from .dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
+from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
+from .errors import ArchMismatch, NotSmoothingRound, ShapeMismatch
 from .models import (
     Model,
     block_views,
@@ -46,122 +50,6 @@ from .models import (
     unflatten_params,
 )
 from .tensor import tnn, truncated_tsvd
-
-ALGORITHMS = ("fedavg", "ldp_fedavg", "fedceo")
-
-# ---------------------------------------------------------------------------
-# Configuration
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str = "logistic"     # logistic | mlp
-    hidden: int = 64
-    bias: bool | None = None   # None: logistic yes, mlp no
-
-    def __post_init__(self):
-        if self.kind not in ("logistic", "mlp"):
-            raise ValidationError(f"unknown kind {self.kind!r}", field="model.kind")
-        if self.hidden < 1:
-            raise ValidationError("must be >= 1", field="model.hidden")
-
-    @property
-    def use_bias(self) -> bool:
-        return self.kind == "logistic" if self.bias is None else self.bias
-
-
-@dataclass(frozen=True)
-class DataSpec:
-    source: str = "blobs"      # blobs | file
-    classes: int = 10
-    dim: int = 20
-    samples: int = 2000
-    spread: float = 1.0
-    test_fraction: float = 0.2
-    seed: int | None = None    # defaults to the run seed
-    path: str | None = None    # for source=file
-    partition_mode: str = "iid"
-    shards_per_client: int = 2
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.source not in ("blobs", "file"):
-            raise ValidationError(f"unknown source {self.source!r}", field="data.source")
-        if self.source == "file" and not self.path:
-            raise ValidationError("required when data.source=file", field="data.path")
-        if self.classes < 2:
-            raise ValidationError("must be >= 2", field="data.classes")
-        if self.dim < 1:
-            raise ValidationError("must be >= 1", field="data.dim")
-        if self.samples < 1:
-            raise ValidationError("must be >= 1", field="data.samples")
-        if not (self.spread >= 0 and math.isfinite(self.spread)):
-            raise ValidationError("must be finite and >= 0", field="data.spread")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValidationError("must be in (0, 1)", field="data.test_fraction")
-        if self.seed is not None and self.seed < 0:
-            raise ValidationError("must be >= 0", field="data.seed")
-        if self.partition_mode not in ("iid", "label_shard", "dirichlet"):
-            raise ValidationError(
-                f"unknown mode {self.partition_mode!r}", field="partition.mode"
-            )
-        if self.shards_per_client < 1:
-            raise ValidationError("must be >= 1", field="partition.shards_per_client")
-        if self.alpha <= 0:
-            raise ValidationError("must be > 0", field="partition.alpha")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n_total: int = 20
-    k_selected: int = 5
-    rounds: int = 60
-    local_epochs: int = 3
-    batch: int = 32
-    lr: float = 0.1
-    dp: DpConfig = field(default_factory=DpConfig)
-    lambda0: float = 0.5
-    ratio: float = 1.05
-    interval: int = 5
-    algorithm: str = "fedceo"
-    seed: int = 0
-    eval_every: int = 5
-    divide_threshold_by_k: bool = False
-    model: ModelSpec = field(default_factory=ModelSpec)
-    data: DataSpec = field(default_factory=DataSpec)
-
-    def __post_init__(self):
-        if self.n_total < 1:
-            raise ValidationError("must be >= 1", field="n_total")
-        if not 1 <= self.k_selected <= self.n_total:
-            raise ValidationError("must be in [1, n_total]", field="k_selected")
-        if self.rounds < 1:
-            raise ValidationError("must be >= 1", field="rounds")
-        if self.local_epochs < 1:
-            raise ValidationError("must be >= 1", field="local_epochs")
-        if self.batch < 1:
-            raise ValidationError("must be >= 1", field="batch")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ValidationError("must be positive", field="lr")
-        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
-            raise ValidationError("must be positive", field="lambda0")
-        if not (self.ratio >= 1.0 and math.isfinite(self.ratio)):
-            raise ValidationError("must be finite and >= 1", field="ratio")
-        if self.interval < 1:
-            raise ValidationError("must be >= 1", field="interval")
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(
-                f"must be one of {', '.join(ALGORITHMS)}", field="algorithm"
-            )
-        if self.seed < 0:
-            raise ValidationError("must be >= 0", field="seed")
-        if self.eval_every < 1:
-            raise ValidationError("must be >= 1", field="eval_every")
-
-    @property
-    def data_seed(self) -> int:
-        return self.seed if self.data.seed is None else self.data.seed
-
 
 # ---------------------------------------------------------------------------
 # Round primitives
@@ -379,40 +267,6 @@ def metrics_csv_text(metrics: list[MetricsRow]) -> str:
             f"{_format_cell(row.tnn_total)},{_format_cell(row.eps_p)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Flat key -> value mapping mirroring the config file syntax."""
-    out = {}
-    for f in fields(cfg):
-        if f.name in ("dp", "model", "data"):
-            continue
-        key = "smoothing.divide_threshold_by_k" if f.name == "divide_threshold_by_k" else f.name
-        out[key] = getattr(cfg, f.name)
-    for f in fields(cfg.dp):
-        out[f"dp.{f.name}"] = getattr(cfg.dp, f.name)
-    for f in fields(cfg.model):
-        value = getattr(cfg.model, f.name)
-        if value is not None:
-            out[f"model.{f.name}"] = value
-    data = cfg.data
-    out["data.source"] = data.source
-    if data.source == "blobs":
-        out.update({
-            "data.classes": data.classes, "data.dim": data.dim,
-            "data.samples": data.samples, "data.spread": data.spread,
-        })
-    else:
-        out["data.path"] = data.path
-    out["data.test_fraction"] = data.test_fraction
-    if data.seed is not None:
-        out["data.seed"] = data.seed
-    out["partition.mode"] = data.partition_mode
-    if data.partition_mode == "label_shard":
-        out["partition.shards_per_client"] = data.shards_per_client
-    if data.partition_mode == "dirichlet":
-        out["partition.alpha"] = data.alpha
-    return out
 
 
 def write_run_outputs(result: ExperimentResult, out_dir, *, threads: int) -> None:

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _SCHEMA
+from .config import _SCHEMA, RunConfig, convert_value
 from .errors import ValidationError
-from .protocol import RunConfig, run_experiment
+from .protocol import run_experiment
 
 SWEEPABLE = tuple(
     key for key in _SCHEMA
@@ -73,8 +73,8 @@ class SweepResult(NamedTuple):
 
 def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
     """The base config with the axis field set to ``value`` and the seed set."""
-    group, attr, convert = _SCHEMA[spec.axis]
-    typed = convert(str(value))
+    group, attr = _SCHEMA[spec.axis][:2]
+    typed = convert_value(spec.axis, str(value))
     if group == "run":
         return dataclasses.replace(spec.base, seed=int(seed), **{attr: typed})
     dp = dataclasses.replace(spec.base.dp, **{attr: typed})

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NonFinite, ParseError
+from .errors import DimMismatch, NoConvergence, NonFinite, ParseError, naming_file
 
 
 def as_tensor3(t) -> np.ndarray:
@@ -173,13 +173,8 @@ def load_tensors(path) -> list[np.ndarray]:
     """Read every tensor stored at ``path``; a malformed file raises
     :class:`ParseError` naming it."""
     out = []
-    with open(path, "rb") as fh:
-        while True:
-            try:
-                t = _read_one(fh)
-            except ParseError as exc:
-                raise ParseError(f"{path}: {exc}") from None
-            if t is None:
-                return out
+    with open(path, "rb") as fh, naming_file(path):
+        while (t := _read_one(fh)) is not None:
             out.append(t)
+    return out
 

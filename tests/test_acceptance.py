@@ -43,7 +43,7 @@ import pytest
 
 from fedceo.analysis import invert_linear_gradient, smoothness_map, spectral_curves
 from fedceo.cli import main
-from fedceo.config import config_file_text
+from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
 from fedceo.dp import DpConfig, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.models import (
     backward,
@@ -53,13 +53,7 @@ from fedceo.models import (
     mlp_model,
     unflatten_params,
 )
-from fedceo.protocol import (
-    DataSpec,
-    ModelSpec,
-    RunConfig,
-    run_experiment,
-    smoothing_threshold,
-)
+from fedceo.protocol import run_experiment, smoothing_threshold
 from fedceo.tensor import dft_mode3, frobenius, truncated_svd_matrix, truncated_tsvd
 from tensor_oracle import bcirc, fold, idft_mode3, prox_objective, t_product, tsvd, unfold
 

@@ -10,6 +10,7 @@ import pytest
 from fedceo import __version__
 from fedceo.cli import main
 from fedceo.errors import NoConvergence
+from fedceo.sweep import SWEEPABLE
 from fedceo.tensor import load_tensors, save_tensors
 
 TINY_CONFIG = """\
@@ -175,6 +176,23 @@ def test_run_bad_dataset_header_exits_2(tmp_path, capsys, header, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert needle in err
+
+
+def test_bad_config_line_names_the_config_file(tmp_path, capsys):
+    code = main(["run", "--config", write_config(tmp_path, "lr\n", name="bad.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{tmp_path / 'bad.cfg'}: line 1:" in capsys.readouterr().err
+
+
+def test_bad_dataset_line_names_the_dataset_file(tmp_path, capsys):
+    data_path = tmp_path / "six.ds"
+    data_path.write_text("2 2 6\n" + "".join(f"{i % 2} 1.0 2.0\n" for i in range(5)) + "lr\n")
+    code, _ = do_run(tmp_path, text=TINY_CONFIG + f"data.source = file\ndata.path = {data_path}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data_path}: line 7:" in err
+    assert "run.cfg" not in err
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
@@ -360,6 +378,17 @@ def test_sweep_bad_axis_exits_2(tmp_path, capsys):
                  "--values", "1,2", "--seeds", "0", "--out", str(tmp_path / "sw")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", SWEEPABLE)
+def test_sweep_value_that_does_not_convert_exits_2_naming_the_axis(tmp_path, capsys, axis):
+    value = "fedsgd" if axis == "algorithm" else "abc"
+    code = main(["sweep", "--config", write_config(tmp_path), "--axis", axis,
+                 "--values", value, "--seeds", "0", "--out", str(tmp_path / "sw")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert axis in err
 
 
 def test_sweep_non_integer_seeds_exit_2(tmp_path, capsys):

@@ -1,12 +1,27 @@
 """Flat key=value config files: parsing, validation, and echo."""
 
 import dataclasses
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fedceo.config import config_file_text, parse_config, parse_config_text
+import config_oracle
+from fedceo.config import (
+    DataSpec,
+    ModelSpec,
+    RunConfig,
+    config_file_text,
+    config_to_dict,
+    parse_config,
+    parse_config_text,
+)
+from fedceo.dp import DpConfig
 from fedceo.errors import ParseError, ValidationError
-from fedceo.protocol import DataSpec, DpConfig, ModelSpec, RunConfig
 
 
 def test_empty_file_gives_defaults():
@@ -192,3 +207,55 @@ def test_parse_config_reads_files(tmp_path):
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_config(tmp_path / "absent.cfg")
+
+
+def test_importing_config_leaves_out_the_round_pipeline():
+    code = "import sys, fedceo.config; assert 'fedceo.protocol' not in sys.modules"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the schema-derived rendering against the hand-written one it replaced
+
+BASE = RunConfig(
+    n_total=8, k_selected=2, rounds=7, local_epochs=2, batch=8, lr=0.05,
+    dp=DpConfig(clip_c=0.5, sigma=3.0, delta=1e-3, c1=2.0, c2=0.5),
+    lambda0=0.2, ratio=1.2, interval=7, algorithm="ldp_fedavg", seed=3, eval_every=7,
+)
+SOURCES = {"blobs": dict(classes=4, dim=6, samples=300, spread=2.5),
+           "file": dict(path="data/six.ds")}
+PARTITIONS = {"iid": {}, "label_shard": dict(shards_per_client=3),
+              "dirichlet": dict(alpha=0.3)}
+GRID = list(itertools.product(SOURCES, PARTITIONS, (None, True, False), (False, True),
+                              (None, 11)))
+CORPUS = [
+    dataclasses.replace(
+        BASE, divide_threshold_by_k=divide, model=ModelSpec(kind="mlp", hidden=16, bias=bias),
+        data=DataSpec(source=source, test_fraction=0.3, seed=seed, partition_mode=mode,
+                      **SOURCES[source], **PARTITIONS[mode]),
+    )
+    for source, mode, bias, divide, seed in GRID
+]
+CORPUS_IDS = ["-".join(map(str, cell)) for cell in GRID]
+STRAY_PATH = dataclasses.replace(BASE, data=DataSpec(path="data/six.ds"))
+
+
+@pytest.mark.parametrize("cfg", CORPUS + [STRAY_PATH], ids=CORPUS_IDS + ["stray-path"])
+def test_rendering_matches_the_hand_written_oracle(cfg):
+    assert config_file_text(cfg) == config_oracle.config_file_text(cfg)
+    manifest = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    assert manifest == json.dumps(config_oracle.config_to_dict(cfg), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("cfg", CORPUS, ids=CORPUS_IDS)
+def test_rendering_reparses_to_the_same_config(cfg):
+    assert parse_config_text(config_file_text(cfg)) == cfg
+
+
+def test_stray_path_on_blobs_is_not_rendered():
+    text = config_file_text(STRAY_PATH)
+    assert "data.path" not in text
+    assert parse_config_text(text) == dataclasses.replace(STRAY_PATH, data=DataSpec())

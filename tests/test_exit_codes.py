@@ -19,8 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedceo.cli import main
-from fedceo.config import _SCHEMA, _to_bool, _to_float, _to_int
-from fedceo.protocol import ALGORITHMS
+from fedceo.config import _SCHEMA, ALGORITHMS, _to_bool, _to_float, _to_int
 
 BASE = {
     "n_total": "6",

@@ -21,7 +21,8 @@ from fedceo.models import (
     mlp_model,
     unflatten_params,
 )
-from fedceo.protocol import ModelSpec, build_dataset, build_model, select_clients
+from fedceo.config import ModelSpec
+from fedceo.protocol import build_dataset, build_model, select_clients
 from test_acceptance import DESK
 
 

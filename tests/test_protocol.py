@@ -11,16 +11,20 @@ import pytest
 import sgd_oracle
 from fedceo import protocol
 from fedceo.cli import worker_count
+from fedceo.config import (
+    DataSpec,
+    ModelSpec,
+    RunConfig,
+    config_file_text,
+    config_to_dict,
+    parse_config_text,
+)
 from fedceo.dp import DpConfig, rng_stream
 from fedceo.errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
 from fedceo.models import flatten_params, mlp_model
 from fedceo.protocol import (
-    DataSpec,
-    ModelSpec,
     MetricsRow,
-    RunConfig,
     build_dataset,
-    config_to_dict,
     metrics_csv_text,
     run_experiment,
     select_clients,
@@ -467,8 +471,6 @@ def test_write_run_outputs_files(tmp_path):
 
 
 def test_rerun_from_manifest_reproduces_csv(tmp_path):
-    from fedceo.config import config_file_text, parse_config_text
-
     res = run_experiment(TINY)
     out = tmp_path / "run"
     write_run_outputs(res, out, threads=1)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fedceo.cli import main
-from fedceo.config import config_file_text
+from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
 from fedceo.dp import DpConfig
 from fedceo.errors import ValidationError
-from fedceo.protocol import DataSpec, ModelSpec, RunConfig, run_experiment
+from fedceo.protocol import run_experiment
 from fedceo.sweep import (
     SWEEPABLE,
     SweepSpec,
