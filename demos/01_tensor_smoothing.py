@@ -52,12 +52,13 @@ for s, value in enumerate(curves.top):
 # ``truncated_tsvd`` shrinks every Fourier-slice singular value by a
 # common threshold.  Values below the threshold vanish, so the noise
 # frequencies collapse while the dominant frequency survives (slightly
-# shrunk).  The tensor nuclear norm drops accordingly.
+# shrunk).  The tensor nuclear norm drops accordingly; ``truncated_tsvd``
+# returns it with the smoothed stack, read off the shrunk singular values.
 
 tau = 0.6 * clients * np.linalg.svd(shared, compute_uv=False)[-1]
-smoothed = truncated_tsvd(stack, tau)
+smoothed, tnn_after = truncated_tsvd(stack, tau)
 print(f"threshold tau = {tau:.3f}")
-print(f"tnn before {tnn(stack):.3f} -> after {tnn(smoothed):.3f}")
+print(f"tnn before {tnn(stack):.3f} -> after {tnn_after:.3f}")
 after = spectral_curves(smoothed)
 print("top singular value per frequency after smoothing:")
 for s, value in enumerate(after.top):
@@ -83,7 +84,7 @@ print(f"mean slice error: raw {raw_err:.3f} -> smoothed {new_err:.3f}")
 # This makes the tensor threshold easy to calibrate.
 
 same = np.dstack([shared] * clients)
-via_tensor = truncated_tsvd(same, tau)[:, :, 0]
+via_tensor = truncated_tsvd(same, tau)[0][:, :, 0]
 via_matrix = truncated_svd_matrix(shared, tau / clients)
 print("identical-slice deviation from the matrix rule: "
       f"{np.max(np.abs(via_tensor - via_matrix)):.2e}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, NonFinite, ShapeMismatch
-from .tensor import as_tensor3, dft_mode3
+from .tensor import as_tensor3, fourier_svd
 
 _BIAS_GRAD_FLOOR = 1e-9
 
@@ -85,11 +85,15 @@ def spectral_curves(t: np.ndarray) -> SpectralCurves:
     """Per-frequency singular-value curves of a third-order stack.
 
     Slice 0 of the Fourier transform is the sum of the frontal slices, so
-    for K near-identical clients its curve towers over all others.
+    for K near-identical clients its curve towers over all others.  Slice
+    j is the conjugate of slice n3 - j and has the same curve, so only the
+    distinct slices are decomposed and slice j reads row min(j, n3 - j).
     """
-    spec = dft_mode3(as_tensor3(t))
-    sv = np.linalg.svd(np.transpose(spec, (2, 0, 1)), compute_uv=False)
-    return SpectralCurves(curves=np.ascontiguousarray(sv))
+    arr = as_tensor3(t)
+    n3 = arr.shape[2]
+    j = np.arange(n3)
+    sv = fourier_svd(arr, compute_uv=False)
+    return SpectralCurves(curves=sv[np.minimum(j, n3 - j)])
 
 
 def invert_linear_gradient(grad_w: np.ndarray, grad_b: np.ndarray) -> np.ndarray:

@@ -67,11 +67,16 @@ class ParseError(FedceoError, ValueError):
 
 @contextmanager
 def naming_file(path):
-    """Prefix ``path`` to the message of a :class:`ParseError` raised in the
-    block; the error keeps its ``line``."""
+    """Prefix ``path`` to the message of a :class:`ParseError` or
+    :class:`EmptyDataset` raised in the block, and turn a byte that does
+    not decode into a ParseError; a ParseError keeps its ``line``."""
     try:
-        yield
-    except ParseError as exc:
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.object[exc.start]:#04x} is not valid "
+                             f"{exc.encoding}") from None
+    except (ParseError, EmptyDataset) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 

@@ -49,7 +49,8 @@ from .models import (
     param_blocks,
     unflatten_params,
 )
-from .tensor import tnn, truncated_tsvd
+# tnn goes unused here, but the benchmark tracer wraps fedceo.protocol.tnn by name.
+from .tensor import tnn, truncated_tsvd  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Round primitives
@@ -115,9 +116,9 @@ def server_smooth(uploads: np.ndarray, template: Model,
     personalized model, and the summed tensor nuclear norm of the smoothed
     stacks.
     """
-    smoothed = [truncated_tsvd(t, threshold) for t in stack_clients(uploads, template)]
-    tnn_total = float(sum(tnn(t) for t in smoothed))
-    return unstack_clients(smoothed, template), tnn_total
+    smoothed, norms = zip(*(truncated_tsvd(t, threshold)
+                            for t in stack_clients(uploads, template)))
+    return unstack_clients(list(smoothed), template), float(sum(norms))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,13 @@ A tensor here is a real float64 array of shape (n1, n2, n3); the n3 axis
 indexes "frontal slices".  Shrinkage and the tensor nuclear norm work
 slice-wise in the Fourier domain: transform along axis 2 with the
 unnormalized forward DFT, operate on each Fourier slice with ordinary
-matrix algebra, transform back with the 1/n3-scaled inverse.  That
-convention is exactly ``np.fft.fft`` / ``np.fft.ifft``, so the transform is
-never hand-rolled.
+matrix algebra, transform back with the 1/n3-scaled inverse.
 
 Real input makes the Fourier slices conjugate-symmetric: slice i pairs with
 slice n3 - i, and a conjugated slice has the same singular values.  So only
 the n3 // 2 + 1 distinct slices that ``np.fft.rfft`` returns are decomposed,
-in one batched SVD, and ``np.fft.irfft`` rebuilds the real tensor from them.
+in one batched SVD (:func:`fourier_svd`), and ``np.fft.irfft`` rebuilds the
+real tensor from them.
 """
 
 from __future__ import annotations
@@ -37,19 +36,6 @@ def as_tensor3(t) -> np.ndarray:
 def frobenius(t) -> float:
     """Frobenius norm of an array of any shape."""
     return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
-# ---------------------------------------------------------------------------
-# Mode-3 DFT
-
-
-def dft_mode3(t) -> np.ndarray:
-    """Unnormalized forward DFT along axis 2.
-
-    Returns a complex tensor of the same shape.  Parseval under this
-    convention reads ||dft_mode3(t)||_F^2 == n3 * ||t||_F^2.
-    """
-    return np.fft.fft(as_tensor3(t), axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +66,7 @@ def truncated_svd_matrix(m, tau: float) -> np.ndarray:
 # Tensor shrinkage and the tensor nuclear norm
 
 
-def _fourier_svd(arr: np.ndarray, *, compute_uv: bool = True):
+def fourier_svd(arr: np.ndarray, *, compute_uv: bool = True):
     """SVD of the n3 // 2 + 1 distinct Fourier slices of a real tensor,
     batched along a leading slice axis."""
     mats = np.moveaxis(np.fft.rfft(arr, axis=2), 2, 0)
@@ -92,32 +78,45 @@ def _fourier_svd(arr: np.ndarray, *, compute_uv: bool = True):
         ) from exc
 
 
-def truncated_tsvd(t, tau: float) -> np.ndarray:
+def _tnn_of(sv: np.ndarray, n3: int) -> float:
+    """Tensor nuclear norm from the singular values ``sv`` (one row per
+    distinct slice) of :func:`fourier_svd`: the mean of all n3 slices'
+    nuclear norms.  Each slice i in 1 .. (n3 - 1) // 2 stands for itself
+    and its conjugate partner n3 - i, so it counts twice; slice 0 and, for
+    even n3, slice n3 / 2 are their own partners and count once."""
+    norms = sv.sum(axis=1)
+    return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
+
+
+def truncated_tsvd(t, tau: float) -> tuple[np.ndarray, float]:
     """Soft-threshold every Fourier slice's singular values by ``tau``.
 
-    For coeff > 0 this is the exact minimizer of
+    Returns the smoothed tensor and its tensor nuclear norm, which the
+    shrunk singular values give without a second transform.  For
+    coeff > 0 the tensor is the exact minimizer of
     coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
-    u, s, vh = _fourier_svd(arr)
-    shrunk = (u * np.maximum(s - tau, 0.0)[:, None, :]) @ vh
-    return np.fft.irfft(np.moveaxis(shrunk, 0, 2), n=arr.shape[2], axis=2)
+    n3 = arr.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u, s, vh = fourier_svd(arr)
+        s = np.maximum(s - tau, 0.0)
+        out = np.fft.irfft(np.moveaxis((u * s[:, None, :]) @ vh, 0, 2), n=n3, axis=2)
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("smoothed tensor contains NaN or infinity")
+    return out, _tnn_of(s, n3)
 
 
 def tnn(t) -> float:
     """Tensor nuclear norm: mean of the n3 Fourier slices' nuclear norms.
 
     Equals ||bcirc(t)||_* / n3; the convex envelope underlying
-    :func:`truncated_tsvd`.  Each slice i in 1 .. (n3 - 1) // 2 stands for
-    itself and its conjugate partner n3 - i, so it counts twice; slice 0
-    and, for even n3, slice n3 / 2 are their own partners and count once.
+    :func:`truncated_tsvd`.
     """
     arr = as_tensor3(t)
-    n3 = arr.shape[2]
-    norms = _fourier_svd(arr, compute_uv=False).sum(axis=1)
-    return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
+    return _tnn_of(fourier_svd(arr, compute_uv=False), arr.shape[2])
 
 
 # ---------------------------------------------------------------------------

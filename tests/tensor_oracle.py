@@ -8,8 +8,8 @@ agree with:
 * ``bcirc``, ``unfold``/``fold``, ``t_product``, ``conj_transpose`` and
   ``identity_tensor``: the t-product and its identities.
 * ``tsvd``: the full t-SVD, whose reconstruction checks the transform.
-* ``idft_mode3``: the inverse of :func:`fedceo.tensor.dft_mode3` that
-  refuses a spectrum without conjugate symmetry.
+* ``dft_mode3`` and ``idft_mode3``: the full-length mode-3 DFT and its
+  inverse, which refuses a spectrum without conjugate symmetry.
 * ``truncated_tsvd`` and ``tnn``: the full-spectrum, slice-by-slice
   implementations that ``fedceo.tensor`` replaced with one batched
   ``rfft`` pass; the rewrite is checked against them.
@@ -28,6 +28,15 @@ from fedceo.tensor import as_tensor3, frobenius
 class SymmetryViolation(ValueError):
     """A spectrum expected to be conjugate-symmetric is not, so the
     inverse transform would not be real."""
+
+
+def dft_mode3(t) -> np.ndarray:
+    """Unnormalized forward DFT along axis 2.
+
+    Returns a complex tensor of the same shape.  Parseval under this
+    convention reads ||dft_mode3(t)||_F^2 == n3 * ||t||_F^2.
+    """
+    return np.fft.fft(as_tensor3(t), axis=2)
 
 
 # Imaginary residue tolerated (relative to the spectrum's Frobenius norm)

@@ -54,8 +54,17 @@ from fedceo.models import (
     unflatten_params,
 )
 from fedceo.protocol import run_experiment, smoothing_threshold
-from fedceo.tensor import dft_mode3, frobenius, truncated_svd_matrix, truncated_tsvd
-from tensor_oracle import bcirc, fold, idft_mode3, prox_objective, t_product, tsvd, unfold
+from fedceo.tensor import frobenius, truncated_svd_matrix, truncated_tsvd
+from tensor_oracle import (
+    bcirc,
+    dft_mode3,
+    fold,
+    idft_mode3,
+    prox_objective,
+    t_product,
+    tsvd,
+    unfold,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -197,7 +206,7 @@ def test_criterion_02_shrinkage_minimizes_proximal_objective():
                  int(rng.integers(1, 5)))
         target = rng.normal(size=shape) * float(10 ** rng.uniform(-0.5, 0.5))
         coeff = float(10 ** rng.uniform(-1.3, 0.7))
-        best = truncated_tsvd(target, 1.0 / (2.0 * coeff))
+        best, _ = truncated_tsvd(target, 1.0 / (2.0 * coeff))
         f_best = prox_objective(best, target, coeff)
         anchors_ok &= f_best <= prox_objective(target, target, coeff) + 1e-9
         anchors_ok &= f_best <= prox_objective(np.zeros(shape), target, coeff) + 1e-9
@@ -227,12 +236,12 @@ def test_criterion_03_identical_slice_reduction():
         top = np.linalg.svd(w, compute_uv=False)[0]
         tau = float(rng.uniform(0.05, 1.1)) * k * top
         stacked = np.repeat(w[:, :, None], k, axis=2)
-        out = truncated_tsvd(stacked, tau)
+        out, _ = truncated_tsvd(stacked, tau)
         expected = truncated_svd_matrix(w, tau / k)
         for s in range(k):
             worst = max(worst, float(np.max(np.abs(out[:, :, s] - expected))))
     w = rng.normal(size=(6, 4))
-    single = truncated_tsvd(w[:, :, None], 0.7)
+    single, _ = truncated_tsvd(w[:, :, None], 0.7)
     single_err = float(np.max(np.abs(single[:, :, 0]
                                      - truncated_svd_matrix(w, 0.7))))
     ok = worst <= 1e-9 and single_err <= 1e-10
@@ -514,7 +523,7 @@ def test_criterion_11_smoothing_reduces_roughness():
         stack = run_experiment(dataclasses.replace(base, seed=s)).final_stack[0]
         k = stack.shape[2]
         before = smoothness_map([stack[:, :, i].T for i in range(k)]).total
-        smoothed = truncated_tsvd(stack, tau)
+        smoothed, _ = truncated_tsvd(stack, tau)
         after = smoothness_map([smoothed[:, :, i].T for i in range(k)]).total
         drops.append((before, after))
     ok = all(before > after for before, after in drops)

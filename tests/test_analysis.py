@@ -10,6 +10,7 @@ from fedceo.analysis import (
 )
 from fedceo.errors import DegenerateGradient, NonFinite, ShapeMismatch
 from fedceo.models import backward, forward_loss, logistic_model, unflatten_params
+from tensor_oracle import dft_mode3
 
 
 def naive_map(mats):
@@ -122,6 +123,16 @@ def test_spectral_curves_match_per_slice_svd():
     for s in range(4):
         expected = np.linalg.svd(spec[:, :, s], compute_uv=False)
         assert np.allclose(curves[s], expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 1), (3, 5, 2), (4, 4, 3), (6, 2, 4), (2, 7, 9)], ids=str)
+def test_spectral_curves_match_full_spectrum_oracle(shape):
+    # the oracle decomposes all n3 slices of the full-length DFT
+    t = np.random.default_rng(sum(shape)).normal(size=shape)
+    want = np.linalg.svd(np.moveaxis(dft_mode3(t), 2, 0), compute_uv=False)
+    got = spectral_curves(t).curves
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
 
 
 def test_spectral_zero_frequency_is_slice_sum():

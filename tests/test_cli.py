@@ -195,6 +195,23 @@ def test_bad_dataset_line_names_the_dataset_file(tmp_path, capsys):
     assert "run.cfg" not in err
 
 
+def test_undecodable_config_byte_exits_2_naming_the_config_file(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"rounds = \xff\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {path}: byte 0xff is not valid utf-8\n"
+
+
+def test_undecodable_dataset_byte_exits_2_naming_the_dataset_file(tmp_path, capsys):
+    data_path = tmp_path / "six.ds"
+    rows = "".join(f"{i % 2} 1.0 2.0\n" for i in range(5)).encode()
+    data_path.write_bytes(b"2 2 6\n" + rows + b"1 \xff 2.0\n")
+    code, _ = do_run(tmp_path, text=TINY_CONFIG + f"data.source = file\ndata.path = {data_path}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {data_path}: byte 0xff is not valid ascii\n"
+
+
 def test_run_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "out")])

@@ -188,5 +188,6 @@ class TestAsciiFormat:
     def test_zero_samples_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("2 2 0\n")
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmptyDataset) as exc:
             load_dataset(path)
+        assert str(exc.value) == f"{path}: dataset file declares zero samples"

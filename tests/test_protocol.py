@@ -235,6 +235,26 @@ def test_server_smooth_never_increases_tnn():
     assert tnn_total == pytest.approx(sum(tnn(a) for a in after), rel=1e-12)
 
 
+def test_server_smooth_transforms_each_layer_stack_once(monkeypatch):
+    models = [random_mlp(seed=s) for s in range(4)]
+    calls = {"rfft": 0, "svd": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.fft, "rfft")
+    counted(np.linalg, "svd")
+    server_smooth(uploads_of(models), models[0], 0.3)
+    stacks = len(stack_clients(uploads_of(models), models[0]))
+    assert stacks == 4
+    assert calls == {"rfft": stacks, "svd": stacks}
+
+
 def test_server_smooth_huge_threshold_zeroes_everything():
     models = [random_mlp(seed=s) for s in range(3)]
     out, tnn_total = server_smooth(uploads_of(models), models[0], 1e6)

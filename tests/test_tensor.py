@@ -61,9 +61,9 @@ def rel_err(got, want):
 
 class TestDftMode3:
     def test_two_point_examples(self):
-        spec = tz.dft_mode3(np.array([1.0, 1.0]).reshape(1, 1, 2))
+        spec = oracle.dft_mode3(np.array([1.0, 1.0]).reshape(1, 1, 2))
         npt.assert_allclose(spec.ravel(), [2.0, 0.0], atol=1e-14)
-        spec = tz.dft_mode3(np.array([1.0, -1.0]).reshape(1, 1, 2))
+        spec = oracle.dft_mode3(np.array([1.0, -1.0]).reshape(1, 1, 2))
         npt.assert_allclose(spec.ravel(), [0.0, 2.0], atol=1e-14)
 
     def test_idft_examples(self):
@@ -75,20 +75,20 @@ class TestDftMode3:
         for _ in range(25):
             shape = tuple(rng.integers(1, 9, size=3))
             t = rng.standard_normal(shape)
-            npt.assert_allclose(tz.dft_mode3(t), naive_dft_mode3(t), atol=1e-10)
+            npt.assert_allclose(oracle.dft_mode3(t), naive_dft_mode3(t), atol=1e-10)
 
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             t = rng.standard_normal(tuple(rng.integers(1, 12, size=3)))
-            back = oracle.idft_mode3(tz.dft_mode3(t))
+            back = oracle.idft_mode3(oracle.dft_mode3(t))
             assert rel_err(back, t) <= 1e-10
 
     def test_parseval(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             t = rng.standard_normal(tuple(rng.integers(1, 12, size=3)))
-            spec = tz.dft_mode3(t)
+            spec = oracle.dft_mode3(t)
             lhs = np.linalg.norm(spec.ravel()) ** 2
             rhs = t.shape[2] * np.linalg.norm(t.ravel()) ** 2
             assert abs(lhs - rhs) <= 1e-9 * max(lhs, 1e-300)
@@ -103,11 +103,11 @@ class TestDftMode3:
         bad = np.ones((2, 2, 2))
         bad[0, 0, 0] = np.nan
         with pytest.raises(NonFinite):
-            tz.dft_mode3(bad)
+            oracle.dft_mode3(bad)
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(DimMismatch):
-            tz.dft_mode3(np.ones((2, 2)))
+            oracle.dft_mode3(np.ones((2, 2)))
 
 
 class TestBcircAndTProduct:
@@ -245,7 +245,7 @@ class TestTruncatedTsvd:
         t = np.zeros((2, 2, 2))
         t[:, :, 0] = np.diag([2.0, 1.0])
         t[:, :, 1] = np.diag([2.0, 1.0])
-        out = tz.truncated_tsvd(t, 1.0)
+        out, _ = tz.truncated_tsvd(t, 1.0)
         expected = np.diag([1.5, 0.5])
         npt.assert_allclose(out[:, :, 0], expected, atol=1e-12)
         npt.assert_allclose(out[:, :, 1], expected, atol=1e-12)
@@ -253,12 +253,12 @@ class TestTruncatedTsvd:
     def test_zero_threshold_identity(self):
         rng = np.random.default_rng(60)
         t = rng.standard_normal((5, 4, 3))
-        assert rel_err(tz.truncated_tsvd(t, 0.0), t) <= 1e-12
+        assert rel_err(tz.truncated_tsvd(t, 0.0)[0], t) <= 1e-12
 
     def test_huge_threshold_annihilates(self):
         rng = np.random.default_rng(61)
         t = rng.standard_normal((5, 4, 3))
-        npt.assert_allclose(tz.truncated_tsvd(t, 1e6), 0.0, atol=1e-9)
+        npt.assert_allclose(tz.truncated_tsvd(t, 1e6)[0], 0.0, atol=1e-9)
 
     def test_matches_slicewise_oracle(self):
         # independent route: transform, soft-threshold every slice's
@@ -277,12 +277,12 @@ class TestTruncatedTsvd:
             j, k = np.meshgrid(np.arange(n3), np.arange(n3), indexing="ij")
             finv = np.exp(2j * np.pi * j * k / n3) / n3
             oracle = np.einsum("abk,jk->abj", out, finv).real
-            assert rel_err(tz.truncated_tsvd(t, tau), oracle) <= 1e-9
+            assert rel_err(tz.truncated_tsvd(t, tau)[0], oracle) <= 1e-9
 
     def test_output_tnn_nonincreasing_in_threshold(self):
         rng = np.random.default_rng(63)
         t = rng.standard_normal((6, 5, 4))
-        values = [tz.tnn(tz.truncated_tsvd(t, tau)) for tau in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [tz.tnn(tz.truncated_tsvd(t, tau)[0]) for tau in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
 
     def test_identical_slices_reduce_to_matrix_shrinkage(self):
@@ -292,10 +292,27 @@ class TestTruncatedTsvd:
             top = np.linalg.svd(w, compute_uv=False)[0]
             tau = 0.4 * top
             stack = np.repeat(w[:, :, None], k, axis=2)
-            out = tz.truncated_tsvd(stack, tau)
+            out, _ = tz.truncated_tsvd(stack, tau)
             ref = tz.truncated_svd_matrix(w, tau / k)
             for i in range(k):
                 assert np.abs(out[:, :, i] - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 50])
+    def test_returned_tnn_is_tnn_of_the_result(self, n3):
+        rng = np.random.default_rng(65 + n3)
+        t = rng.standard_normal((6, 4, n3))
+        sv = tz.fourier_svd(t, compute_uv=False)
+        # no shrinkage, a threshold inside the spectrum, one that zeroes it
+        for tau in (0.0, float(np.median(sv)), 2.0 * float(sv.max())):
+            out, norm = tz.truncated_tsvd(t, tau)
+            for want in (tz.tnn(out), oracle.tnn(out)):
+                assert abs(norm - want) <= 1e-12 * want
+        assert norm == 0.0 and not out.any()
+
+    def test_nonfinite_result_rejected(self):
+        # finite input whose singular value overflows float64
+        with pytest.raises(NonFinite):
+            tz.truncated_tsvd(np.full((4, 4, 1), 1e308), 0.0)
 
 
 class TestTnn:
@@ -347,7 +364,7 @@ class TestRfftMatchesFullSpectrumOracle:
         t = rng.standard_normal(shape)
         for tau in (0.0, 0.3, 1.5, 1e3):
             want = oracle.truncated_tsvd(t, tau)
-            got = tz.truncated_tsvd(t, tau)
+            got, _ = tz.truncated_tsvd(t, tau)
             assert got.shape == want.shape
             assert rel_err(got, want) <= 1e-12
 
@@ -365,7 +382,7 @@ class TestProxObjective:
         for _ in range(10):
             target = rng.standard_normal((6, 5, 4))
             coeff = float(rng.uniform(0.2, 3.0))
-            w = tz.truncated_tsvd(target, 1.0 / (2.0 * coeff))
+            w, _ = tz.truncated_tsvd(target, 1.0 / (2.0 * coeff))
             base = oracle.prox_objective(w, target, coeff)
             assert base <= oracle.prox_objective(target, target, coeff) + 1e-9
             assert base <= oracle.prox_objective(np.zeros_like(target), target, coeff) + 1e-9
