@@ -9,10 +9,12 @@ Subcommands::
     fedceo gen-data --out FILE [--classes N] [--dim D] [--samples N]
                     [--spread S] [--seed S]
 
-Exit codes: 0 on success, 2 for configuration/input errors, 3 for numeric
-failures.  Runs and sweeps are serial: --threads (or the FEDCEO_THREADS
-environment variable when --threads is not given) is validated and
-recorded in the run manifest, but selects nothing.
+gen-data's flags follow the rules of the ``data.*`` keys they name.  Exit
+codes (mapped in :mod:`fedceo.errors`): 0 on success, 2 for an input error,
+including a path that cannot be read or written, 3 for a numeric failure.
+Runs and sweeps are serial: --threads (or the FEDCEO_THREADS environment
+variable when --threads is not given) is validated and recorded in the run
+manifest, but selects nothing.
 """
 
 from __future__ import annotations
@@ -26,46 +28,20 @@ import numpy as np
 
 from . import __version__
 from .analysis import invert_linear_gradient, smoothness_map, spectral_curves
-from .config import parse_config
+from .config import DataSpec, parse_config
 from .data import save_dataset, synth_blobs
 from .dp import rng_stream
 from .errors import (
-    ArchMismatch,
+    INPUT_ERRORS,
+    NUMERIC_FAILURES,
     DegenerateGradient,
-    DimMismatch,
-    EmptyDataset,
-    NoConvergence,
-    NonFinite,
     ParseError,
-    ShapeMismatch,
-    TooManyClients,
     ValidationError,
 )
 from .models import backward, forward_loss, logistic_model, param_blocks, unflatten_params
 from .protocol import run_experiment, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
-
-_CONFIG_ERRORS = (
-    ParseError,
-    ValidationError,
-    EmptyDataset,
-    TooManyClients,
-    ArchMismatch,
-    ShapeMismatch,
-    DimMismatch,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_NUMERIC_ERRORS = (
-    NoConvergence,
-    NonFinite,
-    DegenerateGradient,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-    OverflowError,
-    ZeroDivisionError,
-)
 
 ATTACK_SIGMAS = (0.0, 0.5, 1.0, 2.0)
 ATTACK_SEEDS = 20
@@ -314,8 +290,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    data = synth_blobs(args.classes, args.dim, args.samples, args.spread, args.seed)
-    save_dataset(args.out, data)
+    spec = DataSpec(classes=args.classes, dim=args.dim, samples=args.samples,
+                    spread=args.spread, seed=args.seed)
+    save_dataset(args.out, synth_blobs(spec.classes, spec.dim, spec.samples,
+                                       spec.spread, spec.seed))
     print(f"wrote {args.samples} samples ({args.classes} classes, dim {args.dim}) "
           f"to {args.out}")
     return 0
@@ -333,10 +311,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CONFIG_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -5,7 +5,9 @@ nested parts; parsing, rendering and value conversion all derive from it.
 A file holds one ``key = value`` per line; blank lines and ``#`` comments
 are skipped.  Unknown and repeated keys are errors, values must parse as
 the key's type, and the config types check every semantic rule on
-construction.  An empty file yields the desk defaults.
+construction, once: sweep values and gen-data's flags pass through them
+too, and the functions that take the values do not check them again.  An
+empty file yields the desk defaults.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class DataSpec:
             raise ValidationError("must be >= 1", field="data.dim")
         if self.samples < 1:
             raise ValidationError("must be >= 1", field="data.samples")
+        if self.source == "blobs" and self.samples % self.classes:
+            raise ValidationError(
+                f"{self.samples} is not divisible by data.classes ({self.classes}), "
+                "so the label histogram cannot be exactly uniform", field="data.samples")
         if not (self.spread >= 0 and math.isfinite(self.spread)):
             raise ValidationError("must be finite and >= 0", field="data.spread")
         if not 0.0 < self.test_fraction < 1.0:

@@ -38,8 +38,6 @@ def rng_stream(seed: int, *, round_no: int = 0, client: int = 0, purpose: str) -
     Equal arguments always produce the identical draw sequence; distinct
     arguments produce statistically independent streams.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     try:
         code = _PURPOSES[purpose]
     except KeyError:
@@ -78,8 +76,6 @@ def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
     Updates already inside the ball are returned unchanged (the scale
     factor is exactly 1.0, so the output is bit-identical).
     """
-    if not (clip_c > 0 and math.isfinite(clip_c)):
-        raise ValueError(f"clip_c must be positive, got {clip_c}")
     arr = np.asarray(delta, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFinite("update contains NaN or infinity")
@@ -103,8 +99,6 @@ def gaussianize(
     The 1/K variance split makes the K aggregated uploads carry the same
     total noise a central server would have added once.
     """
-    if k_selected < 1:
-        raise ValueError(f"k_selected must be >= 1, got {k_selected}")
     a, b = np.asarray(start, dtype=np.float64), np.asarray(clipped, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
@@ -127,12 +121,6 @@ def privacy_budget(dp: DpConfig, n_total: int, k_selected: int, rounds: int) -> 
     guarantee while epsilon < c1 * p^2 * rounds; `lemma_valid` reports that
     gate and `validity_bound` the right-hand side.
     """
-    if not (0.0 < dp.delta < 1.0):
-        raise InvalidDelta(f"must lie in (0, 1), got {dp.delta}", field="dp.delta")
-    if n_total < 1 or k_selected < 1 or k_selected > n_total:
-        raise ValueError(f"need 1 <= k_selected <= n_total, got {k_selected}/{n_total}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     p = k_selected / n_total
     epsilon = dp.c2 * p * math.sqrt(rounds * math.log(1.0 / dp.delta)) / dp.sigma
     bound = dp.c1 * p * p * rounds

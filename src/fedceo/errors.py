@@ -1,36 +1,47 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the exit code each maps to.
 
-Every error raised on a contract violation derives from :class:`FedceoError`
-so callers can catch the package's failures in one clause.  Config-file
-problems (:class:`ParseError`, :class:`ValidationError`) are kept distinct
-from numeric failures (:class:`NoConvergence`, :class:`NonFinite`) because
-the command line maps the two groups to different exit codes.
+Every package error derives from :class:`FedceoError`.  The command line
+exits 2 on :data:`INPUT_ERRORS` (an :class:`InputError`: a bad config value,
+file or dataset, or an ``OSError`` on a path) and 3 on
+:data:`NUMERIC_FAILURES` (a :class:`NumericFailure` such as NaN or no
+convergence, or an arithmetic error from NumPy or Python).
+:class:`StaleCache` and :class:`NotSmoothingRound` are programming errors.
 """
 
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class FedceoError(Exception):
     """Base class for all package errors."""
 
 
-class DimMismatch(FedceoError, ValueError):
+class InputError(FedceoError):
+    """The input is at fault: a config value, a file, or the data in it."""
+
+
+class NumericFailure(FedceoError):
+    """Valid input led to a result that is not a finite number."""
+
+
+class DimMismatch(InputError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NonFinite(FedceoError, ValueError):
+class NonFinite(NumericFailure, ValueError):
     """An input or result contains NaN or infinity."""
 
 
-class NoConvergence(FedceoError, ArithmeticError):
+class NoConvergence(NumericFailure, ArithmeticError):
     """An iterative factorization failed to converge."""
 
 
-class EmptyDataset(FedceoError, ValueError):
+class EmptyDataset(InputError, ValueError):
     """A dataset with zero samples was supplied where samples are required."""
 
 
-class TooManyClients(FedceoError, ValueError):
+class TooManyClients(InputError, ValueError):
     """More client partitions were requested than there are samples."""
 
 
@@ -39,15 +50,15 @@ class StaleCache(FedceoError, RuntimeError):
     forward pass or model."""
 
 
-class ArchMismatch(FedceoError, ValueError):
+class ArchMismatch(InputError, ValueError):
     """Layer stacks do not match the model architecture they belong to."""
 
 
-class ShapeMismatch(FedceoError, ValueError):
+class ShapeMismatch(InputError, ValueError):
     """A parameter vector or tensor does not match the model's shape."""
 
 
-class DegenerateGradient(FedceoError, ValueError):
+class DegenerateGradient(NumericFailure, ValueError):
     """A gradient is too small to invert for input reconstruction."""
 
 
@@ -55,7 +66,7 @@ class NotSmoothingRound(FedceoError, ValueError):
     """The smoothing schedule was evaluated at a round it does not fire on."""
 
 
-class ParseError(FedceoError, ValueError):
+class ParseError(InputError, ValueError):
     """A config or data file is syntactically malformed."""
 
     def __init__(self, message, line=None):
@@ -81,7 +92,7 @@ def naming_file(path):
         raise
 
 
-class ValidationError(FedceoError, ValueError):
+class ValidationError(InputError, ValueError):
     """A config value is syntactically fine but semantically invalid."""
 
     def __init__(self, message, field=None):
@@ -93,3 +104,8 @@ class ValidationError(FedceoError, ValueError):
 
 class InvalidDelta(ValidationError):
     """A privacy parameter delta lies outside (0, 1)."""
+
+
+INPUT_ERRORS = (InputError, OSError)  # exit 2
+NUMERIC_FAILURES = (NumericFailure, np.linalg.LinAlgError, FloatingPointError,
+                    OverflowError, ZeroDivisionError)  # exit 3

@@ -247,10 +247,6 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     for the steps left, so its row does not move.  One gradient array is
     allocated per call and reused by every step.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
     if k < 1 or not len(features) == len(labels) == len(rngs) == k:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import _SCHEMA, RunConfig, convert_value
 from .errors import ValidationError
-from .protocol import run_experiment
+from .protocol import _format_cell, run_experiment
 
 SWEEPABLE = tuple(
     key for key in _SCHEMA
@@ -46,8 +46,6 @@ class SweepSpec:
             raise ValidationError("needs at least one value", field="values")
         if not self.seeds:
             raise ValidationError("needs at least one seed", field="seeds")
-        if any(int(s) < 0 for s in self.seeds):
-            raise ValidationError("seeds must be nonnegative", field="seeds")
 
 
 class SweepRow(NamedTuple):
@@ -131,13 +129,12 @@ def sweep_csv_text(result: SweepResult) -> str:
 
     Summary rows reuse the seed column for the literals ``mean``/``std``.
     """
-    def fmt(x: float) -> str:
-        return "" if np.isnan(x) else repr(float(x))
-
     lines = [f"{result.spec.axis},seed,acc,loss,eps_p"]
     for row in result.rows:
-        lines.append(f"{row.value},{row.seed},{fmt(row.acc)},{fmt(row.loss)},{fmt(row.eps_p)}")
+        acc, loss, eps = (_format_cell(x) for x in (row.acc, row.loss, row.eps_p))
+        lines.append(f"{row.value},{row.seed},{acc},{loss},{eps}")
     for s in result.summaries:
-        lines.append(f"{s.value},mean,{fmt(s.mean_acc)},,{fmt(s.mean_eps)}")
-        lines.append(f"{s.value},std,{fmt(s.std_acc)},,")
+        acc, eps, std = (_format_cell(x) for x in (s.mean_acc, s.mean_eps, s.std_acc))
+        lines.append(f"{s.value},mean,{acc},,{eps}")
+        lines.append(f"{s.value},std,{std},,")
     return "\n".join(lines) + "\n"

@@ -152,6 +152,7 @@ def test_rerun_from_manifest_config_reproduces_csv(tmp_path):
     ("data.spread = inf\n", "data.spread"),
     ("ratio = inf\n", "ratio"),
     ("data.samples = 1999\n", "samples"),
+    ("data.spread = 1e308\n", "data.spread"),
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     cfg = write_config(tmp_path, bad_text, name="bad.cfg")
@@ -160,6 +161,7 @@ def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert needle in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("header,needle", [
@@ -226,6 +228,18 @@ def test_run_missing_data_file_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_every_package_error_but_the_programming_errors_has_one_exit_code():
+    from fedceo import errors
+
+    programming = {errors.FedceoError, errors.StaleCache, errors.NotSmoothingRound}
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, errors.FedceoError):
+            codes = [code for code, group in ((2, errors.InputError),
+                                              (3, errors.NumericFailure))
+                     if issubclass(cls, group)]
+            assert len(codes) == (0 if cls in programming else 1), (cls, codes)
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: numeric failures
 
@@ -268,12 +282,47 @@ def test_gen_data_then_run_from_file(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--samples", "1999"), ("--spread", "inf")])
+@pytest.mark.parametrize("flag,value", [("--samples", "1999"), ("--spread", "inf"),
+                                        ("--seed", "-1"), ("--classes", "1"),
+                                        ("--spread", "1e308")])
 def test_gen_data_bad_values_exit_2(tmp_path, capsys, flag, value):
+    # Each flag obeys the rule of the data.* key it names, and a spread that
+    # overflows a sample is rejected before the file is written.
     data_path = tmp_path / "blobs.ds"
     assert main(["gen-data", "--out", str(data_path), flag, value]) == 2
-    assert flag.lstrip("-") in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: data.{flag[2:]}:")
     assert not data_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# output paths through a regular file
+
+
+def _path_cases(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cfg = write_config(tmp_path)
+    code, run_dir = do_run(tmp_path, subdir="done")
+    assert code == 0
+    sweep = ["sweep", "--config", cfg, "--axis", "dp.sigma", "--values", "0.5",
+             "--seeds", "0", "--out"]
+    return {
+        "run": ["run", "--config", cfg, "--out", str(blocker)],
+        "run-sub": ["run", "--config", cfg, "--out", str(blocker / "sub")],
+        "analyze": ["analyze", "--run", str(run_dir), "--out", str(blocker)],
+        "sweep": sweep + [str(blocker)],
+        "gen-data": ["gen-data", "--out", str(blocker / "x.ds")],
+    }
+
+
+@pytest.mark.parametrize("case", ["run", "run-sub", "analyze", "sweep", "gen-data"])
+def test_out_path_through_a_file_exits_2(tmp_path, capsys, case):
+    argv = _path_cases(tmp_path)[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert str(tmp_path / "file") in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedceo.config import DataSpec
 from fedceo.data import (
     Dataset,
     load_dataset,
@@ -13,7 +14,7 @@ from fedceo.data import (
     split_train_test,
     synth_blobs,
 )
-from fedceo.errors import EmptyDataset, ParseError, TooManyClients
+from fedceo.errors import EmptyDataset, ParseError, TooManyClients, ValidationError
 
 
 def assert_exact_cover(parts, n):
@@ -43,10 +44,19 @@ class TestSynthBlobs:
         assert (np.argmin(d2, axis=1) == data.labels).all()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            synth_blobs(3, 4, 100, 1.0, seed=0)  # not divisible
-        with pytest.raises(ValueError):
-            synth_blobs(3, 4, 99, -1.0, seed=0)
+        # The blob rules live in DataSpec; synth_blobs takes its values.
+        with pytest.raises(ValidationError) as err:
+            DataSpec(classes=3, dim=4, samples=100)  # not divisible
+        assert err.value.field == "data.samples"
+        with pytest.raises(ValidationError) as err:
+            DataSpec(classes=3, dim=4, samples=99, spread=-1.0)
+        assert err.value.field == "data.spread"
+        DataSpec(source="file", path="x.ds", classes=3, samples=100)  # blobs only
+
+    def test_overflowing_spread_names_its_field(self):
+        with pytest.raises(ValidationError) as err:
+            synth_blobs(2, 3, 40, 1e308, seed=0)
+        assert err.value.field == "data.spread"
 
 
 class TestSplitTrainTest:

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from fedceo.dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from fedceo.errors import DimMismatch, InvalidDelta, NonFinite
+from fedceo.config import RunConfig
+from fedceo.errors import DimMismatch, InvalidDelta, NonFinite, ValidationError
 
 
 class TestClipUpdate:
@@ -40,8 +41,10 @@ class TestClipUpdate:
     def test_validation(self):
         with pytest.raises(NonFinite):
             clip_update(np.array([1.0, np.nan]), 1.0)
-        with pytest.raises(ValueError):
-            clip_update(np.ones(3), 0.0)
+        # The clip bound's rule lives in DpConfig; clip_update takes its value.
+        with pytest.raises(ValidationError) as err:
+            DpConfig(clip_c=0.0)
+        assert err.value.field == "dp.clip_c"
 
     def test_finite_update_with_overflowing_norm_rejected(self):
         # Every entry is finite but the squared norm is not: dividing by
@@ -118,13 +121,16 @@ class TestPrivacyBudget:
                 DpConfig(delta=bad)
 
     def test_argument_validation(self):
-        dp = DpConfig()
-        with pytest.raises(ValueError):
-            privacy_budget(dp, 10, 11, 5)
-        with pytest.raises(ValueError):
-            privacy_budget(dp, 10, 0, 5)
-        with pytest.raises(ValueError):
-            privacy_budget(dp, 10, 2, 0)
+        # The budget's argument rules live in RunConfig and DpConfig.
+        for kwargs, field in [(dict(n_total=10, k_selected=11), "k_selected"),
+                              (dict(n_total=10, k_selected=0), "k_selected"),
+                              (dict(rounds=0), "rounds")]:
+            with pytest.raises(ValidationError) as err:
+                RunConfig(**kwargs)
+            assert err.value.field == field
+        with pytest.raises(InvalidDelta) as err:
+            DpConfig(delta=1.0)
+        assert err.value.field == "dp.delta"
 
 
 class TestRngStream:

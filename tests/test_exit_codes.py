@@ -1,9 +1,9 @@
 """Exit-code contract of ``fedceo.cli.main`` under generated inputs.
 
-Whatever value a config key takes, and however a finished run's artifacts
-are truncated or bit-flipped, the command exits 0, 2 (an input error whose
-message names the offending key or file) or 3 (a numeric failure), and no
-exception escapes.  Examples are derandomized, so every run of the suite
+Whatever value a config key or a gen-data flag takes, and however a
+finished run's artifacts are truncated or bit-flipped, the command exits 0,
+2 (an input error whose message names the offending key or file) or 3 (a
+numeric failure), and no exception escapes.  Examples are derandomized, so every run of the suite
 checks the same inputs.
 """
 
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from fedceo.cli import main
 from fedceo.config import _SCHEMA, ALGORITHMS, _to_bool, _to_float, _to_int
+from fedceo.data import load_dataset
 
 BASE = {
     "n_total": "6",
@@ -100,6 +101,31 @@ def test_any_config_value_keeps_the_exit_code_contract(values):
             fh.writelines(f"{key} = {value}\n" for key, value in config.items())
         code, err = run_cli(["run", "--config", path, "--out", os.path.join(tmp, "out")])
     check_contract(code, err, [*config, "run.cfg", *WORDS["data.path"]])
+
+
+gen_data_flags = st.fixed_dictionaries({
+    flag: value_strategy(f"data.{flag}")
+    for flag in ("classes", "dim", "samples", "spread", "seed")
+})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(gen_data_flags)
+@example({"classes": "3", "dim": "2", "samples": "30", "spread": "1e308", "seed": "0"})
+@example({"classes": "3", "dim": "2", "samples": "30", "spread": "1", "seed": "-1"})
+@example({"classes": "1", "dim": "2", "samples": "30", "spread": "1", "seed": "0"})
+def test_any_gen_data_flags_keep_the_exit_code_contract(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blobs.ds")
+        code, err = run_cli(["gen-data", "--out", path,
+                             *(f"--{flag}={value}" for flag, value in flags.items())])
+        check_contract(code, err, [f"data.{flag}" for flag in flags])
+        assert code in (0, 2), err
+        if code == 0:
+            data = load_dataset(path)
+            assert data.features.shape == (int(flags["samples"]), int(flags["dim"]))
+        else:
+            assert not os.path.exists(path)
 
 
 ARTIFACTS = ("final_model.t3r", "run_manifest.json")

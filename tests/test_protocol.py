@@ -105,10 +105,11 @@ def test_select_clients_covers_everyone_eventually():
 
 
 def test_select_clients_rejects_bad_k():
-    with pytest.raises(ValueError):
-        select_clients(5, 6, round_no=1, seed=0)
-    with pytest.raises(ValueError):
-        select_clients(5, 0, round_no=1, seed=0)
+    # The k range lives in RunConfig; select_clients takes its values.
+    for k in (6, 0):
+        with pytest.raises(ValidationError) as err:
+            RunConfig(n_total=5, k_selected=k)
+        assert err.value.field == "k_selected"
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +140,12 @@ def test_threshold_off_schedule_rounds_raise():
 
 
 def test_threshold_parameter_validation():
-    with pytest.raises(ValueError):
-        smoothing_threshold(0.0, 1.05, round_no=5, interval=5)
-    with pytest.raises(ValueError):
-        smoothing_threshold(0.5, 0.9, round_no=5, interval=5)
-    with pytest.raises(ValueError):
-        smoothing_threshold(0.5, 1.05, round_no=5, interval=0)
+    # The schedule's parameter rules live in RunConfig.
+    for kwargs, field in [(dict(lambda0=0.0), "lambda0"), (dict(ratio=0.9), "ratio"),
+                          (dict(interval=0), "interval")]:
+        with pytest.raises(ValidationError) as err:
+            RunConfig(**kwargs)
+        assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ def test_eps_column_nan_only_for_plain_averaging():
 def test_final_stack_has_one_slice_per_selected_client():
     res = run_experiment(TINY)
     assert res.final_stack[0].shape[2] == TINY.k_selected
-    assert res.layer_shapes == [(5, 3, True)]
+    assert res.final_model.shapes == [(5, 3, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +514,7 @@ def test_rerun_from_manifest_reproduces_csv(tmp_path):
     (dict(algorithm="sgd"), "algorithm"),
     (dict(eval_every=0), "eval_every"),
     (dict(seed=-1), "seed"),
+    (dict(k_selected=0), "k_selected"),
 ])
 def test_run_config_field_validation(kwargs, field):
     with pytest.raises(ValidationError) as err:
@@ -530,6 +532,12 @@ def test_data_spec_validation_uses_dotted_fields():
     with pytest.raises(ValidationError) as err:
         DataSpec(alpha=0.0)
     assert err.value.field == "partition.alpha"
+    with pytest.raises(ValidationError) as err:
+        DataSpec(shards_per_client=0)
+    assert err.value.field == "partition.shards_per_client"
+    with pytest.raises(ValidationError) as err:
+        DataSpec(test_fraction=1.0)
+    assert err.value.field == "data.test_fraction"
 
 
 def test_model_spec_bias_defaults():

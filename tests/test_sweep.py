@@ -48,13 +48,21 @@ def test_axis_must_be_sweepable():
         tiny_spec(axis="data.dim")
 
 
-def test_values_and_seeds_must_be_nonempty():
+def test_values_and_seeds_must_be_nonempty(monkeypatch):
     with pytest.raises(ValidationError):
         tiny_spec(values=())
     with pytest.raises(ValidationError):
         tiny_spec(seeds=())
-    with pytest.raises(ValidationError):
-        tiny_spec(seeds=(-1,))
+    # A negative seed is RunConfig's to reject, before any cell runs.
+    import fedceo.sweep as sweep_mod
+
+    def no_cell(cfg):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep_mod, "_run_cell", no_cell)
+    with pytest.raises(ValidationError) as err:
+        sweep(tiny_spec(seeds=(0, -1)))
+    assert err.value.field == "seed"
 
 
 def test_cell_config_applies_axis_and_seed():
