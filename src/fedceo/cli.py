@@ -12,9 +12,9 @@ Subcommands::
 gen-data's flags follow the rules of the ``data.*`` keys they name.  Exit
 codes (mapped in :mod:`fedceo.errors`): 0 on success, 2 for an input error,
 including a path that cannot be read or written, 3 for a numeric failure.
-Runs and sweeps are serial: --threads (or the FEDCEO_THREADS environment
-variable when --threads is not given) is validated and recorded in the run
-manifest, but selects nothing.
+Runs and sweeps are serial: --threads (default 1) is validated and
+recorded in the run manifest, but selects nothing.  ``analyze`` reads the
+run's ``final_model.t3r`` and ``run_manifest.json``.
 """
 
 from __future__ import annotations
@@ -46,26 +46,13 @@ from .tensor import load_tensors
 ATTACK_SIGMAS = (0.0, 0.5, 1.0, 2.0)
 ATTACK_SEEDS = 20
 
-THREADS_ENV_VAR = "FEDCEO_THREADS"
 
-
-def worker_count(explicit: int | None = None) -> int:
-    """The thread count a run records: --threads, else FEDCEO_THREADS,
-    else 1.  Must be a positive integer; it changes no result."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValidationError("must be >= 1", field="--threads")
-        return explicit
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"not an integer: {raw!r}", field=THREADS_ENV_VAR) from None
-    if value < 1:
-        raise ValidationError("must be >= 1", field=THREADS_ENV_VAR)
-    return value
+def worker_count(threads: int = 1) -> int:
+    """The thread count a run records, from --threads.  Must be a positive
+    integer; it changes no result."""
+    if threads < 1:
+        raise ValidationError("must be >= 1", field="--threads")
+    return threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,9 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", required=True, help="flat key=value config file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="thread count recorded in the manifest "
-                            "(default: FEDCEO_THREADS or 1)")
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="thread count recorded in the manifest (default: 1)")
 
     sweep_p = sub.add_parser("sweep", help="vary one config field over a value grid")
     sweep_p.add_argument("--config", required=True, help="base config file")
@@ -91,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values for the axis")
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seeds")
     sweep_p.add_argument("--out", required=True, help="output directory")
-    sweep_p.add_argument("--threads", type=int, default=None,
-                         help="validated only; cells run serially "
-                              "(default: FEDCEO_THREADS or 1)")
+    sweep_p.add_argument("--threads", type=int, default=1,
+                         help="validated only; cells run serially (default: 1)")
 
     analyze_p = sub.add_parser("analyze", help="diagnostics for a finished run")
     analyze_p.add_argument("--run", required=True, help="directory written by `run`")
@@ -150,19 +135,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _locate_last_weight(tensors: list[np.ndarray], shapes: list | None,
+def _locate_last_weight(tensors: list[np.ndarray], shapes: list,
                         model_path: str) -> np.ndarray:
-    """The last layer's weight stack from a saved model file.
-
-    With the manifest's ``layer_shapes`` the file must hold one
-    (rows, cols, K) stack per block of their parameter layout, all sharing
-    one K; without them, the last stack with more than one row.
-    """
-    if not shapes:
-        if not tensors:
-            raise ParseError(f"{model_path}: holds no tensors")
-        weights = [t for t in tensors if t.shape[0] > 1]
-        return weights[-1] if weights else tensors[-1]
+    """The last layer's weight stack from a saved model file, which must
+    hold one (rows, cols, K) stack per block of the parameter layout of
+    the manifest's ``layer_shapes``, all sharing one K."""
     found = [t.shape for t in tensors]
     if ([s[:2] for s in found] != param_blocks(shapes)
             or len({s[2] for s in found}) != 1):
@@ -240,20 +217,19 @@ def _cmd_analyze(args) -> int:
     model_path = os.path.join(run_dir, "final_model.t3r")
     manifest_path = os.path.join(run_dir, "run_manifest.json")
     tensors = load_tensors(model_path)
-    seed, shapes = 0, None
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            try:
-                manifest = json.load(fh)
-            except ValueError as exc:
-                raise ParseError(f"{manifest_path}: {exc}") from None
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-            raise ParseError(f"{manifest_path}: not a run manifest")
-        seed = manifest["config"].get("seed", 0)
-        shapes = manifest.get("layer_shapes")
-        if not (type(seed) is int and seed >= 0
-                and (shapes is None or _is_layer_shapes(shapes))):
-            raise ParseError(f"{manifest_path}: bad config.seed or layer_shapes")
+    if not tensors:
+        raise ParseError(f"{model_path}: holds no tensors")
+    with open(manifest_path, "r", encoding="ascii") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ParseError(f"{manifest_path}: not a run manifest")
+    seed = manifest["config"].get("seed")
+    shapes = manifest.get("layer_shapes")
+    if not (type(seed) is int and seed >= 0 and _is_layer_shapes(shapes)):
+        raise ParseError(f"{manifest_path}: bad config.seed or layer_shapes")
 
     last_w = _locate_last_weight(tensors, shapes, model_path)
     k = last_w.shape[2]

@@ -80,8 +80,8 @@ class DataSpec:
             )
         if self.shards_per_client < 1:
             raise ValidationError("must be >= 1", field="partition.shards_per_client")
-        if self.alpha <= 0:
-            raise ValidationError("must be > 0", field="partition.alpha")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValidationError("must be finite and > 0", field="partition.alpha")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,6 @@ class RunConfig:
     algorithm: str = "fedceo"
     seed: int = 0
     eval_every: int = 5
-    divide_threshold_by_k: bool = False
     model: ModelSpec = field(default_factory=ModelSpec)
     data: DataSpec = field(default_factory=DataSpec)
 
@@ -178,7 +177,6 @@ _SCHEMA = {
     "algorithm": ("run", "algorithm", _to_str),
     "seed": ("run", "seed", _to_int),
     "eval_every": ("run", "eval_every", _to_int),
-    "smoothing.divide_threshold_by_k": ("run", "divide_threshold_by_k", _to_bool),
     "dp.clip_c": ("dp", "clip_c", _to_float),
     "dp.sigma": ("dp", "sigma", _to_float),
     "dp.delta": ("dp", "delta", _to_float),

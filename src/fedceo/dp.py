@@ -78,7 +78,7 @@ def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
     """
     arr = np.asarray(delta, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise NonFinite("update contains NaN or infinity")
+        raise NonFinite("update contains NaN or infinity: local training diverged")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr.ravel()))
     if not math.isfinite(norm):

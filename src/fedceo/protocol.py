@@ -37,7 +37,7 @@ from . import __version__
 from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import ArchMismatch, NotSmoothingRound, ShapeMismatch
+from .errors import ArchMismatch, NonFinite, NotSmoothingRound, ShapeMismatch
 from .models import (
     Model,
     block_views,
@@ -159,25 +159,30 @@ def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
                     parts: list[Dataset], starts: list[np.ndarray],
                     round_no: int) -> np.ndarray:
     """The round's (K, P) uploads: the selected clients train in lock step
-    from their starts, then each row becomes its client's upload."""
+    from their starts, then each row becomes its client's upload.  Raises
+    :class:`NonFinite` if any upload is not finite."""
     uploads = np.stack(starts)
-    local_train(
-        Model(template.shapes, uploads),
-        [p.features for p in parts], [p.labels for p in parts],
-        cfg.local_epochs, cfg.batch, cfg.lr,
-        [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
-         for c in clients],
-    )
-    for row, start, client in zip(uploads, starts, clients):
-        row -= start  # the client's delta
-        if cfg.algorithm == "fedavg":
-            row *= cfg.lr
-            row += start
-        else:
-            clipped = clip_update(row, cfg.dp.clip_c)
-            noise_rng = rng_stream(cfg.seed, round_no=round_no, client=client,
-                                   purpose="noise")
-            row[:] = gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected, noise_rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        local_train(
+            Model(template.shapes, uploads),
+            [p.features for p in parts], [p.labels for p in parts],
+            cfg.local_epochs, cfg.batch, cfg.lr,
+            [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
+             for c in clients],
+        )
+        for row, start, client in zip(uploads, starts, clients):
+            row -= start  # the client's delta
+            if cfg.algorithm == "fedavg":
+                row *= cfg.lr
+                row += start
+            else:
+                clipped = clip_update(row, cfg.dp.clip_c)
+                noise_rng = rng_stream(cfg.seed, round_no=round_no, client=client,
+                                       purpose="noise")
+                row[:] = gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected,
+                                     noise_rng)
+    if not np.isfinite(uploads).all():
+        raise NonFinite("upload is not finite: local training diverged")
     return uploads
 
 
@@ -195,40 +200,37 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     budget = privacy_budget(cfg.dp, cfg.n_total, cfg.k_selected, cfg.rounds)
     eps_p = budget.epsilon if cfg.algorithm != "fedavg" else math.nan
 
+    # Client -> its slice of the last round's smoothing pass, empty unless
+    # that round smoothed: a client resumes from its slice, else from the
+    # global average.
     personalized: dict[int, np.ndarray] = {}
-    personalized_round = -1
     metrics: list[MetricsRow] = []
-
-    def start_for(client: int, round_no: int) -> np.ndarray:
-        if (cfg.algorithm == "fedceo" and personalized_round == round_no - 1
-                and client in personalized):
-            return personalized[client]
-        return global_vec
 
     for round_no in range(1, cfg.rounds + 1):
         clients = [int(c) for c in
                    select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)]
         uploads = _client_uploads(
             cfg, template, clients, [parts[c] for c in clients],
-            [start_for(c, round_no) for c in clients], round_no,
+            [personalized.get(c, global_vec) for c in clients], round_no,
         )
+        personalized = {}
 
         tnn_total = math.nan
         if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
             threshold = smoothing_threshold(
                 cfg.lambda0, cfg.ratio, round_no, cfg.interval
             )
-            if cfg.divide_threshold_by_k:
-                threshold /= cfg.k_selected
             uploads, tnn_total = server_smooth(uploads, template, threshold)
             personalized = dict(zip(clients, uploads))
-            personalized_round = round_no
         global_vec = uploads.mean(axis=0)
 
         if round_no % cfg.eval_every == 0 or round_no == cfg.rounds:
             global_model = unflatten_params(template, global_vec)
-            loss, _ = evaluate(global_model, train.features, train.labels)
-            _, acc = evaluate(global_model, test.features, test.labels)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                loss, _ = evaluate(global_model, train.features, train.labels)
+                test_loss, acc = evaluate(global_model, test.features, test.labels)
+            if not (math.isfinite(loss) and math.isfinite(test_loss)):
+                raise NonFinite("global model's loss is not finite: training diverged")
             metrics.append(MetricsRow(round_no, loss, acc, tnn_total, eps_p))
 
     return ExperimentResult(

@@ -18,8 +18,7 @@ def config_to_dict(cfg) -> dict:
     for f in fields(cfg):
         if f.name in ("dp", "model", "data"):
             continue
-        key = "smoothing.divide_threshold_by_k" if f.name == "divide_threshold_by_k" else f.name
-        out[key] = getattr(cfg, f.name)
+        out[f.name] = getattr(cfg, f.name)
     for f in fields(cfg.dp):
         out[f"dp.{f.name}"] = getattr(cfg.dp, f.name)
     for f in fields(cfg.model):

@@ -64,7 +64,6 @@ def test_every_group_parses():
         "lambda0 = 0.25",
         "ratio = 1.1",
         "interval = 10",
-        "smoothing.divide_threshold_by_k = true",
         "dp.sigma = 2.0",
         "dp.delta = 0.001",
         "model.kind = mlp",
@@ -82,7 +81,6 @@ def test_every_group_parses():
     cfg = parse_config_text(text)
     assert cfg.algorithm == "fedceo"
     assert cfg.lambda0 == 0.25
-    assert cfg.divide_threshold_by_k is True
     assert cfg.dp.sigma == 2.0
     assert cfg.model == ModelSpec(kind="mlp", hidden=32, bias=False)
     assert cfg.data.partition_mode == "dirichlet"
@@ -181,7 +179,7 @@ def test_render_parse_identity_on_custom_config():
         n_total=8, k_selected=2, rounds=7, local_epochs=2, batch=8, lr=0.05,
         dp=DpConfig(clip_c=0.5, sigma=3.0, delta=1e-3),
         lambda0=0.2, ratio=1.2, interval=7, algorithm="fedceo", seed=3,
-        eval_every=7, divide_threshold_by_k=True,
+        eval_every=7,
         model=ModelSpec(kind="mlp", hidden=16, bias=True),
         data=DataSpec(classes=4, dim=6, samples=300, spread=2.5,
                       test_fraction=0.3, seed=11, partition_mode="label_shard",
@@ -192,8 +190,8 @@ def test_render_parse_identity_on_custom_config():
 
 def test_render_emits_booleans_in_file_syntax():
     text = config_file_text(dataclasses.replace(
-        RunConfig(), divide_threshold_by_k=True))
-    assert "smoothing.divide_threshold_by_k = true" in text
+        RunConfig(), model=ModelSpec(bias=True)))
+    assert "model.bias = true" in text
 
 
 def test_parse_config_reads_files(tmp_path):
@@ -229,15 +227,16 @@ SOURCES = {"blobs": dict(classes=4, dim=6, samples=300, spread=2.5),
            "file": dict(path="data/six.ds")}
 PARTITIONS = {"iid": {}, "label_shard": dict(shards_per_client=3),
               "dirichlet": dict(alpha=0.3)}
+# the axes: data source, partition mode, model.bias, logistic (else mlp), data.seed
 GRID = list(itertools.product(SOURCES, PARTITIONS, (None, True, False), (False, True),
                               (None, 11)))
 CORPUS = [
     dataclasses.replace(
-        BASE, divide_threshold_by_k=divide, model=ModelSpec(kind="mlp", hidden=16, bias=bias),
+        BASE, model=ModelSpec(kind="logistic" if logistic else "mlp", hidden=16, bias=bias),
         data=DataSpec(source=source, test_fraction=0.3, seed=seed, partition_mode=mode,
                       **SOURCES[source], **PARTITIONS[mode]),
     )
-    for source, mode, bias, divide, seed in GRID
+    for source, mode, bias, logistic, seed in GRID
 ]
 CORPUS_IDS = ["-".join(map(str, cell)) for cell in GRID]
 STRAY_PATH = dataclasses.replace(BASE, data=DataSpec(path="data/six.ds"))

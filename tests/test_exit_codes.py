@@ -93,6 +93,11 @@ def check_contract(code, err, names):
 @example({"n_total": "28", "data.samples": "33"})
 @example({"data.samples": "3"})
 @example({"data.seed": "-1"})
+@example({"algorithm": "fedavg", "lr": "1e200"})
+@example({"lr": "1e200", "model.bias": "true", "eval_every": "1", "data.spread": "1e200"})
+@example({"data.spread": "1e200", "data.test_fraction": "1e-300"})
+@example({"algorithm": "fedavg", "eval_every": "1", "data.spread": "1e200"})
+@example({"partition.mode": "dirichlet", "partition.alpha": "inf"})
 def test_any_config_value_keeps_the_exit_code_contract(values):
     config = {**BASE, **values}
     with tempfile.TemporaryDirectory() as tmp:

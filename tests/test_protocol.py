@@ -54,19 +54,8 @@ def random_mlp(seed=0, hidden=4, dim=5, classes=3):
 # worker_count: the thread count `run` records; it selects nothing
 
 
-def test_worker_count_defaults_to_one(monkeypatch):
-    monkeypatch.delenv("FEDCEO_THREADS", raising=False)
+def test_worker_count_defaults_to_one():
     assert worker_count() == 1
-
-
-def test_worker_count_env_var(monkeypatch):
-    monkeypatch.setenv("FEDCEO_THREADS", "4")
-    assert worker_count() == 4
-
-
-def test_worker_count_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("FEDCEO_THREADS", "8")
-    assert worker_count(2) == 2
 
 
 def test_worker_count_rejects_nonpositive():
@@ -464,7 +453,6 @@ def test_config_to_dict_flat_keys():
     d = config_to_dict(TINY)
     assert d["n_total"] == 6
     assert d["dp.sigma"] == 0.5
-    assert d["smoothing.divide_threshold_by_k"] is False
     assert d["data.source"] == "blobs"
     assert "data.path" not in d
     assert d["partition.mode"] == "iid"
@@ -529,9 +517,10 @@ def test_data_spec_validation_uses_dotted_fields():
     with pytest.raises(ValidationError) as err:
         DataSpec(partition_mode="sorted")
     assert err.value.field == "partition.mode"
-    with pytest.raises(ValidationError) as err:
-        DataSpec(alpha=0.0)
-    assert err.value.field == "partition.alpha"
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError) as err:
+            DataSpec(alpha=alpha)
+        assert err.value.field == "partition.alpha"
     with pytest.raises(ValidationError) as err:
         DataSpec(shards_per_client=0)
     assert err.value.field == "partition.shards_per_client"
