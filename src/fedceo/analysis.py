@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, NonFinite, ShapeMismatch
-from .tensor import as_tensor3, fourier_svd
+from .tensor import as_tensor3, fourier_singular_values
 
 _BIAS_GRAD_FLOOR = 1e-9
 
@@ -92,7 +92,7 @@ def spectral_curves(t: np.ndarray) -> SpectralCurves:
     arr = as_tensor3(t)
     n3 = arr.shape[2]
     j = np.arange(n3)
-    sv = fourier_svd(arr, compute_uv=False)
+    sv = fourier_singular_values(arr)
     return SpectralCurves(curves=sv[np.minimum(j, n3 - j)])
 
 

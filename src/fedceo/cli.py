@@ -12,14 +12,18 @@ Subcommands::
 gen-data's flags follow the rules of the ``data.*`` keys they name.  Exit
 codes (mapped in :mod:`fedceo.errors`): 0 on success, 2 for an input error,
 including a path that cannot be read or written, 3 for a numeric failure.
-Runs and sweeps are serial: --threads (default 1) is validated and
-recorded in the run manifest, but selects nothing.  ``analyze`` reads the
-run's ``final_model.t3r`` and ``run_manifest.json``.
+``run`` and ``sweep`` check --out before any training and create nothing
+when it cannot become a directory.  --threads caps the threads that
+decompose the Fourier slices of each smoothing pass (default: the CPUs
+this process may use); it changes no output byte, and ``run`` records it
+in the manifest.  Sweep cells run one after another.  ``analyze`` reads
+the run's ``final_model.t3r`` and ``run_manifest.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -39,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .models import backward, forward_loss, logistic_model, param_blocks, unflatten_params
-from .protocol import run_experiment, write_run_outputs
+from .protocol import run_experiment, usable_cpus, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
 
@@ -47,12 +51,26 @@ ATTACK_SIGMAS = (0.0, 0.5, 1.0, 2.0)
 ATTACK_SEEDS = 20
 
 
-def worker_count(threads: int = 1) -> int:
-    """The thread count a run records, from --threads.  Must be a positive
-    integer; it changes no result."""
+def worker_count(threads: int | None = None) -> int:
+    """The number of threads that decompose Fourier slices, from --threads:
+    a positive integer, or None for :func:`usable_cpus`.  It changes no
+    result."""
+    if threads is None:
+        return usable_cpus()
     if threads < 1:
         raise ValidationError("must be >= 1", field="--threads")
     return threads
+
+
+def _check_out_dir(path) -> None:
+    """Fail at once, creating nothing, if ``path`` cannot become an output
+    directory: an existing path must be a directory, and otherwise so must
+    its nearest existing ancestor."""
+    probe = path
+    while probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe or "."):
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", probe)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,8 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", required=True, help="flat key=value config file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="thread count recorded in the manifest (default: 1)")
+    run_p.add_argument("--threads", type=int, default=None,
+                       help="threads that decompose the Fourier slices; changes "
+                            "no output (default: the usable CPU count)")
 
     sweep_p = sub.add_parser("sweep", help="vary one config field over a value grid")
     sweep_p.add_argument("--config", required=True, help="base config file")
@@ -77,8 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values for the axis")
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seeds")
     sweep_p.add_argument("--out", required=True, help="output directory")
-    sweep_p.add_argument("--threads", type=int, default=1,
-                         help="validated only; cells run serially (default: 1)")
+    sweep_p.add_argument("--threads", type=int, default=None,
+                         help="threads that decompose each cell's Fourier slices; "
+                              "cells run serially (default: the usable CPU count)")
 
     analyze_p = sub.add_parser("analyze", help="diagnostics for a finished run")
     analyze_p.add_argument("--run", required=True, help="directory written by `run`")
@@ -98,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     threads = worker_count(args.threads)
-    result = run_experiment(cfg)
+    _check_out_dir(args.out)
+    result = run_experiment(cfg, threads=threads)
     write_run_outputs(result, args.out, threads=threads)
     last = result.metrics[-1]
     print(f"run complete: round={last.round} loss={last.loss:.6f} acc={last.acc:.4f}")
@@ -114,25 +135,32 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError("seeds must be integers", field="seeds") from None
     spec = SweepSpec(base=base, axis=args.axis, values=values, seeds=seeds)
-    worker_count(args.threads)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sweep.csv")
+    threads = worker_count(args.threads)
+    _check_out_dir(args.out)
     try:
-        result = sweep(spec)
+        # sweep checks every cell config before the first cell runs, and
+        # the directory is made only once there are rows to write.
+        result = sweep(spec, threads)
     except Exception as exc:
         partial = getattr(exc, "partial_rows", [])
         if partial:
-            with open(csv_path, "w", encoding="ascii") as fh:
-                fh.write(sweep_csv_text(SweepResult(spec, partial, [])))
+            csv_path = _save_sweep_csv(args.out, SweepResult(spec, partial, []))
             print(f"sweep failed after {len(partial)} cells; partial rows kept "
                   f"in {csv_path}", file=sys.stderr)
         raise
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write(sweep_csv_text(result))
+    _save_sweep_csv(args.out, result)
     for s in result.summaries:
         print(f"{spec.axis}={s.value}: acc={s.mean_acc:.4f} +- {s.std_acc:.4f}")
     print(f"wrote sweep.csv to {args.out}")
     return 0
+
+
+def _save_sweep_csv(out_dir, result: SweepResult) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "sweep.csv")
+    with open(csv_path, "w", encoding="ascii") as fh:
+        fh.write(sweep_csv_text(result))
+    return csv_path
 
 
 def _locate_last_weight(tensors: list[np.ndarray], shapes: list,

@@ -17,7 +17,8 @@ Three algorithms share one round pipeline:
   average of the slices.
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
-results are identical across replays.  The run's outputs are
+results are identical across replays, and the smoothing pass's thread count
+changes no bit of them.  The run's outputs are
 ``metrics.csv``, ``final_model.t3r`` and ``run_manifest.json``; the config
 types a run takes, and their flat rendering in the manifest, live in
 :mod:`fedceo.config`.
@@ -100,15 +101,16 @@ def unstack_clients(tensors: list[np.ndarray], template: Model) -> np.ndarray:
     return np.concatenate([np.moveaxis(t, 2, 0).reshape(k, -1) for t in tensors], axis=1)
 
 
-def server_smooth(uploads: np.ndarray, template: Model,
-                  threshold: float) -> tuple[np.ndarray, float]:
-    """Soft-threshold the Fourier spectra of each layer stack of K uploads.
+def server_smooth(uploads: np.ndarray, template: Model, threshold: float,
+                  *, threads: int = 1) -> tuple[np.ndarray, float]:
+    """Soft-threshold the Fourier spectra of each layer stack of K uploads,
+    each stack's slices on up to ``threads`` threads.
 
     Returns the (K, P) smoothed uploads, row k being client k's
     personalized model, and the summed tensor nuclear norm of the smoothed
     stacks.
     """
-    smoothed, norms = zip(*(truncated_tsvd(t, threshold)
+    smoothed, norms = zip(*(truncated_tsvd(t, threshold, threads=threads)
                             for t in stack_clients(uploads, template)))
     return unstack_clients(list(smoothed), template), float(sum(norms))
 
@@ -186,14 +188,25 @@ def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
     return uploads
 
 
-def run_experiment(cfg: RunConfig) -> ExperimentResult:
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_experiment(cfg: RunConfig, *, threads: int | None = None) -> ExperimentResult:
     """Run the configured algorithm for cfg.rounds rounds.
 
     Metrics rows appear every cfg.eval_every rounds and always on the final
     round: global-model loss on the training split, accuracy on the held-out
     split, summed tensor nuclear norm of the (smoothed) stack when the row
     lands on a smoothing round, and the closed-form privacy budget.
+    Smoothing passes decompose Fourier slices on up to ``threads`` threads
+    (default: :func:`usable_cpus`); no result depends on the count.
     """
+    if threads is None:
+        threads = usable_cpus()
     train, test, parts = build_dataset(cfg)
     template = build_model(cfg, train.dim, train.num_classes)
     global_vec = flatten_params(template)
@@ -220,7 +233,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
             threshold = smoothing_threshold(
                 cfg.lambda0, cfg.ratio, round_no, cfg.interval
             )
-            uploads, tnn_total = server_smooth(uploads, template, threshold)
+            uploads, tnn_total = server_smooth(uploads, template, threshold,
+                                                threads=threads)
             personalized = dict(zip(clients, uploads))
         global_vec = uploads.mean(axis=0)
 

@@ -79,14 +79,15 @@ def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
     return dataclasses.replace(spec.base, seed=int(seed), dp=dp)
 
 
-def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
-    result = run_experiment(cfg)
+def _run_cell(cfg: RunConfig, threads: int | None) -> tuple[float, float, float]:
+    result = run_experiment(cfg, threads=threads)
     last = result.metrics[-1]
     return last.acc, last.loss, last.eps_p
 
 
-def sweep(spec: SweepSpec) -> SweepResult:
-    """Run the full (value, seed) grid and summarize per value.
+def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
+    """Run the full (value, seed) grid and summarize per value; each cell
+    smooths on up to ``threads`` threads (see :func:`run_experiment`).
 
     Raises the first cell failure; the rows completed before it (in grid
     order) are attached to the exception as ``partial_rows``.
@@ -96,7 +97,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     outcomes = []
     try:
         for cfg in configs:
-            outcomes.append(_run_cell(cfg))
+            outcomes.append(_run_cell(cfg, threads))
     except Exception as exc:
         exc.partial_rows = _finished_rows(grid, outcomes)
         raise

@@ -9,8 +9,10 @@ matrix algebra, transform back with the 1/n3-scaled inverse.
 Real input makes the Fourier slices conjugate-symmetric: slice i pairs with
 slice n3 - i, and a conjugated slice has the same singular values.  So only
 the n3 // 2 + 1 distinct slices that ``np.fft.rfft`` returns are decomposed,
-in one batched SVD (:func:`fourier_svd`), and ``np.fft.irfft`` rebuilds the
-real tensor from them.
+and ``np.fft.irfft`` rebuilds the real tensor from them.  The slices are
+independent, so :func:`truncated_tsvd` decomposes them one by one on up to
+``threads`` threads; NumPy releases the GIL in the SVD and matmul loops,
+and each slice's result is the same whichever thread computes it.
 """
 
 from __future__ import annotations
@@ -66,44 +68,86 @@ def truncated_svd_matrix(m, tau: float) -> np.ndarray:
 # Tensor shrinkage and the tensor nuclear norm
 
 
-def fourier_svd(arr: np.ndarray, *, compute_uv: bool = True):
-    """SVD of the n3 // 2 + 1 distinct Fourier slices of a real tensor,
-    batched along a leading slice axis."""
+def fourier_singular_values(arr: np.ndarray) -> np.ndarray:
+    """Singular values of the n3 // 2 + 1 distinct Fourier slices of a real
+    tensor, one row per slice."""
     mats = np.moveaxis(np.fft.rfft(arr, axis=2), 2, 0)
     try:
-        return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(
             f"SVD failed to converge on a Fourier slice of shape {arr.shape}"
         ) from exc
 
 
+# Slice-SVD work, in n1 * n2 * min(n1, n2) units summed over the slices,
+# that each thread of a pool must get.  Below about this much, starting a
+# thread and handing it slices costs more than the thread saves.  On a
+# 2-CPU host with one BLAS thread, 2 threads were slower than 1 on every
+# stack of up to 665,600 units (each of the benchmark's desk and cli
+# stacks, and stress's (256, 10, 50) one) and faster on every stack of
+# 1.5 million units and more.
+MIN_WORK_PER_THREAD = 1 << 19
+
+
 def _tnn_of(sv: np.ndarray, n3: int) -> float:
     """Tensor nuclear norm from the singular values ``sv`` (one row per
-    distinct slice) of :func:`fourier_svd`: the mean of all n3 slices'
-    nuclear norms.  Each slice i in 1 .. (n3 - 1) // 2 stands for itself
-    and its conjugate partner n3 - i, so it counts twice; slice 0 and, for
-    even n3, slice n3 / 2 are their own partners and count once."""
+    distinct slice) of :func:`fourier_singular_values`: the mean of all n3
+    slices' nuclear norms.  Each slice i in 1 .. (n3 - 1) // 2 stands for
+    itself and its conjugate partner n3 - i, so it counts twice; slice 0
+    and, for even n3, slice n3 / 2 are their own partners and count once."""
     norms = sv.sum(axis=1)
     return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
 
 
-def truncated_tsvd(t, tau: float) -> tuple[np.ndarray, float]:
+def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, float]:
     """Soft-threshold every Fourier slice's singular values by ``tau``.
 
     Returns the smoothed tensor and its tensor nuclear norm, which the
     shrunk singular values give without a second transform.  For
     coeff > 0 the tensor is the exact minimizer of
-    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).
+    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).  The distinct
+    slices are shrunk on up to ``threads`` threads, never more than there
+    are slices or multiples of :data:`MIN_WORK_PER_THREAD` in their SVD
+    work, and each thread holds one slice's factors at a time; the result
+    does not depend on the thread count.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
     n3 = arr.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        u, s, vh = fourier_svd(arr)
-        s = np.maximum(s - tau, 0.0)
-        out = np.fft.irfft(np.moveaxis((u * s[:, None, :]) @ vh, 0, 2), n=n3, axis=2)
+        mats = np.moveaxis(np.fft.rfft(arr, axis=2), 2, 0)
+    slices, n1, n2 = mats.shape
+    rec = np.empty(mats.shape, dtype=mats.dtype)
+    s = np.empty((slices, min(n1, n2)))
+
+    def shrink(j: int) -> None:
+        # Entered here, not by the caller: a pool thread does not inherit
+        # the caller's error state.
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            try:
+                u, sv, vh = np.linalg.svd(mats[j], full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(
+                    f"SVD failed to converge on Fourier slice {j} of shape {arr.shape}"
+                ) from exc
+            s[j] = np.maximum(sv - tau, 0.0)
+            np.matmul(u * s[j], vh, out=rec[j])
+
+    work = slices * n1 * n2 * min(n1, n2)
+    workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
+    if workers > 1:
+        # Imported here, so a process that never starts a pool (any run
+        # whose stacks are all small) does not pay for the import.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(shrink, range(slices)))
+    else:
+        list(map(shrink, range(slices)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = np.fft.irfft(np.moveaxis(rec, 0, 2), n=n3, axis=2)
     if not np.all(np.isfinite(out)):
         raise NonFinite("smoothed tensor contains NaN or infinity")
     return out, _tnn_of(s, n3)
@@ -116,7 +160,7 @@ def tnn(t) -> float:
     :func:`truncated_tsvd`.
     """
     arr = as_tensor3(t)
-    return _tnn_of(fourier_svd(arr, compute_uv=False), arr.shape[2])
+    return _tnn_of(fourier_singular_values(arr), arr.shape[2])
 
 
 # ---------------------------------------------------------------------------

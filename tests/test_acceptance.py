@@ -41,6 +41,7 @@ import time
 import numpy as np
 import pytest
 
+from fedceo import tensor
 from fedceo.analysis import invert_linear_gradient, smoothness_map, spectral_curves
 from fedceo.cli import main
 from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
@@ -532,23 +533,27 @@ def test_criterion_11_smoothing_reduces_roughness():
 
 
 # ---------------------------------------------------------------------------
-# 12: byte-identical metrics across `run --threads` settings
+# 12: byte-identical metrics and final model across `run --threads` settings
 
 
-def test_criterion_12_thread_reproducibility(tmp_path, capsys):
+def test_criterion_12_thread_reproducibility(tmp_path, capsys, monkeypatch):
+    # Desk-sized stacks are too small to be worth a thread pool; lift that
+    # floor so that 2 and 8 threads really split the Fourier slices.
+    monkeypatch.setattr(tensor, "MIN_WORK_PER_THREAD", 1)
     cfg = dataclasses.replace(
         DESK, rounds=10, local_epochs=3, eval_every=5, algorithm="fedceo",
         interval=5, lambda0=0.5,
         dp=DpConfig(clip_c=1.0, sigma=1.0, delta=1e-2))
     config = tmp_path / "run.cfg"
     config.write_text(config_file_text(cfg))
-    texts = {}
+    texts, models = {}, {}
     for n in (1, 2, 8):
         out = tmp_path / f"threads{n}"
         assert main(["run", "--config", str(config), "--out", str(out),
                      "--threads", str(n)]) == 0
         texts[n] = (out / "metrics.csv").read_bytes()
+        models[n] = (out / "final_model.t3r").read_bytes()
     capsys.readouterr()
-    ok = texts[1] == texts[2] == texts[8]
+    ok = texts[1] == texts[2] == texts[8] and models[1] == models[2] == models[8]
     report(12, "thread reproducibility", ok,
-           f"metrics.csv identical across 1/2/8 workers: {ok}")
+           f"metrics.csv and final_model.t3r identical across 1/2/8 workers: {ok}")

@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 
+import itertools
 import json
 import struct
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
-from fedceo import __version__
+from fedceo import __version__, tensor
 from fedceo.cli import main
 from fedceo.errors import NoConvergence
+from fedceo.protocol import usable_cpus
 from fedceo.sweep import SWEEPABLE
 from fedceo.tensor import load_tensors, save_tensors
 
@@ -101,7 +105,7 @@ def test_threads_env_var_is_ignored(tmp_path, monkeypatch):
     code, out = do_run(tmp_path)
     assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["threads"] == 1
+    assert manifest["threads"] == usable_cpus()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -240,7 +244,7 @@ def test_every_package_error_but_the_programming_errors_has_one_exit_code():
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     import fedceo.cli as cli_mod
 
-    def explode(cfg):
+    def explode(cfg, *, threads):
         raise NoConvergence("iteration cap reached")
 
     monkeypatch.setattr(cli_mod, "run_experiment", explode)
@@ -248,6 +252,32 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numeric failure:" in capsys.readouterr().err
+
+
+def test_svd_failure_in_a_pool_thread_exits_3(tmp_path, capsys, monkeypatch):
+    # One Fourier slice's SVD fails on a worker thread of the smoothing pass.
+    calls = itertools.count()
+    failed_on = []
+    real_svd = np.linalg.svd
+
+    def flaky(a, *args, **kwargs):
+        if next(calls) == 1:
+            failed_on.append(threading.current_thread())
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(tensor, "MIN_WORK_PER_THREAD", 1)  # pool these tiny stacks
+    text = TINY_CONFIG.replace("algorithm = ldp_fedavg",
+                               "algorithm = fedceo\ninterval = 2")
+    cfg = write_config(tmp_path, text)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: SVD failed to converge on Fourier slice")
+    assert "Traceback" not in err
+    assert failed_on and failed_on[0] is not threading.main_thread()
 
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "ldp_fedavg", "fedceo"])
@@ -318,6 +348,35 @@ def test_out_path_through_a_file_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert str(tmp_path / "file") in err
+
+
+@pytest.mark.parametrize("case", ["run", "run-sub", "sweep"])
+def test_out_path_is_checked_before_training(tmp_path, capsys, monkeypatch, case):
+    import fedceo.cli as cli_mod
+    import fedceo.sweep as sweep_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran before --out was checked")
+
+    argv = _path_cases(tmp_path)[case]
+    monkeypatch.setattr(cli_mod, "run_experiment", no_training)
+    monkeypatch.setattr(sweep_mod, "run_experiment", no_training)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,field", [("--values", "-1", "dp.sigma"),
+                                              ("--seeds", "-1", "seed")])
+def test_sweep_bad_cell_exits_2_and_leaves_no_directory(tmp_path, capsys, flag, value,
+                                                        field):
+    args = {"--values": "0.5", "--seeds": "0", flag: value}
+    out = tmp_path / "sw"
+    argv = ["sweep", "--config", write_config(tmp_path), "--axis", "dp.sigma",
+            "--out", str(out)] + [x for kv in args.items() for x in kv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +526,10 @@ def test_sweep_failure_keeps_partial_rows(tmp_path, capsys, monkeypatch):
 
     real = sweep_mod._run_cell
 
-    def sabotaged(cfg):
+    def sabotaged(cfg, threads):
         if cfg.dp.sigma == 1.0 and cfg.seed == 1:
             raise NoConvergence("diverged")
-        return real(cfg)
+        return real(cfg, threads)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", sabotaged)
     cfg = write_config(tmp_path)

@@ -32,6 +32,7 @@ from fedceo.protocol import (
     smoothing_threshold,
     stack_clients,
     unstack_clients,
+    usable_cpus,
     write_run_outputs,
 )
 from fedceo.tensor import load_tensors, tnn, truncated_svd_matrix
@@ -51,11 +52,22 @@ def random_mlp(seed=0, hidden=4, dim=5, classes=3):
 
 
 # ---------------------------------------------------------------------------
-# worker_count: the thread count `run` records; it selects nothing
+# worker_count: how many threads decompose Fourier slices; it changes no result
 
 
-def test_worker_count_defaults_to_one():
-    assert worker_count() == 1
+def test_worker_count_defaults_to_usable_cpus():
+    assert worker_count() == usable_cpus() >= 1
+    assert worker_count(3) == 3
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 def test_worker_count_rejects_nonpositive():
@@ -242,7 +254,8 @@ def test_server_smooth_transforms_each_layer_stack_once(monkeypatch):
     server_smooth(uploads_of(models), models[0], 0.3)
     stacks = len(stack_clients(uploads_of(models), models[0]))
     assert stacks == 4
-    assert calls == {"rfft": stacks, "svd": stacks}
+    # one SVD per distinct Fourier slice: 4 // 2 + 1 per stack of 4 clients
+    assert calls == {"rfft": stacks, "svd": stacks * 3}
 
 
 def test_server_smooth_huge_threshold_zeroes_everything():

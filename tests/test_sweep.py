@@ -56,7 +56,7 @@ def test_values_and_seeds_must_be_nonempty(monkeypatch):
     # A negative seed is RunConfig's to reject, before any cell runs.
     import fedceo.sweep as sweep_mod
 
-    def no_cell(cfg):
+    def no_cell(cfg, threads):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(sweep_mod, "_run_cell", no_cell)
@@ -130,10 +130,10 @@ def test_failure_preserves_completed_cells(monkeypatch):
 
     real = sweep_mod._run_cell
 
-    def sabotaged(cfg):
+    def sabotaged(cfg, threads):
         if cfg.dp.sigma == 1.0 and cfg.seed == 1:
             raise RuntimeError("boom")
-        return real(cfg)
+        return real(cfg, threads)
 
     monkeypatch.setattr(sweep_mod, "_run_cell", sabotaged)
     with pytest.raises(RuntimeError) as err:

@@ -4,11 +4,15 @@ Oracles are kept independent of the implementation: the transform is checked
 against an explicitly built DFT matrix, the t-product against the
 block-circulant matmul route, tnn against the block-circulant nuclear norm
 and against characteristic-polynomial roots obtained from the closed-form
-trigonometric cubic solver, and the batched rfft shrinkage and tnn against
-the full-spectrum slice-by-slice implementations in ``tensor_oracle``.
+trigonometric cubic solver, and the rfft shrinkage and tnn against the
+full-spectrum slice-by-slice implementations in ``tensor_oracle``.  The
+thread-pooled per-slice shrinkage must also match the batched-SVD pass it
+replaced, kept in ``tensor_oracle``, bit for bit at every thread count.
 """
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +20,7 @@ import pytest
 
 import tensor_oracle as oracle
 from fedceo import tensor as tz
-from fedceo.errors import DimMismatch, NonFinite, ParseError
+from fedceo.errors import DimMismatch, NoConvergence, NonFinite, ParseError
 
 
 def naive_dft_mode3(t):
@@ -52,6 +56,36 @@ def hermitian3_eigvals_cubic(h):
     theta = math.acos(arg) / 3.0
     roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
     return np.array(sorted(roots, reverse=True))
+
+
+@pytest.fixture
+def small_pools(monkeypatch):
+    """Let stacks of any size use a thread pool, so small ones test it."""
+    monkeypatch.setattr(tz, "MIN_WORK_PER_THREAD", 1)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record the ``max_workers`` of every pool ``truncated_tsvd`` makes; a
+    spy stands in for the executor and maps on the caller, so no thread is
+    started."""
+    sizes = []
+
+    class SpyExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
+    return sizes
 
 
 def rel_err(got, want):
@@ -301,7 +335,7 @@ class TestTruncatedTsvd:
     def test_returned_tnn_is_tnn_of_the_result(self, n3):
         rng = np.random.default_rng(65 + n3)
         t = rng.standard_normal((6, 4, n3))
-        sv = tz.fourier_svd(t, compute_uv=False)
+        sv = tz.fourier_singular_values(t)
         # no shrinkage, a threshold inside the spectrum, one that zeroes it
         for tau in (0.0, float(np.median(sv)), 2.0 * float(sv.max())):
             out, norm = tz.truncated_tsvd(t, tau)
@@ -313,6 +347,86 @@ class TestTruncatedTsvd:
         # finite input whose singular value overflows float64
         with pytest.raises(NonFinite):
             tz.truncated_tsvd(np.full((4, 4, 1), 1e308), 0.0)
+
+    def test_nonfinite_result_rejected_from_pool_threads(self, small_pools):
+        # Every Fourier slice of this stack is its first frontal slice, so
+        # all 3 distinct slices overflow, on 2 threads; a RuntimeWarning
+        # raised in a worker (an error under this suite's filter) means a
+        # thread ran without the error state.
+        stack = np.zeros((4, 4, 4))
+        stack[:, :, 0] = 1e308
+        with pytest.raises(NonFinite):
+            tz.truncated_tsvd(stack, 0.0, threads=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_svd_failure_on_one_slice_is_no_convergence(self, monkeypatch, small_pools,
+                                                        threads):
+        t = np.random.default_rng(66).standard_normal((5, 4, 4))
+        bad = np.fft.rfft(t, axis=2)[:, :, 1]
+        real_svd = np.linalg.svd
+
+        def flaky(a, *args, **kwargs):
+            if np.array_equal(a, bad):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        with pytest.raises(NoConvergence, match="Fourier slice 1"):
+            tz.truncated_tsvd(t, 0.1, threads=threads)
+
+
+class TestSliceParallel:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n3", [1, 2, 3, 4, 9, 50])
+    def test_matches_batched_oracle_bit_for_bit(self, small_pools, n3, threads):
+        rng = np.random.default_rng(100 + n3)
+        for shape in ((6, 4, n3), (3, 7, n3)):
+            t = rng.standard_normal(shape)
+            sv = tz.fourier_singular_values(t)
+            for tau in (0.0, float(np.median(sv)), 2.0 * float(sv.max())):
+                want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+                got, norm = tz.truncated_tsvd(t, tau, threads=threads)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert norm == want_norm
+
+    def test_more_workers_than_cores_under_fast_switching(self, small_pools):
+        # Each worker writes only its own slices of the shared buffers; a
+        # lost or misplaced write would break bit identity.
+        t = np.random.default_rng(68).standard_normal((40, 30, 50))
+        want, want_norm = oracle.truncated_tsvd_batched(t, 1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, norm = tz.truncated_tsvd(t, 1.0, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes() and norm == want_norm
+
+    def test_pool_is_capped_at_the_slice_count(self, small_pools, pool_sizes):
+        rng = np.random.default_rng(67)
+        three = rng.standard_normal((3, 2, 5))  # 5 // 2 + 1 = 3 distinct slices
+        got, _ = tz.truncated_tsvd(three, 0.1, threads=10**6)
+        assert pool_sizes == [3]
+        want, _ = oracle.truncated_tsvd_batched(three, 0.1)
+        assert got.tobytes() == want.tobytes()
+        # One slice, or one thread, takes no executor at all.
+        tz.truncated_tsvd(rng.standard_normal((3, 2, 1)), 0.1, threads=10**6)
+        tz.truncated_tsvd(three, 0.1, threads=1)
+        assert pool_sizes == [3]
+
+    def test_each_thread_gets_a_minimum_of_work(self, pool_sizes):
+        # (64, 64) slices: 64**3 = MIN_WORK_PER_THREAD / 2 units each.
+        assert 2 * 64**3 == tz.MIN_WORK_PER_THREAD
+        rng = np.random.default_rng(69)
+        for n3, pools in [(2, []), (4, []), (6, [2]), (8, [2]), (14, [4])]:
+            pool_sizes.clear()
+            tz.truncated_tsvd(rng.standard_normal((64, 64, n3)), 1.0, threads=8)
+            assert pool_sizes == pools, n3
+        # Stacks the size of the benchmark's desk and cli runs stay serial.
+        for shape in [(20, 10, 5), (32, 64, 10), (64, 10, 10), (1, 64, 10)]:
+            tz.truncated_tsvd(rng.standard_normal(shape), 1.0, threads=8)
+        assert pool_sizes == [4]
 
 
 class TestTnn:
