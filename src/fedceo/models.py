@@ -8,10 +8,10 @@ one statement of that flat layout, and :func:`block_views` reads any
 ``(..., P)`` array through it.
 
 A model's ``params`` may also carry a leading client axis, ``(K, P)``:
-every layer view then has it too, and :func:`forward_loss` and
-:func:`backward` broadcast over it.  :func:`local_train` uses that to
-train the K clients of a round in lock step, in place in the round's
-array.
+every layer view then has it too.  Only :func:`local_train` trains on that
+axis: it runs the K clients of a round in lock step, in place in the
+round's array.  :func:`forward_loss` and :func:`backward` take one model
+and one batch of samples.
 
 The loss is mean softmax cross-entropy over the batch fed in (a ragged
 final minibatch divides by its own size).  ReLU uses subgradient 0 at the
@@ -132,8 +132,7 @@ class BackwardCache:
     inputs: list[np.ndarray]   # activation fed into each layer
     pre: list[np.ndarray]      # pre-activation of each layer
     probs: np.ndarray          # softmax of the final logits
-    label_at: tuple            # index of each row's label logit, rows flattened
-    sizes: int | np.ndarray    # each row's loss is divided by its size
+    label_at: tuple            # index of each row's label logit
 
 
 def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
@@ -152,23 +151,12 @@ def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
         raise ShapeMismatch("label outside [0, num_classes)")
 
 
-def forward_loss(model: Model, x: np.ndarray, y: np.ndarray,
-                 batch_sizes: np.ndarray | None = None):
-    """Mean cross-entropy of the batch; returns (loss, cache).
-
-    Without ``batch_sizes``, x (n, d) and y (n,) are checked samples and
-    the loss is a float.  With it, the model holds K clients' parameters
-    and x (K, R, d), y (K, R) are a lock-step batch: row r of client k
-    counts 1 / batch_sizes[k, r] towards entry k of the (K,) loss, its
-    minibatch's size for one of its samples and infinity for padding, so
-    padding adds nothing to the loss or the gradient.  A lock-step batch
-    is not checked here: :func:`local_train` checks each client's samples
-    once.
-    """
-    if batch_sizes is None:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        _check_samples(model, x, y)
+def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the samples x (n, d), y (n,), which are
+    checked first; returns (loss, cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    _check_samples(model, x, y)
 
     inputs, pre = [], []
     h = x
@@ -177,7 +165,7 @@ def forward_loss(model: Model, x: np.ndarray, y: np.ndarray,
         inputs.append(h)
         z = h @ layer.weight
         if layer.bias is not None:
-            z = z + layer.bias[..., None, :]
+            z = z + layer.bias
         pre.append(z)
         h = np.maximum(z, 0.0) if i < last else z
 
@@ -186,30 +174,21 @@ def forward_loss(model: Model, x: np.ndarray, y: np.ndarray,
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     log_probs = shifted - log_z[..., None]
     label_at = (np.arange(y.size), y.ravel())
-    picked = log_probs.reshape(-1, log_probs.shape[-1])[label_at].reshape(y.shape)
-    if batch_sizes is None:
-        loss, sizes = -float(picked.mean()), x.shape[0]
-    else:
-        loss, sizes = -(picked / batch_sizes).sum(axis=-1), batch_sizes[..., None]
+    loss = -float(log_probs[label_at].mean())
     cache = BackwardCache(model=model, inputs=inputs, pre=pre, probs=np.exp(log_probs),
-                          label_at=label_at, sizes=sizes)
+                          label_at=label_at)
     return loss, cache
 
 
-def backward(model: Model, cache: BackwardCache, out: Model | None = None) -> np.ndarray:
-    """Gradient of the cached batch loss w.r.t. every parameter, shaped
-    like ``model.params`` (a row per client for a lock-step batch).
-
-    It is written into the parameters of ``out``, a model shaped like
-    ``model``, when one is given, and into a new array otherwise.
-    """
+def backward(model: Model, cache: BackwardCache) -> np.ndarray:
+    """Gradient of the cached batch loss w.r.t. every parameter, as a new
+    vector shaped like ``model.params``."""
     if cache.model is not model:
         raise StaleCache("cache was produced by a different model object")
-    if out is None:
-        out = Model(model.shapes, np.empty_like(model.params))
+    out = Model(model.shapes, np.empty_like(model.params))
     dz = cache.probs.copy()
-    dz.reshape(-1, dz.shape[-1])[cache.label_at] -= 1.0
-    dz /= cache.sizes
+    dz[cache.label_at] -= 1.0
+    dz /= dz.shape[0]
 
     for i in range(len(model.layers) - 1, -1, -1):
         layer, grad = model.layers[i], out.layers[i]
@@ -241,11 +220,13 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     Client k starts from row k and trains on ``features[k]``,
     ``labels[k]`` as it would alone: it redraws its shuffle from
     ``rngs[k]`` each epoch and keeps its final short minibatch.  Each lock
-    step is one :func:`forward_loss` call on every client's next
-    minibatch, padded to a common row count.  A client with fewer
-    minibatches in an epoch than the largest client gets a zero gradient
-    for the steps left, so its row does not move.  One gradient array is
-    allocated per call and reused by every step.
+    step is one :func:`_sgd_step` on every client's next minibatch, padded
+    to a common row count.  A client with fewer minibatches in an epoch
+    than the largest client gets a zero gradient for the steps left, so
+    its row does not move.  The padding layout depends only on the client
+    sizes, so it is built once per call; each epoch only writes the
+    shuffles into it and gathers that epoch's samples.  One gradient array
+    is allocated per call and reused by every step.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -260,25 +241,60 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
 
     sizes = [y.shape[0] for y in labels]
     offsets = np.cumsum([0] + sizes[:-1])
-    pad = sum(sizes)  # the all-zero row appended to the pooled samples
+    pad = sum(sizes)  # the all-zero row, labelled 0, appended to the pooled samples
     x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
-    y_all = np.concatenate(labels + [np.zeros(1, dtype=np.int64)])
+    onehot_all = np.eye(model.num_classes)[np.concatenate(labels + [[0]])]
     steps = -(-max(sizes) // batch_size)
     rows = min(batch_size, max(sizes))
+    order = np.full((k, steps * batch_size), pad)
+    # batches[t, c] is client c's t-th minibatch, its samples first
+    batches = order.reshape(k, steps, batch_size)[:, :, :rows].swapaxes(0, 1)
+    slots = np.arange(steps * batch_size).reshape(steps, 1, batch_size)[..., :rows]
+    real = slots < np.array(sizes)[:, None]  # the cells of batches that hold samples
+    counts = real.sum(axis=2, keepdims=True)
+    # a sample's gradient is divided by its minibatch's size, padding's by infinity
+    batch_sizes = np.where(real, counts, np.inf)[..., None]
+    widths = counts.max(axis=(1, 2))
     grad = Model(model.shapes, np.empty_like(params))
     for _ in range(epochs):
-        order = np.full((k, steps * batch_size), pad)
         for c, (n, rng) in enumerate(zip(sizes, rngs)):
             order[c, :n] = offsets[c] + rng.permutation(n)
-        # batches[t, c] is client c's t-th minibatch, its samples first
-        batches = order.reshape(k, steps, batch_size)[:, :, :rows].swapaxes(0, 1)
-        real = batches != pad
-        counts = real.sum(axis=2, keepdims=True)
-        batch_sizes = np.where(real, counts, np.inf)
-        xs, ys = x_all[batches], y_all[batches]
-        for t, width in enumerate(counts.max(axis=(1, 2))):
-            _, cache = forward_loss(model, xs[t, :, :width], ys[t, :, :width],
-                                    batch_sizes[t, :, :width])
-            backward(model, cache, out=grad)
-            np.multiply(grad.params, lr, out=grad.params)
-            params -= grad.params
+        xs, targets = x_all[batches], onehot_all[batches]
+        for t, width in enumerate(widths):
+            _sgd_step(model, grad, xs[t, :, :width], targets[t, :, :width],
+                      batch_sizes[t, :, :width], lr)
+
+
+def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,
+              batch_sizes: np.ndarray, lr: float) -> None:
+    """One lock step of K clients: x (K, R, d) and one-hot targets (K, R, C)
+    are each client's minibatch, and row r of client k weighs
+    1 / batch_sizes[k, r, 0] in its gradient.  ``grad`` is scratch space
+    shaped like ``model``.  The softmax runs in place on the logits, and
+    no loss is formed."""
+    inputs = []
+    h = x
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        inputs.append(h)
+        z = h @ layer.weight
+        if layer.bias is not None:
+            z += layer.bias[..., None, :]
+        h = np.maximum(z, 0.0, out=z) if i < last else z
+
+    z -= z.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(z).sum(axis=-1))
+    z -= log_z[..., None]
+    dz = np.exp(z, out=z)
+    dz -= targets
+    dz /= batch_sizes
+    for i in range(last, -1, -1):
+        layer, g = model.layers[i], grad.layers[i]
+        np.matmul(inputs[i].swapaxes(-1, -2), dz, out=g.weight)
+        if layer.bias is not None:
+            np.sum(dz, axis=-2, out=g.bias)
+        if i > 0:
+            dz = dz @ layer.weight.swapaxes(-1, -2)
+            dz *= inputs[i] > 0.0
+    grad.params *= lr
+    model.params -= grad.params

@@ -1,18 +1,33 @@
 """Reference local SGD that the tests compare the package against.
 
 Nothing in ``fedceo`` calls these.  ``local_train`` is the one-client
-trainer that :func:`fedceo.models.local_train` replaced with lock-step
-training of all K clients of a round: one model, one minibatch and one
-``forward_loss``/``backward`` pair at a time.  ``train_each`` runs it
-client by client on a (K, P) start array, the way a round trained before.
+trainer that lock-step training of all K clients of a round replaced: one
+model, one minibatch and one ``forward_loss``/``backward`` pair at a time.
+``train_each`` runs it client by client on a (K, P) start array, the way a
+round trained before.
+
+``local_train_lockstep`` is the first lock-step trainer, kept as the
+bit-for-bit oracle of :func:`fedceo.models.local_train`: it rebuilds the
+padding layout every epoch and runs each lock step as a forward pass that
+caches its intermediates and each row's label index
+(:func:`forward_lockstep`), then a backward pass from that cache
+(:func:`backward_into`).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from fedceo.errors import EmptyDataset
-from fedceo.models import Model, backward, forward_loss, unflatten_params
+from fedceo.models import (
+    Model,
+    _check_samples,
+    backward,
+    forward_loss,
+    unflatten_params,
+)
 
 
 def local_train(model: Model, features: np.ndarray, labels: np.ndarray,
@@ -48,3 +63,85 @@ def train_each(shapes, starts: np.ndarray, features, labels, epochs: int,
         local_train(Model(shapes, start), x, y, epochs, batch_size, lr, rng).params
         for start, x, y, rng in zip(starts, features, labels, rngs)
     ])
+
+
+def forward_lockstep(model: Model, x: np.ndarray, y: np.ndarray,
+                     batch_sizes: np.ndarray):
+    """The backward cache of a lock-step batch, x (K, R, d) and y (K, R),
+    on a model holding K clients' parameters.
+
+    Row r of client k weighs 1 / batch_sizes[k, r] in client k's gradient:
+    its minibatch's size for one of its samples and infinity for padding,
+    so padding adds nothing.
+    """
+    inputs, pre = [], []
+    h = x
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        inputs.append(h)
+        z = h @ layer.weight
+        if layer.bias is not None:
+            z = z + layer.bias[..., None, :]
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < last else z
+
+    logits = pre[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    return SimpleNamespace(inputs=inputs, pre=pre, probs=np.exp(log_probs),
+                           label_at=(np.arange(y.size), y.ravel()),
+                           sizes=batch_sizes[..., None])
+
+
+def backward_into(model: Model, cache, out: Model) -> np.ndarray:
+    """The lock-step batch's gradient, written into ``out``'s parameters."""
+    dz = cache.probs.copy()
+    dz.reshape(-1, dz.shape[-1])[cache.label_at] -= 1.0
+    dz /= cache.sizes
+
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, grad = model.layers[i], out.layers[i]
+        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=grad.weight)
+        if layer.bias is not None:
+            np.sum(dz, axis=-2, out=grad.bias)
+        if i > 0:
+            dz = (dz @ layer.weight.swapaxes(-1, -2)) * (cache.pre[i - 1] > 0.0)
+    return out.params
+
+
+def local_train_lockstep(model: Model, features, labels, epochs: int, batch_size: int,
+                         lr: float, rngs) -> None:
+    """Minibatch SGD of K clients in lock step, training the (K, P)
+    ``model.params`` in place, with the padding layout rebuilt each epoch."""
+    params = model.params
+    k = params.shape[0]
+    features = [np.asarray(x, dtype=np.float64) for x in features]
+    labels = [np.asarray(y) for y in labels]
+    for x, y in zip(features, labels):
+        _check_samples(model, x, y)
+
+    sizes = [y.shape[0] for y in labels]
+    offsets = np.cumsum([0] + sizes[:-1])
+    pad = sum(sizes)  # the all-zero row appended to the pooled samples
+    x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
+    y_all = np.concatenate(labels + [np.zeros(1, dtype=np.int64)])
+    steps = -(-max(sizes) // batch_size)
+    rows = min(batch_size, max(sizes))
+    grad = Model(model.shapes, np.empty_like(params))
+    for _ in range(epochs):
+        order = np.full((k, steps * batch_size), pad)
+        for c, (n, rng) in enumerate(zip(sizes, rngs)):
+            order[c, :n] = offsets[c] + rng.permutation(n)
+        # batches[t, c] is client c's t-th minibatch, its samples first
+        batches = order.reshape(k, steps, batch_size)[:, :, :rows].swapaxes(0, 1)
+        real = batches != pad
+        counts = real.sum(axis=2, keepdims=True)
+        batch_sizes = np.where(real, counts, np.inf)
+        xs, ys = x_all[batches], y_all[batches]
+        for t, width in enumerate(counts.max(axis=(1, 2))):
+            cache = forward_lockstep(model, xs[t, :, :width], ys[t, :, :width],
+                                     batch_sizes[t, :, :width])
+            backward_into(model, cache, grad)
+            np.multiply(grad.params, lr, out=grad.params)
+            params -= grad.params

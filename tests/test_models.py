@@ -252,11 +252,12 @@ def train_streams(clients, seed=0):
     return [rng_stream(seed, round_no=1, client=c, purpose="train") for c in clients]
 
 
-def lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients):
-    """The (K, P) array local_train makes of ``starts``, trained in place."""
+def lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients,
+              trainer=local_train):
+    """The (K, P) array ``trainer`` makes of ``starts``, trained in place."""
     params = np.array(starts, dtype=np.float64)
-    local_train(Model(model.shapes, params), xs, ys, epochs, batch_size, lr,
-                train_streams(clients))
+    trainer(Model(model.shapes, params), xs, ys, epochs, batch_size, lr,
+            train_streams(clients))
     return params
 
 
@@ -282,20 +283,34 @@ def spread_starts(model, k):
     return model.params + 0.01 * np.arange(k)[:, None]
 
 
+def round_clients(cfg):
+    """The model and the round-1 clients' samples and ids of a run config."""
+    train, _, parts = build_dataset(cfg)
+    model = build_model(cfg, train.dim, train.num_classes)
+    clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
+    return (model, [parts[c].features for c in clients],
+            [parts[c].labels for c in clients], clients)
+
+
 ARCHS = {
     "logistic": lambda bias: logistic_model(6, 4, bias=bias, rng=rng_stream(20, purpose="init")),
     "mlp": lambda bias: mlp_model(6, 8, 4, bias=bias, rng=rng_stream(21, purpose="init")),
 }
+
+EDGE_CASES = [
+    ((5, 40), 16, 2),          # a client smaller than one batch
+    ((1, 30), 8, 2),           # a one-sample client
+    ((37,), 16, 2),            # K = 1
+    ((7, 12, 3), 64, 3),       # the batch is larger than every client
+    ((5, 23, 40, 17), 8, 3),   # ragged clients over several epochs
+]
 
 
 class TestLockStepMatchesOneByOne:
     @pytest.mark.parametrize("bias", [False, True])
     def test_equal_desk_clients_bit_identical(self, bias):
         cfg = dataclasses.replace(DESK, model=dataclasses.replace(DESK.model, bias=bias))
-        train, _, parts = build_dataset(cfg)
-        model = build_model(cfg, train.dim, train.num_classes)
-        clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
-        xs, ys = [parts[c].features for c in clients], [parts[c].labels for c in clients]
+        model, xs, ys, clients = round_clients(cfg)
         assert {x.shape[0] for x in xs} == {80}
         starts = spread_starts(model, len(clients))
         args = (xs, ys, cfg.local_epochs, cfg.batch, cfg.lr, clients)
@@ -309,23 +324,14 @@ class TestLockStepMatchesOneByOne:
         cfg = dataclasses.replace(
             DESK, local_epochs=3, model=ModelSpec(kind=kind, hidden=8, bias=bias),
             data=dataclasses.replace(DESK.data, partition_mode=mode, alpha=0.3))
-        train, _, parts = build_dataset(cfg)
-        model = build_model(cfg, train.dim, train.num_classes)
-        clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
-        xs, ys = [parts[c].features for c in clients], [parts[c].labels for c in clients]
+        model, xs, ys, clients = round_clients(cfg)
         starts = spread_starts(model, len(clients))
         args = (xs, ys, cfg.local_epochs, cfg.batch, cfg.lr, clients)
         assert worst_rel(lock_step(model, starts, *args),
                          one_by_one(model, starts, *args)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-    @pytest.mark.parametrize("sizes,batch_size,epochs", [
-        ((5, 40), 16, 2),          # a client smaller than one batch
-        ((1, 30), 8, 2),           # a one-sample client
-        ((37,), 16, 2),            # K = 1
-        ((7, 12, 3), 64, 3),       # the batch is larger than every client
-        ((5, 23, 40, 17), 8, 3),   # ragged clients over several epochs
-    ])
+    @pytest.mark.parametrize("sizes,batch_size,epochs", EDGE_CASES)
     def test_edge_cases_agree(self, kind, sizes, batch_size, epochs):
         model = ARCHS[kind](True)
         xs, ys = ragged_clients(sizes)
@@ -351,6 +357,37 @@ class TestLockStepMatchesOneByOne:
         npt.assert_array_equal(lock_step(model, starts, xs, ys, 0, 4, 0.2, [0, 1]), starts)
 
 
+class TestLockStepMatchesOracle:
+    """local_train against the first lock-step trainer, which rebuilt the
+    padding layout each epoch and ran each step as a caching forward pass
+    and a backward pass from the cache: equal bit for bit."""
+
+    @staticmethod
+    def assert_same(model, starts, *args):
+        npt.assert_array_equal(
+            lock_step(model, starts, *args),
+            lock_step(model, starts, *args, trainer=sgd_oracle.local_train_lockstep))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("sizes,batch_size,epochs", EDGE_CASES)
+    def test_edge_cases(self, kind, bias, sizes, batch_size, epochs):
+        model = ARCHS[kind](bias)
+        xs, ys = ragged_clients(sizes)
+        self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, epochs,
+                         batch_size, 0.2, list(range(len(sizes))))
+
+    @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+    def test_desk_clients(self, mode):
+        cfg = dataclasses.replace(
+            DESK, data=dataclasses.replace(DESK.data, partition_mode=mode, alpha=0.3))
+        model, xs, ys, clients = round_clients(cfg)
+        if mode == "dirichlet":
+            assert len({x.shape[0] for x in xs}) > 1, "the partition is not ragged"
+        self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
+                         cfg.local_epochs, cfg.batch, cfg.lr, clients)
+
+
 class TestLockStepIndependence:
     """A client's trained row does not depend on who else shares the round."""
 
@@ -363,16 +400,24 @@ class TestLockStepIndependence:
         alone = lock_step(model, starts[1:2], xs[1:2], ys[1:2], 2, 10, 0.2, [1])
         npt.assert_array_equal(together[1], alone[0])
 
-    def test_finished_client_does_not_move(self):
+    @staticmethod
+    def assert_finished_client_still(epochs):
         # Client 0's one minibatch is as wide as client 1's, so their first
-        # lock step matches training alone bit for bit; the four steps it
-        # then sits out must leave its row exactly where it was.
+        # lock step of an epoch matches training alone bit for bit; the four
+        # steps it then sits out must leave its row exactly where it was.
         model = ARCHS["mlp"](True)
         xs, ys = ragged_clients((8, 40))
         starts = spread_starts(model, 2)
-        together = lock_step(model, starts, xs, ys, 1, 8, 0.2, [0, 1])
-        alone = lock_step(model, starts[:1], xs[:1], ys[:1], 1, 8, 0.2, [0])
+        together = lock_step(model, starts, xs, ys, epochs, 8, 0.2, [0, 1])
+        alone = lock_step(model, starts[:1], xs[:1], ys[:1], epochs, 8, 0.2, [0])
         npt.assert_array_equal(together[0], alone[0])
+
+    def test_finished_client_does_not_move(self):
+        self.assert_finished_client_still(epochs=1)
+
+    def test_padding_stays_padding_in_every_epoch(self):
+        # The padding layout is built once per call and reused by each epoch.
+        self.assert_finished_client_still(epochs=3)
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_ragged_sizes_agree(self, kind):
