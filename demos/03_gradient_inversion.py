@@ -21,15 +21,14 @@ fast it does.
 import numpy as np
 
 from fedceo.analysis import invert_linear_gradient
-from fedceo.models import backward, forward_loss, logistic_model, unflatten_params
+from fedceo.models import gradient, logistic_model, unflatten_params
 
 rng = np.random.default_rng(0)
 head = logistic_model(16, 8, bias=True, rng=rng)
 x_true = rng.normal(size=16)
 y = np.array([3])
 
-_, cache = forward_loss(head, x_true[None, :], y)
-grad = unflatten_params(head, backward(head, cache))
+grad = unflatten_params(head, gradient(head, x_true[None, :], y))
 x_hat = invert_linear_gradient(grad.layers[0].weight, grad.layers[0].bias)
 
 cosine = x_hat @ x_true / (np.linalg.norm(x_hat) * np.linalg.norm(x_true))
@@ -71,8 +70,7 @@ for sigma in (0.0, 0.25, 0.5, 1.0, 2.0):
 
 batch = rng.normal(size=(4, 16))
 labels = rng.integers(8, size=4)
-_, cache = forward_loss(head, batch, labels)
-grad4 = unflatten_params(head, backward(head, cache))
+grad4 = unflatten_params(head, gradient(head, batch, labels))
 leak = invert_linear_gradient(grad4.layers[0].weight, grad4.layers[0].bias)
 sims = batch @ leak / (np.linalg.norm(batch, axis=1) * np.linalg.norm(leak))
 print("cosine of the batch-gradient 'reconstruction' to each true input:")

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .models import backward, forward_loss, logistic_model, param_blocks, unflatten_params
+from .models import gradient, logistic_model, param_blocks, unflatten_params
 from .protocol import run_experiment, usable_cpus, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors
@@ -201,8 +201,7 @@ def _attack_report(last_w: np.ndarray, seed: int) -> dict:
     probe_rng = rng_stream(seed, round_no=1, purpose="attack")
     x_true = probe_rng.standard_normal(features)
     y = np.array([int(probe_rng.integers(classes))])
-    _, cache = forward_loss(head, x_true[None, :], y)
-    grad = unflatten_params(head, backward(head, cache))
+    grad = unflatten_params(head, gradient(head, x_true[None, :], y))
     grad_w, grad_b = grad.layers[0].weight, grad.layers[0].bias
 
     def cosine(a, b):

@@ -5,7 +5,7 @@ exits 2 on :data:`INPUT_ERRORS` (an :class:`InputError`: a bad config value,
 file or dataset, or an ``OSError`` on a path) and 3 on
 :data:`NUMERIC_FAILURES` (a :class:`NumericFailure` such as NaN or no
 convergence, or an arithmetic error from NumPy or Python).
-:class:`StaleCache` and :class:`NotSmoothingRound` are programming errors.
+:class:`NotSmoothingRound` is the one programming error.
 """
 
 from contextlib import contextmanager
@@ -43,11 +43,6 @@ class EmptyDataset(InputError, ValueError):
 
 class TooManyClients(InputError, ValueError):
     """More client partitions were requested than there are samples."""
-
-
-class StaleCache(FedceoError, RuntimeError):
-    """A backward pass was invoked with a cache built by a different
-    forward pass or model."""
 
 
 class ArchMismatch(InputError, ValueError):

@@ -10,8 +10,11 @@ one statement of that flat layout, and :func:`block_views` reads any
 A model's ``params`` may also carry a leading client axis, ``(K, P)``:
 every layer view then has it too.  Only :func:`local_train` trains on that
 axis: it runs the K clients of a round in lock step, in place in the
-round's array.  :func:`forward_loss` and :func:`backward` take one model
-and one batch of samples.
+round's array.  :func:`forward_loss` (evaluation) and :func:`gradient`
+(the attack report) take one model and one batch of samples.  The lock
+step (:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share
+one forward pass, :func:`_forward`; the lock step and :func:`gradient`
+share one backward pass, :func:`_backward`.
 
 The loss is mean softmax cross-entropy over the batch fed in (a ragged
 final minibatch divides by its own size).  ReLU uses subgradient 0 at the
@@ -20,13 +23,12 @@ kink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyDataset, ShapeMismatch, StaleCache
+from .errors import DimMismatch, EmptyDataset, ShapeMismatch
 
 
 def param_blocks(shapes) -> list[tuple[int, int]]:
@@ -125,20 +127,12 @@ def unflatten_params(template: Model, vec: np.ndarray) -> Model:
 # Forward / backward
 
 
-@dataclass
-class BackwardCache:
-    """Intermediates a backward pass needs, pinned to one forward call."""
-    model: Model
-    inputs: list[np.ndarray]   # activation fed into each layer
-    pre: list[np.ndarray]      # pre-activation of each layer
-    probs: np.ndarray          # softmax of the final logits
-    label_at: tuple            # index of each row's label logit
-
-
 def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
     """Raise unless x (n, d) and y (n,) are n >= 1 samples the model takes."""
     if x.ndim != 2:
         raise DimMismatch(f"features must be 2-d, got {x.shape}")
+    if y.ndim != 1:
+        raise DimMismatch(f"labels must be 1-d, got {y.shape}")
     if x.shape[0] == 0:
         raise EmptyDataset("no samples to evaluate or train on")
     if x.shape[0] != y.shape[0]:
@@ -151,59 +145,75 @@ def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
         raise ShapeMismatch("label outside [0, num_classes)")
 
 
-def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy of the samples x (n, d), y (n,), which are
-    checked first; returns (loss, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    _check_samples(model, x, y)
-
-    inputs, pre = [], []
+def _forward(model: Model, x: np.ndarray):
+    """The input fed to each layer, and the log-softmax of the logits,
+    formed in place, for x (n, d) or, on a (K, P) model, x (K, R, d)."""
+    inputs = []
     h = x
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         inputs.append(h)
         z = h @ layer.weight
         if layer.bias is not None:
-            z = z + layer.bias
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
+            z += layer.bias[..., None, :]
+        h = np.maximum(z, 0.0, out=z) if i < last else z
 
-    logits = pre[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    log_probs = shifted - log_z[..., None]
-    label_at = (np.arange(y.size), y.ravel())
-    loss = -float(log_probs[label_at].mean())
-    cache = BackwardCache(model=model, inputs=inputs, pre=pre, probs=np.exp(log_probs),
-                          label_at=label_at)
-    return loss, cache
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1))[..., None]
+    return inputs, z
 
 
-def backward(model: Model, cache: BackwardCache) -> np.ndarray:
-    """Gradient of the cached batch loss w.r.t. every parameter, as a new
-    vector shaped like ``model.params``."""
-    if cache.model is not model:
-        raise StaleCache("cache was produced by a different model object")
-    out = Model(model.shapes, np.empty_like(model.params))
-    dz = cache.probs.copy()
-    dz[cache.label_at] -= 1.0
-    dz /= dz.shape[0]
-
+def _backward(model: Model, grad: Model, inputs: list[np.ndarray], dz: np.ndarray) -> None:
+    """Write into ``grad``'s views the gradient whose logit gradient is
+    ``dz``, given the layer inputs of :func:`_forward`; ``dz`` may be
+    overwritten."""
     for i in range(len(model.layers) - 1, -1, -1):
-        layer, grad = model.layers[i], out.layers[i]
-        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=grad.weight)
+        layer, g = model.layers[i], grad.layers[i]
+        np.matmul(inputs[i].swapaxes(-1, -2), dz, out=g.weight)
         if layer.bias is not None:
-            np.sum(dz, axis=-2, out=grad.bias)
+            np.sum(dz, axis=-2, out=g.bias)
         if i > 0:
-            dz = (dz @ layer.weight.swapaxes(-1, -2)) * (cache.pre[i - 1] > 0.0)
-    return out.params
+            dz = dz @ layer.weight.swapaxes(-1, -2)
+            dz *= inputs[i] > 0.0
+
+
+def _forward_batch(model: Model, x, y):
+    """The :func:`_forward` of one model on the samples x (n, d), y (n,),
+    which are checked first, and the index of each row's label logit."""
+    if model.params.ndim != 1:
+        raise ShapeMismatch(f"one model's parameter vector is needed, "
+                            f"got shape {model.params.shape}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    _check_samples(model, x, y)
+    inputs, log_probs = _forward(model, x)
+    return inputs, log_probs, (np.arange(y.size), y)
+
+
+def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the samples x (n, d), y (n,), which are
+    checked first; returns (loss, softmax probabilities (n, C))."""
+    _, log_probs, label_at = _forward_batch(model, x, y)
+    loss = -float(log_probs[label_at].mean())
+    return loss, np.exp(log_probs, out=log_probs)
+
+
+def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy of the samples x (n, d), y (n,)
+    w.r.t. every parameter, as a new vector shaped like ``model.params``."""
+    inputs, dz, label_at = _forward_batch(model, x, y)
+    np.exp(dz, out=dz)
+    dz[label_at] -= 1.0
+    dz /= dz.shape[0]
+    grad = Model(model.shapes, np.empty_like(model.params))
+    _backward(model, grad, inputs, dz)
+    return grad.params
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
     """(mean loss, accuracy) of the model on the given samples."""
-    loss, cache = forward_loss(model, x, y)
-    acc = float((np.argmax(cache.probs, axis=1) == np.asarray(y)).mean())
+    loss, probs = forward_loss(model, x, y)
+    acc = float((np.argmax(probs, axis=1) == np.asarray(y)).mean())
     return loss, acc
 
 
@@ -272,29 +282,10 @@ def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,
     1 / batch_sizes[k, r, 0] in its gradient.  ``grad`` is scratch space
     shaped like ``model``.  The softmax runs in place on the logits, and
     no loss is formed."""
-    inputs = []
-    h = x
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        inputs.append(h)
-        z = h @ layer.weight
-        if layer.bias is not None:
-            z += layer.bias[..., None, :]
-        h = np.maximum(z, 0.0, out=z) if i < last else z
-
-    z -= z.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(z).sum(axis=-1))
-    z -= log_z[..., None]
-    dz = np.exp(z, out=z)
+    inputs, dz = _forward(model, x)
+    np.exp(dz, out=dz)
     dz -= targets
     dz /= batch_sizes
-    for i in range(last, -1, -1):
-        layer, g = model.layers[i], grad.layers[i]
-        np.matmul(inputs[i].swapaxes(-1, -2), dz, out=g.weight)
-        if layer.bias is not None:
-            np.sum(dz, axis=-2, out=g.bias)
-        if i > 0:
-            dz = dz @ layer.weight.swapaxes(-1, -2)
-            dz *= inputs[i] > 0.0
+    _backward(model, grad, inputs, dz)
     grad.params *= lr
     model.params -= grad.params

@@ -1,8 +1,13 @@
 """Reference local SGD that the tests compare the package against.
 
-Nothing in ``fedceo`` calls these.  ``local_train`` is the one-client
-trainer that lock-step training of all K clients of a round replaced: one
-model, one minibatch and one ``forward_loss``/``backward`` pair at a time.
+Nothing in ``fedceo`` calls these.  :func:`forward_loss` and
+:func:`backward` are the package's first one-batch pair, kept as the
+bit-for-bit oracle of :func:`fedceo.models.forward_loss`,
+:func:`fedceo.models.gradient` and :func:`fedceo.models.evaluate`: a
+forward pass that caches its intermediates, then a backward pass from
+that cache.  ``local_train`` is the one-client trainer that lock-step
+training of all K clients of a round replaced: one model, one minibatch
+and one ``forward_loss``/``backward`` pair at a time.
 ``train_each`` runs it client by client on a (K, P) start array, the way a
 round trained before.
 
@@ -21,13 +26,54 @@ from types import SimpleNamespace
 import numpy as np
 
 from fedceo.errors import EmptyDataset
-from fedceo.models import (
-    Model,
-    _check_samples,
-    backward,
-    forward_loss,
-    unflatten_params,
-)
+from fedceo.models import Model, _check_samples, unflatten_params
+
+
+def forward_loss(model: Model, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the samples x (n, d), y (n,), which are
+    checked first; returns (loss, cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    _check_samples(model, x, y)
+
+    inputs, pre = [], []
+    h = x
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        inputs.append(h)
+        z = h @ layer.weight
+        if layer.bias is not None:
+            z = z + layer.bias
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < last else z
+
+    logits = pre[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    label_at = (np.arange(y.size), y.ravel())
+    loss = -float(log_probs[label_at].mean())
+    cache = SimpleNamespace(inputs=inputs, pre=pre, probs=np.exp(log_probs),
+                            label_at=label_at)
+    return loss, cache
+
+
+def backward(model: Model, cache) -> np.ndarray:
+    """Gradient of the cached batch loss w.r.t. every parameter, as a new
+    vector shaped like ``model.params``."""
+    out = Model(model.shapes, np.empty_like(model.params))
+    dz = cache.probs.copy()
+    dz[cache.label_at] -= 1.0
+    dz /= dz.shape[0]
+
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, grad = model.layers[i], out.layers[i]
+        np.matmul(cache.inputs[i].swapaxes(-1, -2), dz, out=grad.weight)
+        if layer.bias is not None:
+            np.sum(dz, axis=-2, out=grad.bias)
+        if i > 0:
+            dz = (dz @ layer.weight.swapaxes(-1, -2)) * (cache.pre[i - 1] > 0.0)
+    return out.params
 
 
 def local_train(model: Model, features: np.ndarray, labels: np.ndarray,

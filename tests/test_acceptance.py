@@ -47,9 +47,9 @@ from fedceo.cli import main
 from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
 from fedceo.dp import DpConfig, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.models import (
-    backward,
     flatten_params,
     forward_loss,
+    gradient,
     logistic_model,
     mlp_model,
     unflatten_params,
@@ -307,8 +307,7 @@ def test_criterion_05_gradient_correctness():
         x = rng.normal(size=(8, dim))
         y = rng.integers(classes, size=8)
         theta = flatten_params(model)
-        _, cache = forward_loss(model, x, y)
-        grad = backward(model, cache)
+        grad = gradient(model, x, y)
 
         def loss_at(vec):
             loss, _ = forward_loss(unflatten_params(model, vec), x, y)
@@ -485,8 +484,7 @@ def test_criterion_10_attack_suite():
         head = logistic_model(20, 10, bias=True, rng=rng)
         x_true = rng.standard_normal(20)
         y = np.array([int(rng.integers(10))])
-        _, cache = forward_loss(head, x_true[None, :], y)
-        grad = unflatten_params(head, backward(head, cache))
+        grad = unflatten_params(head, gradient(head, x_true[None, :], y))
         gw, gb = grad.layers[0].weight, grad.layers[0].bias
         scale = float(np.sqrt(np.mean(gw**2)))
 

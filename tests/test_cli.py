@@ -228,7 +228,7 @@ def test_run_missing_data_file_exits_2(tmp_path, capsys):
 def test_every_package_error_but_the_programming_errors_has_one_exit_code():
     from fedceo import errors
 
-    programming = {errors.FedceoError, errors.StaleCache, errors.NotSmoothingRound}
+    programming = {errors.FedceoError, errors.NotSmoothingRound}
     for cls in vars(errors).values():
         if isinstance(cls, type) and issubclass(cls, errors.FedceoError):
             codes = [code for code, group in ((2, errors.InputError),

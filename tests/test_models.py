@@ -9,13 +9,13 @@ import pytest
 import sgd_oracle
 from fedceo.dp import rng_stream
 from fedceo.data import synth_blobs
-from fedceo.errors import DimMismatch, EmptyDataset, ShapeMismatch, StaleCache
+from fedceo.errors import DimMismatch, EmptyDataset, ShapeMismatch
 from fedceo.models import (
     Model,
-    backward,
     evaluate,
     flatten_params,
     forward_loss,
+    gradient,
     local_train,
     logistic_model,
     mlp_model,
@@ -47,8 +47,7 @@ def loss_longdouble(model, x, y):
 
 
 def finite_diff_worst_rel(model, x, y, rng, coords=20, step=1e-6):
-    _, cache = forward_loss(model, x, y)
-    grad = backward(model, cache)
+    grad = gradient(model, x, y)
     vec = flatten_params(model)
     picked = rng.choice(vec.size, size=min(coords, vec.size), replace=False)
     worst = 0.0
@@ -103,6 +102,18 @@ class TestForwardLoss:
             forward_loss(model, x, y[:-1])
         with pytest.raises(ShapeMismatch):
             forward_loss(model, x, np.full_like(y, 9))
+        with pytest.raises(DimMismatch):  # (n,) vs (n, 1) would compare as (n, n)
+            evaluate(model, x, y.reshape(-1, 1))
+
+    @pytest.mark.parametrize("k", [2, 32])
+    def test_one_model_only(self, k):
+        rng = np.random.default_rng(2)
+        model = logistic_model(6, 4, rng=rng_stream(0, purpose="init"))
+        clients = Model(model.shapes, np.tile(model.params, (k, 1)))
+        x, y = make_batch(rng)
+        for one_batch in (forward_loss, gradient, evaluate):
+            with pytest.raises(ShapeMismatch):
+                one_batch(clients, x, y)
 
 
 class TestBackward:
@@ -121,11 +132,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         model = mlp_model(6, 8, 4, rng=rng_stream(2, purpose="init"))
         x, y = make_batch(rng, n=16)
-        _, c1 = forward_loss(model, x, y)
-        g1 = backward(model, c1)
-        xx, yy = np.vstack([x, x]), np.concatenate([y, y])
-        _, c2 = forward_loss(model, xx, yy)
-        g2 = backward(model, c2)
+        g1 = gradient(model, x, y)
+        g2 = gradient(model, np.vstack([x, x]), np.concatenate([y, y]))
         npt.assert_allclose(g1, g2, atol=1e-14)
 
     def test_dead_relu_unit_gets_zero_gradient(self):
@@ -136,19 +144,9 @@ class TestBackward:
         x = np.abs(rng.standard_normal((10, 4))) + 0.5
         model.layers[0].weight[:, 0] = -1.0  # strictly negative pre-act
         y = rng.integers(0, 2, size=10)
-        _, cache = forward_loss(model, x, y)
-        grad = backward(model, cache)
+        grad = gradient(model, x, y)
         w_grad = grad[: model.layers[0].weight.size].reshape(4, 3)
         npt.assert_array_equal(w_grad[:, 0], np.zeros(4))
-
-    def test_stale_cache_rejected(self):
-        rng = np.random.default_rng(6)
-        model = logistic_model(6, 4, rng=rng_stream(4, purpose="init"))
-        other = unflatten_params(model, flatten_params(model))
-        x, y = make_batch(rng)
-        _, cache = forward_loss(model, x, y)
-        with pytest.raises(StaleCache):
-            backward(other, cache)
 
 
 class TestFlattening:
@@ -208,8 +206,7 @@ class TestLocalTrain:
                               rng=rng_stream(0, purpose="train"))
         # replay the shuffle so the summation order matches bit for bit
         perm = rng_stream(0, purpose="train").permutation(24)
-        _, cache = forward_loss(model, x[perm], y[perm])
-        manual = flatten_params(model) - lr * backward(model, cache)
+        manual = flatten_params(model) - lr * gradient(model, x[perm], y[perm])
         npt.assert_array_equal(flatten_params(trained), manual)
 
     def test_loss_decreases_on_separable_blobs(self):
@@ -386,6 +383,26 @@ class TestLockStepMatchesOracle:
             assert len({x.shape[0] for x in xs}) > 1, "the partition is not ragged"
         self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
                          cfg.local_epochs, cfg.batch, cfg.lr, clients)
+
+
+class TestGradientMatchesOracle:
+    """forward_loss, gradient and evaluate against the first one-batch
+    pair, a caching forward pass and a backward pass from the cache:
+    equal bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+    def test_one_batch(self, kind, bias, n):
+        model = ARCHS[kind](bias)
+        x, y = make_batch(np.random.default_rng(n), n=n)
+        want_loss, cache = sgd_oracle.forward_loss(model, x, y)
+        loss, probs = forward_loss(model, x, y)
+        assert loss == want_loss
+        npt.assert_array_equal(probs, cache.probs)
+        npt.assert_array_equal(gradient(model, x, y), sgd_oracle.backward(model, cache))
+        want_acc = float((np.argmax(cache.probs, axis=1) == y).mean())
+        assert evaluate(model, x, y) == (want_loss, want_acc)
 
 
 class TestLockStepIndependence:
