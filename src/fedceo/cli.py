@@ -16,8 +16,10 @@ including a path that cannot be read or written, 3 for a numeric failure.
 when it cannot become a directory.  --threads caps the threads that
 decompose the Fourier slices of each smoothing pass (default: the CPUs
 this process may use); it changes no output byte, and ``run`` records it
-in the manifest.  Sweep cells run one after another.  ``analyze`` reads
-the run's ``final_model.t3r`` and ``run_manifest.json``.
+in the manifest, which it writes last.  Sweep cells run one after another.
+``analyze`` reads the run's ``final_model.t3r`` and ``run_manifest.json``
+and computes all three of its outputs before it writes any.  Every file
+is written by :func:`fedceo.errors.write_file`, which replaces it whole.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     DegenerateGradient,
     ParseError,
     ValidationError,
+    write_file,
 )
 from .models import gradient, logistic_model, param_blocks, unflatten_params
 from .protocol import run_experiment, usable_cpus, write_run_outputs
@@ -158,8 +161,7 @@ def _cmd_sweep(args) -> int:
 def _save_sweep_csv(out_dir, result: SweepResult) -> str:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write(sweep_csv_text(result))
+    write_file(csv_path, [sweep_csv_text(result)])
     return csv_path
 
 
@@ -260,35 +262,26 @@ def _cmd_analyze(args) -> int:
 
     last_w = _locate_last_weight(tensors, shapes, model_path)
     k = last_w.shape[2]
-    rows_per_client = [last_w[:, :, s].T for s in range(k)]
-    heat = smoothness_map(rows_per_client)
-
-    os.makedirs(out_dir, exist_ok=True)
-    heat_path = os.path.join(out_dir, "heatmap.csv")
-    with open(heat_path, "w", encoding="ascii") as fh:
-        fh.write("class," + ",".join(f"client{s}" for s in range(k)) + "\n")
-        for j in range(heat.matrix.shape[0]):
-            cells = ",".join(repr(float(v)) for v in heat.matrix[j])
-            fh.write(f"{j},{cells}\n")
-
-    spectra_path = os.path.join(out_dir, "spectra.csv")
-    with open(spectra_path, "w", encoding="ascii") as fh:
-        fh.write("tensor,slice,index,value\n")
-        for ti, t in enumerate(tensors):
-            curves = spectral_curves(t).curves
-            for si in range(curves.shape[0]):
-                for vi in range(curves.shape[1]):
-                    fh.write(f"{ti},{si},{vi},{float(curves[si, vi])!r}\n")
-
+    heat = smoothness_map([last_w[:, :, s].T for s in range(k)])
+    curves = [spectral_curves(t).curves for t in tensors]
     report = _attack_report(last_w, seed)
-    report_path = os.path.join(out_dir, "attack_report.json")
-    with open(report_path, "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # All computed first, so that a failure above leaves --out as it was.
+    outputs = {
+        "heatmap.csv": [f"class,{','.join(f'client{s}' for s in range(k))}\n", *(
+            f"{j},{','.join(repr(float(v)) for v in row)}\n"
+            for j, row in enumerate(heat.matrix))],
+        "spectra.csv": ["tensor,slice,index,value\n", *(
+            f"{ti},{si},{vi},{float(value)!r}\n"
+            for ti, c in enumerate(curves) for (si, vi), value in np.ndenumerate(c))],
+        "attack_report.json": [json.dumps(report, indent=2, sort_keys=True), "\n"],
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    for name, chunks in outputs.items():
+        write_file(os.path.join(out_dir, name), chunks)
 
     print(f"smoothness total: {heat.total:.6f}")
     print(f"attack noiseless cosine: {report['noiseless_cosine']:.6f}")
-    print(f"wrote heatmap.csv, spectra.csv, attack_report.json to {out_dir}")
+    print(f"wrote {', '.join(outputs)} to {out_dir}")
     return 0
 
 

@@ -156,10 +156,6 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _to_str(text: str) -> str:
-    return text
-
-
 # key -> (group, field name, converter[, field, value]); groups map onto the
 # nested config types ("run" is RunConfig itself).  Rendering keeps this order,
 # skips None values, and writes a key with a (field, value) pair only when its
@@ -174,7 +170,7 @@ _SCHEMA = {
     "lambda0": ("run", "lambda0", _to_float),
     "ratio": ("run", "ratio", _to_float),
     "interval": ("run", "interval", _to_int),
-    "algorithm": ("run", "algorithm", _to_str),
+    "algorithm": ("run", "algorithm", str),
     "seed": ("run", "seed", _to_int),
     "eval_every": ("run", "eval_every", _to_int),
     "dp.clip_c": ("dp", "clip_c", _to_float),
@@ -182,18 +178,18 @@ _SCHEMA = {
     "dp.delta": ("dp", "delta", _to_float),
     "dp.c1": ("dp", "c1", _to_float),
     "dp.c2": ("dp", "c2", _to_float),
-    "model.kind": ("model", "kind", _to_str),
+    "model.kind": ("model", "kind", str),
     "model.hidden": ("model", "hidden", _to_int),
     "model.bias": ("model", "bias", _to_bool),
-    "data.source": ("data", "source", _to_str),
-    "data.path": ("data", "path", _to_str, "source", "file"),
+    "data.source": ("data", "source", str),
+    "data.path": ("data", "path", str, "source", "file"),
     "data.classes": ("data", "classes", _to_int, "source", "blobs"),
     "data.dim": ("data", "dim", _to_int, "source", "blobs"),
     "data.samples": ("data", "samples", _to_int, "source", "blobs"),
     "data.spread": ("data", "spread", _to_float, "source", "blobs"),
     "data.test_fraction": ("data", "test_fraction", _to_float),
     "data.seed": ("data", "seed", _to_int),
-    "partition.mode": ("data", "partition_mode", _to_str),
+    "partition.mode": ("data", "partition_mode", str),
     "partition.shards_per_client": ("data", "shards_per_client", _to_int,
                                     "partition_mode", "label_shard"),
     "partition.alpha": ("data", "alpha", _to_float, "partition_mode", "dirichlet"),
@@ -259,12 +255,3 @@ def config_to_dict(cfg: RunConfig) -> dict:
             out[key] = value
     return out
 
-
-def config_file_text(cfg: RunConfig) -> str:
-    """Render a config back to file syntax that re-parses identically."""
-    lines = []
-    for key, value in config_to_dict(cfg).items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

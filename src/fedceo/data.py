@@ -10,11 +10,12 @@ field count is checked before the samples are allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .dp import rng_stream
-from .errors import EmptyDataset, ParseError, TooManyClients, ValidationError, naming_file
+from .errors import EmptyDataset, ParseError, TooManyClients, ValidationError, naming_file, write_file
 
 PARTITION_MODES = ("iid", "label_shard", "dirichlet")
 
@@ -155,11 +156,9 @@ def partition(data: Dataset, n_clients: int, mode: str, *,
 
 
 def save_dataset(path, data: Dataset) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{data.dim} {data.num_classes} {data.n}\n")
-        for row, label in zip(data.features, data.labels):
-            values = " ".join(repr(float(v)) for v in row)
-            fh.write(f"{int(label)} {values}\n")
+    rows = zip(data.features, data.labels)
+    write_file(path, chain([f"{data.dim} {data.num_classes} {data.n}\n"], (
+        f"{int(label)} {' '.join(repr(float(v)) for v in row)}\n" for row, label in rows)))
 
 
 def load_dataset(path) -> Dataset:

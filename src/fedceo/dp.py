@@ -119,9 +119,12 @@ def privacy_budget(dp: DpConfig, n_total: int, k_selected: int, rounds: int) -> 
     epsilon = c2 * p * sqrt(rounds * ln(1/delta)) / sigma with sampling
     ratio p = k_selected / n_total (natural log).  The bound is only a
     guarantee while epsilon < c1 * p^2 * rounds; `lemma_valid` reports that
-    gate and `validity_bound` the right-hand side.
+    gate and `validity_bound` the right-hand side; either overflowing
+    raises :class:`NonFinite`.
     """
     p = k_selected / n_total
     epsilon = dp.c2 * p * math.sqrt(rounds * math.log(1.0 / dp.delta)) / dp.sigma
     bound = dp.c1 * p * p * rounds
+    if not (math.isfinite(epsilon) and math.isfinite(bound)):
+        raise NonFinite(f"privacy budget overflows: epsilon {epsilon}, bound {bound}")
     return PrivacyBudget(epsilon=epsilon, lemma_valid=epsilon < bound, validity_bound=bound)

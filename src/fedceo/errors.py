@@ -5,9 +5,13 @@ exits 2 on :data:`INPUT_ERRORS` (an :class:`InputError`: a bad config value,
 file or dataset, or an ``OSError`` on a path) and 3 on
 :data:`NUMERIC_FAILURES` (a :class:`NumericFailure` such as NaN or no
 convergence, or an arithmetic error from NumPy or Python).
-:class:`NotSmoothingRound` is the one programming error.
+:class:`NotSmoothingRound` is the one programming error.  Every file the
+package writes goes through :func:`write_file`.
 """
 
+import errno
+import os
+import secrets
 from contextlib import contextmanager
 
 import numpy as np
@@ -84,6 +88,26 @@ def naming_file(path):
                              f"{exc.encoding}") from None
     except (ParseError, EmptyDataset) as exc:
         exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def write_file(path, chunks) -> None:
+    """Replace the file at ``path`` (through symlinks) by ``chunks``, each
+    ``bytes`` or an ASCII ``str``.  They go to a new ``0o666 & ~umask`` file
+    beside it that ``os.replace`` moves into place, so a reader sees the old
+    file or the whole new one, also after a failed write or a killed process
+    (no fsync: not after a power loss).  A non-regular target is refused."""
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise OSError(errno.EEXIST, "exists and is not a regular file", path)
+    tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(c.encode("ascii") if isinstance(c, str) else c for c in chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
         raise
 
 

@@ -18,8 +18,8 @@ Three algorithms share one round pipeline:
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
 results are identical across replays, and the smoothing pass's thread count
-changes no bit of them.  The run's outputs are
-``metrics.csv``, ``final_model.t3r`` and ``run_manifest.json``; the config
+changes no bit of them.  The run's outputs are ``metrics.csv``,
+``final_model.t3r`` and, written last, ``run_manifest.json``; the config
 types a run takes, and their flat rendering in the manifest, live in
 :mod:`fedceo.config`.
 """
@@ -38,7 +38,7 @@ from . import __version__
 from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import ArchMismatch, NonFinite, NotSmoothingRound, ShapeMismatch
+from .errors import ArchMismatch, NonFinite, NotSmoothingRound, ShapeMismatch, write_file
 from .models import (
     Model,
     block_views,
@@ -276,12 +276,14 @@ def metrics_csv_text(metrics: list[MetricsRow]) -> str:
 
 
 def write_run_outputs(result: ExperimentResult, out_dir, *, threads: int) -> None:
-    """metrics.csv, final_model.t3r, and run_manifest.json under out_dir."""
+    """metrics.csv, final_model.t3r, then run_manifest.json under out_dir."""
     from .tensor import save_tensors
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="ascii") as fh:
-        fh.write(metrics_csv_text(result.metrics))
+    manifest_path = os.path.realpath(os.path.join(out_dir, "run_manifest.json"))
+    if os.path.lexists(manifest_path):  # a manifest only sits beside its own run
+        os.remove(manifest_path)
+    write_file(os.path.join(out_dir, "metrics.csv"), [metrics_csv_text(result.metrics)])
     save_tensors(os.path.join(out_dir, "final_model.t3r"), result.final_stack)
     manifest = {
         "package_version": __version__,
@@ -294,6 +296,4 @@ def write_run_outputs(result: ExperimentResult, out_dir, *, threads: int) -> Non
         },
         "threads": threads,
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NonFinite, ParseError, naming_file
+from .errors import DimMismatch, NoConvergence, NonFinite, ParseError, naming_file, write_file
 
 
 def as_tensor3(t) -> np.ndarray:
@@ -172,12 +172,6 @@ _MAGIC = b"T3R1"
 _HEADER = struct.Struct("<4sIII")
 
 
-def _write_one(fh, t: np.ndarray) -> None:
-    n1, n2, n3 = t.shape
-    fh.write(_HEADER.pack(_MAGIC, n1, n2, n3))
-    fh.write(np.ascontiguousarray(np.moveaxis(t, 2, 0), dtype="<f8").tobytes())
-
-
 def _read_one(fh):
     header = fh.read(_HEADER.size)
     if not header:
@@ -207,9 +201,9 @@ def _read_one(fh):
 def save_tensors(path, tensors) -> None:
     """Write a sequence of tensors to ``path`` in the T3R1 layout."""
     validated = [as_tensor3(t) for t in tensors]
-    with open(path, "wb") as fh:
-        for t in validated:
-            _write_one(fh, t)
+    write_file(path, (_HEADER.pack(_MAGIC, *t.shape)
+                      + np.ascontiguousarray(np.moveaxis(t, 2, 0), dtype="<f8").tobytes()
+                      for t in validated))
 
 
 def load_tensors(path) -> list[np.ndarray]:

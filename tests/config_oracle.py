@@ -4,7 +4,9 @@ Nothing in ``fedceo`` calls these.  ``config_to_dict`` is the hand-written
 flat rendering of a :class:`fedceo.config.RunConfig` that the package
 replaced with one derived from ``fedceo.config._SCHEMA``; it spells out,
 key by key, which keys are written for which ``data.source`` and
-``partition.mode``.  ``config_file_text`` renders it in file syntax.
+``partition.mode``.  ``config_file_text`` renders it in file syntax; the
+package has no config-file renderer, so the tests write their config files
+with it.
 """
 
 from __future__ import annotations

@@ -41,10 +41,11 @@ import time
 import numpy as np
 import pytest
 
+from config_oracle import config_file_text
 from fedceo import tensor
 from fedceo.analysis import invert_linear_gradient, smoothness_map, spectral_curves
 from fedceo.cli import main
-from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
+from fedceo.config import DataSpec, ModelSpec, RunConfig
 from fedceo.dp import DpConfig, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.models import (
     flatten_params,

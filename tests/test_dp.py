@@ -120,6 +120,14 @@ class TestPrivacyBudget:
             with pytest.raises(InvalidDelta):
                 DpConfig(delta=bad)
 
+    @pytest.mark.parametrize("dp,rounds", [(DpConfig(sigma=1e-320), 10),
+                                           (DpConfig(c1=1e308), 10**9)],
+                             ids=["epsilon", "validity-bound"])
+    def test_overflow_raises_non_finite(self, dp, rounds):
+        # Both values are written to the run manifest, where JSON has no inf.
+        with pytest.raises(NonFinite, match="privacy budget overflows"):
+            privacy_budget(dp, n_total=10, k_selected=10, rounds=rounds)
+
     def test_argument_validation(self):
         # The budget's argument rules live in RunConfig and DpConfig.
         for kwargs, field in [(dict(n_total=10, k_selected=11), "k_selected"),

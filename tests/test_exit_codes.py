@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from fedceo.cli import main
 from fedceo.config import _SCHEMA, ALGORITHMS, _to_bool, _to_float, _to_int
 from fedceo.data import load_dataset
+from fedceo.sweep import SWEEPABLE
 
 BASE = {
     "n_total": "6",
@@ -98,6 +99,7 @@ def check_contract(code, err, names):
 @example({"data.spread": "1e200", "data.test_fraction": "1e-300"})
 @example({"algorithm": "fedavg", "eval_every": "1", "data.spread": "1e200"})
 @example({"partition.mode": "dirichlet", "partition.alpha": "inf"})
+@example({"dp.sigma": "1e-320"})
 def test_any_config_value_keeps_the_exit_code_contract(values):
     config = {**BASE, **values}
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +107,8 @@ def test_any_config_value_keeps_the_exit_code_contract(values):
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(f"{key} = {value}\n" for key, value in config.items())
         code, err = run_cli(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+        if code == 0:
+            load_finite_json(os.path.join(tmp, "out", "run_manifest.json"))
     check_contract(code, err, [*config, "run.cfg", *WORDS["data.path"]])
 
 
@@ -131,6 +135,65 @@ def test_any_gen_data_flags_keep_the_exit_code_contract(flags):
             assert data.features.shape == (int(flags["samples"]), int(flags["dim"]))
         else:
             assert not os.path.exists(path)
+
+
+# Sweepable keys, plus an unknown key and keys that exist but do not sweep.
+SWEEP_AXES = SWEEPABLE + ("turbo", "seed", "model.kind", "data.samples")
+ODD_VALUES = st.sampled_from(("abc", "", " ", "-1", "1e200"))
+
+
+# Good values and seeds come twice as often as odd ones, so that some
+# sweeps get to run.
+def sweep_value(axis):
+    if axis not in _SCHEMA:
+        return ODD_VALUES
+    return st.one_of(value_strategy(axis), value_strategy(axis), ODD_VALUES)
+
+
+good_seed = st.integers(0, 3).map(str)
+seeds = st.one_of(good_seed, good_seed, st.sampled_from(("-1", "0.5", "x", "")))
+sweep_args = st.sampled_from(SWEEP_AXES).flatmap(lambda axis: st.fixed_dictionaries({
+    "axis": st.just(axis),
+    "values": st.lists(sweep_value(axis), min_size=1, max_size=3),
+    "seeds": st.lists(seeds, min_size=1, max_size=2),
+    "out": st.sampled_from(("fresh", "dir", "file", "file/sub")),
+}))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(sweep_args)
+@example({"axis": "dp.sigma", "values": ["0.5", "2"], "seeds": ["0", "1"], "out": "fresh"})
+@example({"axis": "lr", "values": ["1e200"], "seeds": ["0"], "out": "dir"})
+@example({"axis": "dp.sigma", "values": ["0.5"], "seeds": ["-1"], "out": "fresh"})
+@example({"axis": "algorithm", "values": ["fedavg", "fedavg", ""], "seeds": ["2"], "out": "dir"})
+@example({"axis": "rounds", "values": ["2"], "seeds": ["0"], "out": "file/sub"})
+def test_any_sweep_keeps_the_exit_code_contract(args):
+    """Exit 0, 2 or 3; exit 2 makes no directory; exit 0 writes one row
+    per cell and two per value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "base.cfg")
+        with open(config, "w", encoding="ascii") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in BASE.items())
+        blocker = os.path.join(tmp, "file")
+        with open(blocker, "w", encoding="ascii") as fh:
+            fh.write("not a directory\n")
+        out = os.path.join(tmp, "sw" if args["out"] in ("fresh", "dir") else args["out"])
+        if args["out"] == "dir":
+            os.mkdir(out)
+        before = sorted(os.listdir(tmp))
+        # --flag=value, so that argparse does not read "-1,2" as a flag.
+        code, err = run_cli(["sweep", "--config", config, f"--axis={args['axis']}",
+                             f"--values={','.join(args['values'])}",
+                             f"--seeds={','.join(args['seeds'])}", "--out", out])
+        check_contract(code, err, [args["axis"], "k_selected", "values", "seed", blocker])
+        if code == 2:
+            assert sorted(os.listdir(tmp)) == before
+            assert not (os.path.isdir(out) and os.listdir(out))
+        if code == 0:
+            values = [v for v in args["values"] if v.strip()]
+            with open(os.path.join(out, "sweep.csv"), encoding="ascii") as fh:
+                rows = fh.read().splitlines()[1:]
+            assert len(rows) == len(values) * len(args["seeds"]) + 2 * len(values)
 
 
 ARTIFACTS = ("final_model.t3r", "run_manifest.json")
@@ -182,9 +245,13 @@ def check_finite_outputs(run_dir):
             rows = fh.read().splitlines()[1:]
         cells = [cell for row in rows for cell in row.split(",")[1:]]
         assert cells and all(math.isfinite(float(cell)) for cell in cells), name
+    load_finite_json(os.path.join(run_dir, "attack_report.json"))
 
+
+def load_finite_json(path):
+    """The JSON at ``path``, which must hold no NaN or infinity."""
     def reject(constant):
-        raise AssertionError(f"attack_report.json holds {constant}")
+        raise AssertionError(f"{path} holds {constant}")
 
-    with open(os.path.join(run_dir, "attack_report.json"), encoding="ascii") as fh:
-        json.load(fh, parse_constant=reject)
+    with open(path, encoding="ascii") as fh:
+        return json.load(fh, parse_constant=reject)

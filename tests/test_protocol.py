@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import sgd_oracle
+from config_oracle import config_file_text
 from fedceo import protocol
 from fedceo.cli import worker_count
 from fedceo.config import (
     DataSpec,
     ModelSpec,
     RunConfig,
-    config_file_text,
     config_to_dict,
     parse_config_text,
 )

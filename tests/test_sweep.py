@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from config_oracle import config_file_text
 from fedceo.cli import main
-from fedceo.config import DataSpec, ModelSpec, RunConfig, config_file_text
+from fedceo.config import DataSpec, ModelSpec, RunConfig
 from fedceo.dp import DpConfig
 from fedceo.errors import ValidationError
 from fedceo.protocol import run_experiment
