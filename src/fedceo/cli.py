@@ -304,7 +304,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a usage error: argparse's status
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except INPUT_ERRORS as exc:

@@ -1,6 +1,7 @@
-"""Client-side differential privacy pieces: norm clipping, calibrated
-Gaussian noise, the closed-form privacy budget, and the deterministic
-random streams every stochastic step draws from.
+"""Client-side differential privacy pieces: norm clipping and calibrated
+Gaussian noise, each applied in place to every row of a round's (K, P)
+array of client deltas, the closed-form privacy budget, and the
+deterministic random streams every stochastic step draws from.
 
 Randomness is counter-based: each (seed, round, client, purpose) triple
 names its own Philox stream, so a draw never depends on scheduling order,
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidDelta, NonFinite, ValidationError
+from .errors import InvalidDelta, NonFinite, ValidationError
 
 # Stable codes for the stream purposes; values are part of the on-disk
 # reproducibility contract, so append only, never renumber.
@@ -70,41 +71,37 @@ class DpConfig:
             raise InvalidDelta(f"must lie in (0, 1), got {self.delta}", field="dp.delta")
 
 
-def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
-    """Scale ``delta`` so its l2 norm is at most ``clip_c``.
+def clip_update(deltas: np.ndarray, clip_c: float) -> None:
+    """Scale each row of the (K, P) array ``deltas``, in place, so its l2
+    norm is at most ``clip_c``.
 
-    Updates already inside the ball are returned unchanged (the scale
-    factor is exactly 1.0, so the output is bit-identical).
+    Rows already inside the ball keep every bit (their scale is exactly
+    1.0).  A row whose norm is not finite, from a NaN or infinite entry or
+    from finite entries whose squared norm overflows, raises
+    :class:`NonFinite` rather than being divided down to zeros.
     """
-    arr = np.asarray(delta, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("update contains NaN or infinity: local training diverged")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr.ravel()))
-    if not math.isfinite(norm):
-        raise NonFinite("update norm overflows: local training diverged")
-    return arr / max(1.0, norm / clip_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One norm call per row: norm(axis=1) sums in another order.
+        norms = np.array([np.linalg.norm(row) for row in deltas])
+    if not np.isfinite(norms).all():
+        raise NonFinite("update norm is not finite: local training diverged")
+    deltas /= np.maximum(1.0, norms / clip_c)[:, None]
 
 
-def gaussianize(
-    start: np.ndarray,
-    clipped: np.ndarray,
-    eta: float,
-    dp: DpConfig,
-    k_selected: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noisy upload: start + eta * (clipped + z), z ~ N(0, sigma^2 c^2 / K).
+def gaussianize(clipped: np.ndarray, dp: DpConfig, k_selected: int,
+                rngs: list[np.random.Generator]) -> None:
+    """Add z ~ N(0, sigma^2 c^2 / K) to each row k of the (K, P) array
+    ``clipped``, in place, drawn from ``rngs[k]``.
 
     The 1/K variance split makes the K aggregated uploads carry the same
     total noise a central server would have added once.
     """
-    a, b = np.asarray(start, dtype=np.float64), np.asarray(clipped, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     scale = dp.sigma * dp.clip_c / math.sqrt(k_selected)
-    noise = rng.standard_normal(a.shape) * scale
-    return a + eta * (b + noise)
+    noise = np.empty(clipped.shape[1])
+    for row, rng in zip(clipped, rngs):
+        rng.standard_normal(out=noise)
+        noise *= scale
+        row += noise
 
 
 class PrivacyBudget(NamedTuple):

@@ -3,11 +3,10 @@ aggregation, and periodic low-rank smoothing of the stacked client models.
 
 Three algorithms share one round pipeline:
 
-* ``fedavg``: local SGD, upload start + lr * delta, average.  The same
-  server-side lr scaling as the private variants, so it is exactly the
-  noiseless/unclipped limit of ``ldp_fedavg``.
-* ``ldp_fedavg``: deltas are norm-clipped and carry Gaussian noise of
-  std sigma * clip_c / sqrt(K) before the same aggregation.
+* ``fedavg``: local SGD, upload start + lr * delta, average.
+* ``ldp_fedavg``: the same upload of a delta clipped to norm clip_c plus
+  Gaussian noise of std sigma * clip_c / sqrt(K), both applied to the
+  round's whole (K, P) array; ``fedavg`` is its unclipped, noiseless limit.
 * ``fedceo``: ``ldp_fedavg`` plus, every ``interval`` rounds, a server
   pass that stacks the K uploads into per-layer third-order tensors,
   soft-thresholds every Fourier slice's singular values at
@@ -160,8 +159,9 @@ def build_model(cfg: RunConfig, dim: int, classes: int) -> Model:
 def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
                     parts: list[Dataset], starts: list[np.ndarray],
                     round_no: int) -> np.ndarray:
-    """The round's (K, P) uploads: the selected clients train in lock step
-    from their starts, then each row becomes its client's upload.  Raises
+    """The round's (K, P) uploads, start + lr * update: the selected clients
+    train in lock step from their starts, and each update is the client's
+    delta, clipped and noised unless the algorithm is ``fedavg``.  Raises
     :class:`NonFinite` if any upload is not finite."""
     uploads = np.stack(starts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -172,17 +172,15 @@ def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
             [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
              for c in clients],
         )
-        for row, start, client in zip(uploads, starts, clients):
-            row -= start  # the client's delta
-            if cfg.algorithm == "fedavg":
-                row *= cfg.lr
-                row += start
-            else:
-                clipped = clip_update(row, cfg.dp.clip_c)
-                noise_rng = rng_stream(cfg.seed, round_no=round_no, client=client,
-                                       purpose="noise")
-                row[:] = gaussianize(start, clipped, cfg.lr, cfg.dp, cfg.k_selected,
-                                     noise_rng)
+        starts = np.stack(starts)  # only now: training is the memory peak
+        uploads -= starts  # the clients' deltas
+        if cfg.algorithm != "fedavg":
+            clip_update(uploads, cfg.dp.clip_c)
+            gaussianize(uploads, cfg.dp, cfg.k_selected,
+                        [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="noise")
+                         for c in clients])
+        uploads *= cfg.lr
+        uploads += starts
     if not np.isfinite(uploads).all():
         raise NonFinite("upload is not finite: local training diverged")
     return uploads

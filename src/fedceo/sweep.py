@@ -44,6 +44,8 @@ class SweepSpec:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.values:
             raise ValidationError("needs at least one value", field="values")
+        if not all(str(v).isascii() for v in self.values):  # sweep.csv is ASCII
+            raise ValidationError("must be ASCII text", field="values")
         if not self.seeds:
             raise ValidationError("needs at least one seed", field="seeds")
 

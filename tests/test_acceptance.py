@@ -258,16 +258,15 @@ def test_criterion_03_identical_slice_reduction():
 def test_criterion_04_dp_mechanism_statistics():
     rng = np.random.default_rng(3)
     clip_c = 1.0
-    worst_norm = 0.0
-    for _ in range(10_000):
-        v = rng.normal(size=8) * float(10 ** rng.uniform(-1, 1))
-        worst_norm = max(worst_norm, float(np.linalg.norm(
-            clip_update(v, clip_c))))
+    updates = np.array([rng.normal(size=8) * float(10 ** rng.uniform(-1, 1))
+                        for _ in range(10_000)])
+    clip_update(updates, clip_c)
+    worst_norm = max(float(np.linalg.norm(row)) for row in updates)
     clip_ok = worst_norm <= clip_c * (1 + 1e-12)
 
     dp = DpConfig(clip_c=1.0, sigma=2.0, delta=1e-2)
-    draws = gaussianize(np.zeros(100_000), np.zeros(100_000), 1.0, dp, 4,
-                        np.random.default_rng(4))
+    draws = np.zeros((1, 100_000))
+    gaussianize(draws, dp, 4, [np.random.default_rng(4)])
     target = dp.sigma * dp.clip_c / math.sqrt(4)
     std_err = abs(float(draws.std()) - target) / target
     std_ok = std_err <= 0.02

@@ -52,16 +52,22 @@ def do_run(tmp_path, subdir="out", text=TINY_CONFIG):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
 
 
 def test_missing_subcommand_exits_with_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    assert main([]) == 2
+
+
+def test_usage_error_returns_2_and_creates_nothing(tmp_path, capsys):
+    # argparse reads "-1,-1" as a flag; a caller of main gets the status back.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--axis", "dp.sigma", "--values", "-1,-1",
+                 "--seeds", "0", "--out", str(out)]) == 2
+    assert "--values" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_module_entry_point_runs():

@@ -6,41 +6,53 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dp_oracle
 from fedceo.dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.config import RunConfig
-from fedceo.errors import DimMismatch, InvalidDelta, NonFinite, ValidationError
+from fedceo.errors import InvalidDelta, NonFinite, ValidationError
+
+
+def noise_streams(seed, clients, round_no=0):
+    return [rng_stream(seed, round_no=round_no, client=c, purpose="noise") for c in clients]
 
 
 class TestClipUpdate:
     def test_inside_ball_bit_identical(self):
         rng = np.random.default_rng(1)
-        v = rng.standard_normal(40)
-        v *= 0.5 / np.linalg.norm(v)
-        npt.assert_array_equal(clip_update(v, 1.0), v)
+        v = rng.standard_normal((3, 40))
+        v *= 0.5 / np.linalg.norm(v, axis=1, keepdims=True)
+        out = v.copy()
+        clip_update(out, 1.0)
+        npt.assert_array_equal(out, v)
 
     def test_outside_ball_lands_on_sphere(self):
-        v = np.full(16, 10.0)
-        out = clip_update(v, 2.0)
-        assert np.linalg.norm(out) == pytest.approx(2.0, rel=1e-12)
-        # direction preserved
-        cos = out @ v / (np.linalg.norm(out) * np.linalg.norm(v))
+        v = np.array([np.full(16, 10.0), np.full(16, 0.1)])
+        out = v.copy()
+        clip_update(out, 2.0)
+        assert np.linalg.norm(out[0]) == pytest.approx(2.0, rel=1e-12)
+        # direction preserved; the row inside the ball is untouched
+        cos = out[0] @ v[0] / (np.linalg.norm(out[0]) * np.linalg.norm(v[0]))
         assert cos == pytest.approx(1.0, abs=1e-12)
+        npt.assert_array_equal(out[1], v[1])
 
     def test_zero_vector(self):
-        npt.assert_array_equal(clip_update(np.zeros(5), 1.0), np.zeros(5))
+        out = np.zeros((2, 5))
+        clip_update(out, 1.0)
+        npt.assert_array_equal(out, np.zeros((2, 5)))
 
     def test_norm_bound_property(self):
         rng = np.random.default_rng(2)
         clip_c = 0.7
         for _ in range(200):
             v = rng.standard_normal(rng.integers(1, 50)) * rng.uniform(0.01, 100)
-            out = clip_update(v, clip_c)
+            out = v[None].copy()
+            clip_update(out, clip_c)
             assert np.linalg.norm(out) <= clip_c * (1 + 1e-12)
             assert np.linalg.norm(out) <= np.linalg.norm(v) * (1 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(NonFinite):
-            clip_update(np.array([1.0, np.nan]), 1.0)
+            clip_update(np.array([[1.0, 2.0], [1.0, np.nan], [0.5, 0.5]]), 1.0)
         # The clip bound's rule lives in DpConfig; clip_update takes its value.
         with pytest.raises(ValidationError) as err:
             DpConfig(clip_c=0.0)
@@ -49,41 +61,76 @@ class TestClipUpdate:
     def test_finite_update_with_overflowing_norm_rejected(self):
         # Every entry is finite but the squared norm is not: dividing by
         # an infinite norm would silently upload zeros.
+        rows = np.ones((3, 4))
+        rows[1] = 1e200
         with pytest.raises(NonFinite, match="diverged"):
-            clip_update(np.full(4, 1e200), 1.0)
+            clip_update(rows, 1.0)
 
 
 class TestGaussianize:
     def test_vanishing_sigma_recovers_sgd_step(self):
         rng = np.random.default_rng(3)
-        start, delta = rng.standard_normal(30), rng.standard_normal(30)
+        start, delta = rng.standard_normal((4, 30)), rng.standard_normal((4, 30))
         dp = DpConfig(clip_c=1.0, sigma=1e-300)
-        out = gaussianize(start, delta, 0.1, dp, 4, rng_stream(0, purpose="noise"))
-        npt.assert_allclose(out, start + 0.1 * delta, atol=1e-12)
+        out = delta.copy()
+        gaussianize(out, dp, 4, noise_streams(0, range(4)))
+        npt.assert_allclose(start + 0.1 * out, start + 0.1 * delta, atol=1e-12)
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(4)
-        start, delta = rng.standard_normal(30), rng.standard_normal(30)
+        delta = np.tile(rng.standard_normal(30), (2, 1))
         dp = DpConfig(sigma=2.0)
-        a = gaussianize(start, delta, 0.1, dp, 4, rng_stream(7, round_no=3, client=2, purpose="noise"))
-        b = gaussianize(start, delta, 0.1, dp, 4, rng_stream(7, round_no=3, client=2, purpose="noise"))
+        a, b, c = delta.copy(), delta.copy(), delta.copy()
+        gaussianize(a, dp, 4, noise_streams(7, (2, 1), round_no=3))
+        gaussianize(b, dp, 4, noise_streams(7, (2, 1), round_no=3))
         npt.assert_array_equal(a, b)
-        c = gaussianize(start, delta, 0.1, dp, 4, rng_stream(7, round_no=3, client=1, purpose="noise"))
+        gaussianize(c, dp, 4, noise_streams(7, (1, 2), round_no=3))
         assert not np.array_equal(a, c)
+        # row k draws from rngs[k]: swapping the streams swaps the rows
+        npt.assert_array_equal(a[::-1], c)
 
     def test_noise_scale(self):
         # empirical std must match sigma * clip_c / sqrt(k)
         dp = DpConfig(clip_c=1.0, sigma=2.0)
         n = 100_000
-        out = gaussianize(
-            np.zeros(n), np.zeros(n), 1.0, dp, 4, rng_stream(11, purpose="noise")
-        )
+        out = np.zeros((1, n))
+        gaussianize(out, dp, 4, [rng_stream(11, purpose="noise")])
         assert np.std(out) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(out)) < 0.02
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
-            gaussianize(np.zeros(3), np.zeros(4), 0.1, DpConfig(), 2, rng_stream(0, purpose="noise"))
+
+class TestMatchesPerClientOracle:
+    """Whole-array clip and noise, then ``start + lr * update``, against
+    the per-client loop they replaced: equal bit for bit."""
+
+    @staticmethod
+    def whole_array(deltas, starts, lr, dp, rngs):
+        uploads = deltas.copy()
+        clip_update(uploads, dp.clip_c)
+        gaussianize(uploads, dp, len(uploads), rngs)
+        uploads *= lr
+        uploads += starts
+        return uploads
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_bit_identical(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(20):
+            p = int(rng.integers(1, 300))
+            deltas = rng.standard_normal((k, p)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            starts = rng.standard_normal((k, p))
+            clip_c = float(rng.uniform(0.1, 10))
+            if trial % 2:
+                deltas[trial % k] = 0.0
+            if k > 1:
+                # one row exactly on the sphere: its norm is the clip bound
+                clip_c = float(np.linalg.norm(deltas[(trial + 1) % k]))
+            dp = DpConfig(clip_c=clip_c, sigma=float(rng.uniform(0.1, 4)))
+            lr = float(rng.uniform(0.01, 1))
+            got = self.whole_array(deltas, starts, lr, dp, noise_streams(trial, range(k)))
+            want = dp_oracle.privatize_rows(deltas, starts, lr, dp, k,
+                                            noise_streams(trial, range(k)))
+            npt.assert_array_equal(got, want)
 
 
 class TestPrivacyBudget:

@@ -167,6 +167,8 @@ sweep_args = st.sampled_from(SWEEP_AXES).flatmap(lambda axis: st.fixed_dictionar
 @example({"axis": "dp.sigma", "values": ["0.5"], "seeds": ["-1"], "out": "fresh"})
 @example({"axis": "algorithm", "values": ["fedavg", "fedavg", ""], "seeds": ["2"], "out": "dir"})
 @example({"axis": "rounds", "values": ["2"], "seeds": ["0"], "out": "file/sub"})
+# An Arabic-Indic two: int() reads it, but sweep.csv is ASCII.
+@example({"axis": "rounds", "values": ["\u0662"], "seeds": ["0"], "out": "fresh"})
 def test_any_sweep_keeps_the_exit_code_contract(args):
     """Exit 0, 2 or 3; exit 2 makes no directory; exit 0 writes one row
     per cell and two per value."""
