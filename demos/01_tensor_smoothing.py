@@ -21,14 +21,14 @@ structure.
 import numpy as np
 
 from fedceo.analysis import spectral_curves
-from fedceo.tensor import frobenius, tnn, truncated_svd_matrix, truncated_tsvd
+from fedceo.tensor import tnn, truncated_tsvd
 
 rng = np.random.default_rng(0)
 shared = rng.normal(size=(12, 6))
 clients = 5
 stack = np.dstack([shared + 0.3 * rng.normal(size=shared.shape)
                    for _ in range(clients)])
-print(f"stack shape: {stack.shape}, energy {frobenius(stack):.3f}")
+print(f"stack shape: {stack.shape}, energy {np.linalg.norm(stack):.3f}")
 
 # %%
 # Where the signal lives
@@ -41,7 +41,7 @@ print(f"stack shape: {stack.shape}, energy {frobenius(stack):.3f}")
 
 curves = spectral_curves(stack)
 print("top singular value per frequency:")
-for s, value in enumerate(curves.top):
+for s, value in enumerate(curves[:, 0]):
     kind = "shared structure" if s == 0 else "disagreement"
     print(f"  frequency {s}: {value:8.3f}   <- {kind}")
 
@@ -61,7 +61,7 @@ print(f"threshold tau = {tau:.3f}")
 print(f"tnn before {tnn(stack):.3f} -> after {tnn_after:.3f}")
 after = spectral_curves(smoothed)
 print("top singular value per frequency after smoothing:")
-for s, value in enumerate(after.top):
+for s, value in enumerate(after[:, 0]):
     print(f"  frequency {s}: {value:8.3f}")
 
 # %%
@@ -71,8 +71,8 @@ for s, value in enumerate(after.top):
 # Compare each slice against the shared matrix before and after.  The
 # smoothed slices sit much closer to the truth than the raw ones.
 
-raw_err = np.mean([frobenius(stack[:, :, k] - shared) for k in range(clients)])
-new_err = np.mean([frobenius(smoothed[:, :, k] - shared) for k in range(clients)])
+raw_err = np.mean([np.linalg.norm(stack[:, :, k] - shared) for k in range(clients)])
+new_err = np.mean([np.linalg.norm(smoothed[:, :, k] - shared) for k in range(clients)])
 print(f"mean slice error: raw {raw_err:.3f} -> smoothed {new_err:.3f}")
 
 # %%
@@ -81,10 +81,11 @@ print(f"mean slice error: raw {raw_err:.3f} -> smoothed {new_err:.3f}")
 #
 # If every slice is exactly the same matrix W, tensor smoothing at tau
 # equals plain matrix soft-thresholding of W at tau / K, slice by slice.
-# This makes the tensor threshold easy to calibrate.
+# This makes the tensor threshold easy to calibrate.  A one-slice tensor
+# has a one-slice spectrum, so ``truncated_tsvd`` on it is the matrix rule.
 
 same = np.dstack([shared] * clients)
 via_tensor = truncated_tsvd(same, tau)[0][:, :, 0]
-via_matrix = truncated_svd_matrix(shared, tau / clients)
+via_matrix = truncated_tsvd(shared[:, :, None], tau / clients)[0][:, :, 0]
 print("identical-slice deviation from the matrix rule: "
       f"{np.max(np.abs(via_tensor - via_matrix)):.2e}")

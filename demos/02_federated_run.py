@@ -85,9 +85,7 @@ for sigma in (0.5, 1.0, 2.0):
 
 print("roughness of the final client stack (sum over classes and clients):")
 for name, res in runs.items():
-    stack = res.final_stack[0]
-    rows = [stack[:, :, k].T for k in range(stack.shape[2])]
-    print(f"  {name:<11} {smoothness_map(rows).total:10.4f}")
+    print(f"  {name:<11} {smoothness_map(res.final_stack[0]).sum():10.4f}")
 
 # %%
 # Reproducibility

@@ -1,6 +1,5 @@
-"""Command-line entry point.
-
-Subcommands::
+"""Command-line entry point: it parses arguments, calls the library and
+maps the library's exceptions to exit codes.  Subcommands::
 
     fedceo run      --config FILE --out DIR [--threads N]
     fedceo sweep    --config FILE --axis KEY --values V1,V2,... \
@@ -17,41 +16,28 @@ when it cannot become a directory.  --threads caps the threads that
 decompose the Fourier slices of each smoothing pass (default: the CPUs
 this process may use); it changes no output byte, and ``run`` records it
 in the manifest, which it writes last.  Sweep cells run one after another.
-``analyze`` reads the run's ``final_model.t3r`` and ``run_manifest.json``
-and computes all three of its outputs before it writes any.  Every file
-is written by :func:`fedceo.errors.write_file`, which replaces it whole.
+``analyze`` gets all three of its outputs from
+:func:`fedceo.analysis.analyze_run` before it writes any.  Every file is
+written by :func:`fedceo.errors.write_file`, which replaces it whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .analysis import invert_linear_gradient, smoothness_map, spectral_curves
+# smoothness_map, spectral_curves and load_tensors go unused here, but the
+# benchmark tracer wraps fedceo.cli.<name> for each of them by name.
+from .analysis import analyze_run, smoothness_map, spectral_curves  # noqa: F401
 from .config import DataSpec, parse_config
 from .data import save_dataset, synth_blobs
-from .dp import rng_stream
-from .errors import (
-    INPUT_ERRORS,
-    NUMERIC_FAILURES,
-    DegenerateGradient,
-    ParseError,
-    ValidationError,
-    write_file,
-)
-from .models import gradient, logistic_model, param_blocks, unflatten_params
+from .errors import INPUT_ERRORS, NUMERIC_FAILURES, ValidationError, write_file
 from .protocol import run_experiment, usable_cpus, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
-from .tensor import load_tensors
-
-ATTACK_SIGMAS = (0.0, 0.5, 1.0, 2.0)
-ATTACK_SEEDS = 20
+from .tensor import load_tensors  # noqa: F401
 
 
 def worker_count(threads: int | None = None) -> int:
@@ -165,122 +151,15 @@ def _save_sweep_csv(out_dir, result: SweepResult) -> str:
     return csv_path
 
 
-def _locate_last_weight(tensors: list[np.ndarray], shapes: list,
-                        model_path: str) -> np.ndarray:
-    """The last layer's weight stack from a saved model file, which must
-    hold one (rows, cols, K) stack per block of the parameter layout of
-    the manifest's ``layer_shapes``, all sharing one K."""
-    found = [t.shape for t in tensors]
-    if ([s[:2] for s in found] != param_blocks(shapes)
-            or len({s[2] for s in found}) != 1):
-        raise ParseError(
-            f"{model_path}: stacks {found} do not match the manifest's "
-            f"layer_shapes {shapes}"
-        )
-    # The last layer's blocks start with its weight.
-    return tensors[len(param_blocks(shapes[:-1]))]
-
-
-def _is_layer_shapes(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(s, list) and len(s) == 3 and type(s[0]) is int
-        and type(s[1]) is int and isinstance(s[2], bool)
-        for s in value
-    )
-
-
-def _attack_report(last_w: np.ndarray, seed: int) -> dict:
-    """Closed-form inversion demo on a bias-on softmax head.
-
-    A probe input runs through a head whose weights are the mean of the
-    client stack; the single-sample gradient is inverted exactly, then
-    under per-entry Gaussian noise at multiples of the gradient's own RMS.
-    """
-    features, classes, _ = last_w.shape
-    head = logistic_model(features, classes, bias=True,
-                          rng=rng_stream(seed, purpose="attack"))
-    head.layers[0].weight[:] = last_w.mean(axis=2)
-    probe_rng = rng_stream(seed, round_no=1, purpose="attack")
-    x_true = probe_rng.standard_normal(features)
-    y = np.array([int(probe_rng.integers(classes))])
-    grad = unflatten_params(head, gradient(head, x_true[None, :], y))
-    grad_w, grad_b = grad.layers[0].weight, grad.layers[0].bias
-
-    def cosine(a, b):
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        return float(a @ b / denom) if denom > 0 else 0.0
-
-    x_hat = invert_linear_gradient(grad_w, grad_b)
-    noiseless_cosine = cosine(x_hat, x_true)
-    scale = float(np.sqrt(np.mean(grad_w**2)))
-    per_sigma = []
-    for sigma in ATTACK_SIGMAS:
-        errors = []
-        for trial in range(ATTACK_SEEDS):
-            rng = rng_stream(seed, round_no=2, client=trial, purpose="attack")
-            gw = grad_w + rng.standard_normal(grad_w.shape) * sigma * scale
-            gb = grad_b + rng.standard_normal(grad_b.shape) * sigma * scale
-            try:
-                recovered = invert_linear_gradient(gw, gb)
-                errors.append(1.0 - cosine(recovered, x_true))
-            except DegenerateGradient:
-                errors.append(1.0)
-        per_sigma.append({
-            "sigma": sigma,
-            "median_error": float(np.median(errors)),
-        })
-    medians = [entry["median_error"] for entry in per_sigma]
-    return {
-        "noiseless_cosine": noiseless_cosine,
-        "per_sigma": per_sigma,
-        "monotone_nondecreasing": bool(
-            all(a <= b + 1e-12 for a, b in zip(medians, medians[1:]))
-        ),
-        "trials_per_sigma": ATTACK_SEEDS,
-    }
-
-
 def _cmd_analyze(args) -> int:
-    run_dir = args.run
-    out_dir = args.out or run_dir
-    model_path = os.path.join(run_dir, "final_model.t3r")
-    manifest_path = os.path.join(run_dir, "run_manifest.json")
-    tensors = load_tensors(model_path)
-    if not tensors:
-        raise ParseError(f"{model_path}: holds no tensors")
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{manifest_path}: {exc}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ParseError(f"{manifest_path}: not a run manifest")
-    seed = manifest["config"].get("seed")
-    shapes = manifest.get("layer_shapes")
-    if not (type(seed) is int and seed >= 0 and _is_layer_shapes(shapes)):
-        raise ParseError(f"{manifest_path}: bad config.seed or layer_shapes")
-
-    last_w = _locate_last_weight(tensors, shapes, model_path)
-    k = last_w.shape[2]
-    heat = smoothness_map([last_w[:, :, s].T for s in range(k)])
-    curves = [spectral_curves(t).curves for t in tensors]
-    report = _attack_report(last_w, seed)
-    # All computed first, so that a failure above leaves --out as it was.
-    outputs = {
-        "heatmap.csv": [f"class,{','.join(f'client{s}' for s in range(k))}\n", *(
-            f"{j},{','.join(repr(float(v)) for v in row)}\n"
-            for j, row in enumerate(heat.matrix))],
-        "spectra.csv": ["tensor,slice,index,value\n", *(
-            f"{ti},{si},{vi},{float(value)!r}\n"
-            for ti, c in enumerate(curves) for (si, vi), value in np.ndenumerate(c))],
-        "attack_report.json": [json.dumps(report, indent=2, sort_keys=True), "\n"],
-    }
+    out_dir = args.out or args.run
+    # Every output is computed first, so that a failure leaves --out as it was.
+    outputs, total, cosine = analyze_run(args.run)
     os.makedirs(out_dir, exist_ok=True)
     for name, chunks in outputs.items():
         write_file(os.path.join(out_dir, name), chunks)
-
-    print(f"smoothness total: {heat.total:.6f}")
-    print(f"attack noiseless cosine: {report['noiseless_cosine']:.6f}")
+    print(f"smoothness total: {total:.6f}")
+    print(f"attack noiseless cosine: {cosine:.6f}")
     print(f"wrote {', '.join(outputs)} to {out_dir}")
     return 0
 

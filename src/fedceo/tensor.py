@@ -35,35 +35,6 @@ def as_tensor3(t) -> np.ndarray:
     return arr
 
 
-def frobenius(t) -> float:
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
-# ---------------------------------------------------------------------------
-# Singular-value shrinkage
-
-
-def truncated_svd_matrix(m, tau: float) -> np.ndarray:
-    """Soft-threshold the singular values of ``m`` by ``tau``.
-
-    Returns u @ diag(max(sigma - tau, 0)) @ v^H.  This is the proximal map
-    of the matrix nuclear norm scaled by tau.
-    """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    arr = np.asarray(m)
-    if arr.ndim != 2:
-        raise DimMismatch(f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("matrix contains NaN or infinity")
-    try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD failed to converge on shape {arr.shape}") from exc
-    return (u * np.maximum(s - tau, 0.0)) @ vh
-
-
 # ---------------------------------------------------------------------------
 # Tensor shrinkage and the tensor nuclear norm
 

@@ -17,6 +17,8 @@ agree with:
   in one batched SVD, which ``fedceo.tensor`` replaced with one SVD per
   slice on a thread pool; the rewrite must match it bit for bit.
 * ``prox_objective``: the objective whose minimizer ``truncated_tsvd`` is.
+* ``truncated_svd_matrix``: the matrix nuclear-norm prox, which a tensor
+  of identical slices reduces to; ``frobenius``: the norm of any array.
 """
 
 from __future__ import annotations
@@ -25,8 +27,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedceo.errors import DimMismatch, NonFinite
-from fedceo.tensor import as_tensor3, frobenius
+from fedceo.errors import DimMismatch, NoConvergence, NonFinite
+from fedceo.tensor import as_tensor3
+
+
+def frobenius(t) -> float:
+    """Frobenius norm of an array of any shape."""
+    return float(np.linalg.norm(np.asarray(t).ravel()))
+
+
+def truncated_svd_matrix(m, tau: float) -> np.ndarray:
+    """Soft-threshold the singular values of ``m`` by ``tau``.
+
+    Returns u @ diag(max(sigma - tau, 0)) @ v^H.  This is the proximal map
+    of the matrix nuclear norm scaled by tau.
+    """
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise DimMismatch(f"expected a matrix, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite("matrix contains NaN or infinity")
+    try:
+        u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD failed to converge on shape {arr.shape}") from exc
+    return (u * np.maximum(s - tau, 0.0)) @ vh
+
 
 class SymmetryViolation(ValueError):
     """A spectrum expected to be conjugate-symmetric is not, so the

@@ -240,6 +240,20 @@ def test_any_damaged_artifact_keeps_the_exit_code_contract(tiny_run, hit):
     check_contract(code, err, ARTIFACTS)
 
 
+def test_deeply_nested_manifest_is_a_config_error(tiny_run):
+    # Bit flips and truncation cannot nest JSON this deep; json.load gives
+    # up on it with RecursionError rather than ValueError.
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "final_model.t3r"), "wb") as fh:
+            fh.write(tiny_run["final_model.t3r"])
+        with open(os.path.join(tmp, "run_manifest.json"), "w", encoding="ascii") as fh:
+            fh.write("[" * 100000 + "]" * 100000)
+        code, err = run_cli(["analyze", "--run", tmp])
+        assert sorted(os.listdir(tmp)) == sorted(ARTIFACTS)
+    assert code == 2 and err.startswith("config error:"), err
+    assert "run_manifest.json" in err, err
+
+
 def check_finite_outputs(run_dir):
     """Every value cell of a successful analyze is a finite float."""
     for name in ("heatmap.csv", "spectra.csv"):

@@ -168,7 +168,7 @@ def test_a_second_run_that_fails_to_save_its_model_leaves_no_manifest(
 
 
 def test_analyze_that_fails_writes_nothing(tmp_path, monkeypatch):
-    import fedceo.cli as cli_mod
+    import fedceo.analysis as analysis_mod
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(seed=0))
@@ -179,7 +179,7 @@ def test_analyze_that_fails_writes_nothing(tmp_path, monkeypatch):
     def degenerate(last_w, seed):
         raise DegenerateGradient("all bias-gradient entries are below 1e-09")
 
-    monkeypatch.setattr(cli_mod, "_attack_report", degenerate)
+    monkeypatch.setattr(analysis_mod, "_attack_report", degenerate)
     for out in ([], ["--out", str(diag)]):
         code, err = quiet(["analyze", "--run", str(run_dir), *out])
         assert code == 3 and err.startswith("numeric failure:"), err

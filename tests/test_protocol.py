@@ -35,7 +35,8 @@ from fedceo.protocol import (
     usable_cpus,
     write_run_outputs,
 )
-from fedceo.tensor import load_tensors, tnn, truncated_svd_matrix
+from fedceo.tensor import load_tensors, tnn
+from tensor_oracle import truncated_svd_matrix
 
 TINY = RunConfig(
     n_total=6, k_selected=3, rounds=4, local_epochs=1, batch=16, lr=0.1,
