@@ -53,8 +53,10 @@ def worker_count(threads: int | None = None) -> int:
 
 def _check_out_dir(path) -> None:
     """Fail at once, creating nothing, if ``path`` cannot become an output
-    directory: an existing path must be a directory, and otherwise so must
-    its nearest existing ancestor."""
+    directory: it must not be empty, an existing path must be a directory,
+    and otherwise so must its nearest existing ancestor."""
+    if not path:
+        raise ValidationError("must not be empty", field="--out")
     probe = path
     while probe and not os.path.exists(probe):
         probe = os.path.dirname(probe)

@@ -139,14 +139,6 @@ _TRUE_WORDS = frozenset(("true", "yes", "on", "1"))
 _FALSE_WORDS = frozenset(("false", "no", "off", "0"))
 
 
-def _to_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _to_float(text: str) -> float:
-    return float(text)
-
-
 def _to_bool(text: str) -> bool:
     low = text.lower()
     if low in _TRUE_WORDS:
@@ -161,38 +153,38 @@ def _to_bool(text: str) -> bool:
 # skips None values, and writes a key with a (field, value) pair only when its
 # group's field holds that value.
 _SCHEMA = {
-    "n_total": ("run", "n_total", _to_int),
-    "k_selected": ("run", "k_selected", _to_int),
-    "rounds": ("run", "rounds", _to_int),
-    "local_epochs": ("run", "local_epochs", _to_int),
-    "batch": ("run", "batch", _to_int),
-    "lr": ("run", "lr", _to_float),
-    "lambda0": ("run", "lambda0", _to_float),
-    "ratio": ("run", "ratio", _to_float),
-    "interval": ("run", "interval", _to_int),
+    "n_total": ("run", "n_total", int),
+    "k_selected": ("run", "k_selected", int),
+    "rounds": ("run", "rounds", int),
+    "local_epochs": ("run", "local_epochs", int),
+    "batch": ("run", "batch", int),
+    "lr": ("run", "lr", float),
+    "lambda0": ("run", "lambda0", float),
+    "ratio": ("run", "ratio", float),
+    "interval": ("run", "interval", int),
     "algorithm": ("run", "algorithm", str),
-    "seed": ("run", "seed", _to_int),
-    "eval_every": ("run", "eval_every", _to_int),
-    "dp.clip_c": ("dp", "clip_c", _to_float),
-    "dp.sigma": ("dp", "sigma", _to_float),
-    "dp.delta": ("dp", "delta", _to_float),
-    "dp.c1": ("dp", "c1", _to_float),
-    "dp.c2": ("dp", "c2", _to_float),
+    "seed": ("run", "seed", int),
+    "eval_every": ("run", "eval_every", int),
+    "dp.clip_c": ("dp", "clip_c", float),
+    "dp.sigma": ("dp", "sigma", float),
+    "dp.delta": ("dp", "delta", float),
+    "dp.c1": ("dp", "c1", float),
+    "dp.c2": ("dp", "c2", float),
     "model.kind": ("model", "kind", str),
-    "model.hidden": ("model", "hidden", _to_int),
+    "model.hidden": ("model", "hidden", int),
     "model.bias": ("model", "bias", _to_bool),
     "data.source": ("data", "source", str),
     "data.path": ("data", "path", str, "source", "file"),
-    "data.classes": ("data", "classes", _to_int, "source", "blobs"),
-    "data.dim": ("data", "dim", _to_int, "source", "blobs"),
-    "data.samples": ("data", "samples", _to_int, "source", "blobs"),
-    "data.spread": ("data", "spread", _to_float, "source", "blobs"),
-    "data.test_fraction": ("data", "test_fraction", _to_float),
-    "data.seed": ("data", "seed", _to_int),
+    "data.classes": ("data", "classes", int, "source", "blobs"),
+    "data.dim": ("data", "dim", int, "source", "blobs"),
+    "data.samples": ("data", "samples", int, "source", "blobs"),
+    "data.spread": ("data", "spread", float, "source", "blobs"),
+    "data.test_fraction": ("data", "test_fraction", float),
+    "data.seed": ("data", "seed", int),
     "partition.mode": ("data", "partition_mode", str),
-    "partition.shards_per_client": ("data", "shards_per_client", _to_int,
+    "partition.shards_per_client": ("data", "shards_per_client", int,
                                     "partition_mode", "label_shard"),
-    "partition.alpha": ("data", "alpha", _to_float, "partition_mode", "dirichlet"),
+    "partition.alpha": ("data", "alpha", float, "partition_mode", "dirichlet"),
 }
 
 

@@ -15,9 +15,22 @@ from itertools import chain
 import numpy as np
 
 from .dp import rng_stream
-from .errors import EmptyDataset, ParseError, TooManyClients, ValidationError, naming_file, write_file
+from .errors import ParseError, ShapeMismatch, ValidationError, naming_file, write_file
 
 PARTITION_MODES = ("iid", "label_shard", "dirichlet")
+
+
+def check_samples(features: np.ndarray, labels: np.ndarray, num_classes: int) -> None:
+    """Raise :class:`ShapeMismatch` unless ``features`` (n, d) and ``labels``
+    (n,) are n >= 1 samples whose labels lie in [0, num_classes)."""
+    if features.ndim != 2:
+        raise ShapeMismatch(f"features must be 2-d, got {features.shape}")
+    if labels.shape != features.shape[:1]:
+        raise ShapeMismatch(f"labels {labels.shape} must be 1-d, one per feature row")
+    if labels.size == 0:
+        raise ShapeMismatch("no samples")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ShapeMismatch("label outside [0, num_classes)")
 
 
 @dataclass(frozen=True)
@@ -29,16 +42,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be one per feature row")
-        if self.features.shape[0] == 0:
-            raise EmptyDataset("dataset has no samples")
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError("label outside [0, num_classes)")
+        check_samples(self.features, self.labels, self.num_classes)
 
     @property
     def n(self) -> int:
@@ -81,8 +85,8 @@ def split_train_test(data: Dataset, test_fraction: float, seed: int):
         test_idx.append(rng.permutation(members)[:take])
     test_idx = np.sort(np.concatenate(test_idx))
     if test_idx.size == 0:
-        raise EmptyDataset("data.samples: no class has two samples, so the test split "
-                           "would be empty")
+        raise ValidationError("no class has two samples, so the test split would be empty",
+                              field="data.samples")
     mask = np.zeros(data.n, dtype=bool)
     mask[test_idx] = True
     return data.subset(np.flatnonzero(~mask)), data.subset(test_idx)
@@ -104,7 +108,8 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n_clients > n:
-        raise TooManyClients(f"n_total: {n_clients} clients but only {n} samples to split")
+        raise ValidationError(f"{n_clients} clients but only {n} samples to split",
+                              field="n_total")
     if mode not in PARTITION_MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
     rng = rng_stream(seed, purpose="partition")
@@ -176,7 +181,7 @@ def load_dataset(path) -> Dataset:
         except ValueError:
             raise ParseError("header fields must be integers", line=1) from None
         if count < 1:
-            raise EmptyDataset("dataset file declares zero samples")
+            raise ParseError("dataset file declares zero samples", line=1)
         if dim < 1:
             raise ParseError(f"header dim must be >= 1, got {dim}", line=1)
         if not 2 <= num_classes <= count:

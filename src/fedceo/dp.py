@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDelta, NonFinite, ValidationError
+from .errors import NonFinite, ValidationError
 
 # Stable codes for the stream purposes; values are part of the on-disk
 # reproducibility contract, so append only, never renumber.
@@ -68,7 +68,7 @@ class DpConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"must be positive, got {value}", field=f"dp.{name}")
         if not 0.0 < self.delta < 1.0:
-            raise InvalidDelta(f"must lie in (0, 1), got {self.delta}", field="dp.delta")
+            raise ValidationError(f"must lie in (0, 1), got {self.delta}", field="dp.delta")
 
 
 def clip_update(deltas: np.ndarray, clip_c: float) -> None:

@@ -1,12 +1,15 @@
 """Exception types shared across the package, and the exit code each maps to.
 
-Every package error derives from :class:`FedceoError`.  The command line
-exits 2 on :data:`INPUT_ERRORS` (an :class:`InputError`: a bad config value,
-file or dataset, or an ``OSError`` on a path) and 3 on
-:data:`NUMERIC_FAILURES` (a :class:`NumericFailure` such as NaN or no
-convergence, or an arithmetic error from NumPy or Python).
-:class:`NotSmoothingRound` is the one programming error.  Every file the
-package writes goes through :func:`write_file`.
+Every package error is an :class:`InputError` or a :class:`NumericFailure`,
+and each class names where the fault is.  An input fault is a file line
+(:class:`ParseError`), a config value (:class:`ValidationError`) or an
+array passed to the library (:class:`ShapeMismatch`); a numeric fault is
+:class:`NonFinite`, :class:`NoConvergence` or :class:`DegenerateGradient`.
+The command line exits 2 on :data:`INPUT_ERRORS` (an InputError, an
+``OSError`` on a path, or a ``MemoryError`` from a value too large to
+allocate) and 3 on :data:`NUMERIC_FAILURES` (a NumericFailure, or an
+arithmetic error from NumPy or Python).  Every file the package writes
+goes through :func:`write_file`.
 """
 
 import errno
@@ -29,8 +32,29 @@ class NumericFailure(FedceoError):
     """Valid input led to a result that is not a finite number."""
 
 
-class DimMismatch(InputError, ValueError):
-    """Operand shapes are incompatible for the requested operation."""
+class ParseError(InputError, ValueError):
+    """A config, data or artifact file is malformed."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ValidationError(InputError, ValueError):
+    """A config value is syntactically fine but semantically invalid."""
+
+    def __init__(self, message, field=None):
+        if field is not None:
+            message = f"{field}: {message}"
+        super().__init__(message)
+        self.field = field
+
+
+class ShapeMismatch(InputError, ValueError):
+    """An array passed to the library does not have the shape, size or
+    label range the call needs."""
 
 
 class NonFinite(NumericFailure, ValueError):
@@ -41,52 +65,22 @@ class NoConvergence(NumericFailure, ArithmeticError):
     """An iterative factorization failed to converge."""
 
 
-class EmptyDataset(InputError, ValueError):
-    """A dataset with zero samples was supplied where samples are required."""
-
-
-class TooManyClients(InputError, ValueError):
-    """More client partitions were requested than there are samples."""
-
-
-class ArchMismatch(InputError, ValueError):
-    """Layer stacks do not match the model architecture they belong to."""
-
-
-class ShapeMismatch(InputError, ValueError):
-    """A parameter vector or tensor does not match the model's shape."""
-
-
 class DegenerateGradient(NumericFailure, ValueError):
     """A gradient is too small to invert for input reconstruction."""
 
 
-class NotSmoothingRound(FedceoError, ValueError):
-    """The smoothing schedule was evaluated at a round it does not fire on."""
-
-
-class ParseError(InputError, ValueError):
-    """A config or data file is syntactically malformed."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 @contextmanager
 def naming_file(path):
-    """Prefix ``path`` to the message of a :class:`ParseError` or
-    :class:`EmptyDataset` raised in the block, and turn a byte that does
-    not decode into a ParseError; a ParseError keeps its ``line``."""
+    """Prefix ``path`` to the message of a :class:`ParseError` raised in
+    the block, and turn a byte that does not decode into a ParseError; a
+    ParseError keeps its ``line``."""
     try:
         try:
             yield
         except UnicodeDecodeError as exc:
             raise ParseError(f"byte {exc.object[exc.start]:#04x} is not valid "
                              f"{exc.encoding}") from None
-    except (ParseError, EmptyDataset) as exc:
+    except ParseError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -111,20 +105,6 @@ def write_file(path, chunks) -> None:
         raise
 
 
-class ValidationError(InputError, ValueError):
-    """A config value is syntactically fine but semantically invalid."""
-
-    def __init__(self, message, field=None):
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)
-        self.field = field
-
-
-class InvalidDelta(ValidationError):
-    """A privacy parameter delta lies outside (0, 1)."""
-
-
-INPUT_ERRORS = (InputError, OSError)  # exit 2
+INPUT_ERRORS = (InputError, OSError, MemoryError)  # exit 2
 NUMERIC_FAILURES = (NumericFailure, np.linalg.LinAlgError, FloatingPointError,
                     OverflowError, ZeroDivisionError)  # exit 3

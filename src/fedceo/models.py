@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyDataset, ShapeMismatch
+from .data import check_samples
+from .errors import ShapeMismatch
 
 
 def param_blocks(shapes) -> list[tuple[int, int]]:
@@ -128,21 +129,13 @@ def unflatten_params(template: Model, vec: np.ndarray) -> Model:
 
 
 def _check_samples(model: Model, x: np.ndarray, y: np.ndarray) -> None:
-    """Raise unless x (n, d) and y (n,) are n >= 1 samples the model takes."""
-    if x.ndim != 2:
-        raise DimMismatch(f"features must be 2-d, got {x.shape}")
-    if y.ndim != 1:
-        raise DimMismatch(f"labels must be 1-d, got {y.shape}")
-    if x.shape[0] == 0:
-        raise EmptyDataset("no samples to evaluate or train on")
-    if x.shape[0] != y.shape[0]:
-        raise DimMismatch(f"{x.shape[0]} feature rows vs {y.shape[0]} labels")
+    """Raise :class:`ShapeMismatch` unless x (n, d) and y (n,) are samples
+    (:func:`fedceo.data.check_samples`) the model takes."""
+    check_samples(x, y, model.num_classes)
     if x.shape[1] != model.input_dim:
         raise ShapeMismatch(
             f"feature dim {x.shape[1]} does not match model input {model.input_dim}"
         )
-    if y.min() < 0 or y.max() >= model.num_classes:
-        raise ShapeMismatch("label outside [0, num_classes)")
 
 
 def _forward(model: Model, x: np.ndarray):
@@ -250,16 +243,16 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
         _check_samples(model, x, y)
 
     sizes = [y.shape[0] for y in labels]
+    batch_size = min(batch_size, max(sizes))  # a wider minibatch would hold only padding
     offsets = np.cumsum([0] + sizes[:-1])
     pad = sum(sizes)  # the all-zero row, labelled 0, appended to the pooled samples
     x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
     onehot_all = np.eye(model.num_classes)[np.concatenate(labels + [[0]])]
     steps = -(-max(sizes) // batch_size)
-    rows = min(batch_size, max(sizes))
     order = np.full((k, steps * batch_size), pad)
     # batches[t, c] is client c's t-th minibatch, its samples first
-    batches = order.reshape(k, steps, batch_size)[:, :, :rows].swapaxes(0, 1)
-    slots = np.arange(steps * batch_size).reshape(steps, 1, batch_size)[..., :rows]
+    batches = order.reshape(k, steps, batch_size).swapaxes(0, 1)
+    slots = np.arange(steps * batch_size).reshape(steps, 1, batch_size)
     real = slots < np.array(sizes)[:, None]  # the cells of batches that hold samples
     counts = real.sum(axis=2, keepdims=True)
     # a sample's gradient is divided by its minibatch's size, padding's by infinity

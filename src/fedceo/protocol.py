@@ -37,7 +37,7 @@ from . import __version__
 from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import ArchMismatch, NonFinite, NotSmoothingRound, ShapeMismatch, write_file
+from .errors import NonFinite, ShapeMismatch, write_file
 from .models import (
     Model,
     block_views,
@@ -62,14 +62,10 @@ def select_clients(n_total: int, k_selected: int, round_no: int, seed: int) -> n
     return np.sort(rng.choice(n_total, size=k_selected, replace=False)).astype(np.int64)
 
 
-def smoothing_threshold(lambda0: float, ratio: float, round_no: int, interval: int) -> float:
-    """(1 / (2 * lambda0)) * ratio**(round_no / interval), defined only on
-    rounds the smoothing schedule fires on."""
-    if round_no < 1 or round_no % interval != 0:
-        raise NotSmoothingRound(
-            f"round {round_no} is not a multiple of interval {interval}"
-        )
-    return (1.0 / (2.0 * lambda0)) * ratio ** (round_no // interval)
+def smoothing_threshold(lambda0: float, ratio: float, passes: int) -> float:
+    """(1 / (2 * lambda0)) * ratio**passes, the threshold of the smoothing
+    schedule's ``passes``-th pass (round ``passes * interval``)."""
+    return (1.0 / (2.0 * lambda0)) * ratio ** passes
 
 
 def stack_clients(uploads: np.ndarray, template: Model) -> list[np.ndarray]:
@@ -90,11 +86,11 @@ def unstack_clients(tensors: list[np.ndarray], template: Model) -> np.ndarray:
     """Inverse of :func:`stack_clients`: the (K, P) array of flat uploads."""
     shapes = param_blocks(template.shapes)
     if len(tensors) != len(shapes):
-        raise ArchMismatch(f"expected {len(shapes)} tensors, got {len(tensors)}")
+        raise ShapeMismatch(f"expected {len(shapes)} tensors, got {len(tensors)}")
     k = tensors[0].shape[2]
     for i, (t, shape) in enumerate(zip(tensors, shapes)):
         if t.shape != shape + (k,):
-            raise ArchMismatch(
+            raise ShapeMismatch(
                 f"tensor {i} shape {t.shape} does not match layer {shape} x {k}"
             )
     return np.concatenate([np.moveaxis(t, 2, 0).reshape(k, -1) for t in tensors], axis=1)
@@ -228,9 +224,7 @@ def run_experiment(cfg: RunConfig, *, threads: int | None = None) -> ExperimentR
 
         tnn_total = math.nan
         if cfg.algorithm == "fedceo" and round_no % cfg.interval == 0:
-            threshold = smoothing_threshold(
-                cfg.lambda0, cfg.ratio, round_no, cfg.interval
-            )
+            threshold = smoothing_threshold(cfg.lambda0, cfg.ratio, round_no // cfg.interval)
             uploads, tnn_total = server_smooth(uploads, template, threshold,
                                                 threads=threads)
             personalized = dict(zip(clients, uploads))

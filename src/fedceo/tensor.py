@@ -22,14 +22,14 @@ import struct
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NonFinite, ParseError, naming_file, write_file
+from .errors import NoConvergence, NonFinite, ParseError, ShapeMismatch, naming_file, write_file
 
 
 def as_tensor3(t) -> np.ndarray:
     """Validate and return ``t`` as a float64 array of shape (n1, n2, n3)."""
     arr = np.asarray(t, dtype=np.float64)
     if arr.ndim != 3:
-        raise DimMismatch(f"expected a 3-way tensor, got ndim={arr.ndim}")
+        raise ShapeMismatch(f"expected a 3-way tensor, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite("tensor contains NaN or infinity")
     return arr

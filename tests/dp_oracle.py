@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from fedceo.dp import DpConfig
-from fedceo.errors import DimMismatch, NonFinite
+from fedceo.errors import NonFinite, ShapeMismatch
 
 
 def clip_update(delta: np.ndarray, clip_c: float) -> np.ndarray:
@@ -36,7 +36,7 @@ def gaussianize(start: np.ndarray, clipped: np.ndarray, eta: float, dp: DpConfig
     """Noisy upload: start + eta * (clipped + z), z ~ N(0, sigma^2 c^2 / K)."""
     a, b = np.asarray(start, dtype=np.float64), np.asarray(clipped, dtype=np.float64)
     if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+        raise ShapeMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     scale = dp.sigma * dp.clip_c / math.sqrt(k_selected)
     noise = rng.standard_normal(a.shape) * scale
     return a + eta * (b + noise)

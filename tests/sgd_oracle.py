@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fedceo.errors import EmptyDataset
+from fedceo.errors import ShapeMismatch
 from fedceo.models import Model, _check_samples, unflatten_params
 
 
@@ -90,7 +90,7 @@ def local_train(model: Model, features: np.ndarray, labels: np.ndarray,
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = np.asarray(features).shape[0]
     if n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
+        raise ShapeMismatch("cannot train on an empty dataset")
     out = unflatten_params(model, model.params)
     for _ in range(epochs):
         order = rng.permutation(n)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedceo.errors import DimMismatch, NoConvergence, NonFinite
+from fedceo.errors import NoConvergence, NonFinite, ShapeMismatch
 from fedceo.tensor import as_tensor3
 
 
@@ -46,7 +46,7 @@ def truncated_svd_matrix(m, tau: float) -> np.ndarray:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = np.asarray(m)
     if arr.ndim != 2:
-        raise DimMismatch(f"expected a matrix, got ndim={arr.ndim}")
+        raise ShapeMismatch(f"expected a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite("matrix contains NaN or infinity")
     try:
@@ -84,7 +84,7 @@ def idft_mode3(spectrum) -> np.ndarray:
     """
     arr = np.asarray(spectrum, dtype=np.complex128)
     if arr.ndim != 3:
-        raise DimMismatch(f"expected a 3-way spectrum, got ndim={arr.ndim}")
+        raise ShapeMismatch(f"expected a 3-way spectrum, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite("spectrum contains NaN or infinity")
     out = np.fft.ifft(arr, axis=2)
@@ -113,7 +113,7 @@ def fold(mat, shape) -> np.ndarray:
     n1, n2, n3 = shape
     arr = np.asarray(mat, dtype=np.float64)
     if arr.shape != (n1 * n3, n2):
-        raise DimMismatch(f"cannot fold shape {arr.shape} into {tuple(shape)}")
+        raise ShapeMismatch(f"cannot fold shape {arr.shape} into {tuple(shape)}")
     return np.ascontiguousarray(np.moveaxis(arr.reshape(n3, n1, n2), 0, 2))
 
 
@@ -136,7 +136,7 @@ def t_product(a, b) -> np.ndarray:
     """
     ta, tb = as_tensor3(a), as_tensor3(b)
     if ta.shape[1] != tb.shape[0] or ta.shape[2] != tb.shape[2]:
-        raise DimMismatch(f"cannot t-multiply shapes {ta.shape} and {tb.shape}")
+        raise ShapeMismatch(f"cannot t-multiply shapes {ta.shape} and {tb.shape}")
     fa = np.moveaxis(np.fft.fft(ta, axis=2), 2, 0)
     fb = np.moveaxis(np.fft.fft(tb, axis=2), 2, 0)
     prod = np.moveaxis(fa @ fb, 0, 2)
@@ -266,6 +266,6 @@ def prox_objective(w, target, coeff: float) -> float:
         raise ValueError(f"coeff must be positive, got {coeff}")
     aw, at = as_tensor3(w), as_tensor3(target)
     if aw.shape != at.shape:
-        raise DimMismatch(f"shape mismatch {aw.shape} vs {at.shape}")
+        raise ShapeMismatch(f"shape mismatch {aw.shape} vs {at.shape}")
     diff = (aw - at).ravel()
     return coeff * float(diff @ diff) + tnn(aw)

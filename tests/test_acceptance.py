@@ -519,7 +519,7 @@ def test_criterion_11_smoothing_reduces_roughness():
     base = dataclasses.replace(
         DESK, rounds=5, local_epochs=3, eval_every=5, algorithm="ldp_fedavg",
         dp=DpConfig(clip_c=1.0, sigma=2.0, delta=1e-2))
-    tau = smoothing_threshold(0.5, 1.05, round_no=5, interval=5)
+    tau = smoothing_threshold(0.5, 1.05, passes=1)  # round 5 at interval 5
     drops = []
     for s in SEEDS:
         stack = run_experiment(dataclasses.replace(base, seed=s)).final_stack[0]

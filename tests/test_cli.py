@@ -2,18 +2,21 @@
 
 import itertools
 import json
+import os
 import struct
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedceo import __version__, tensor
 from fedceo.cli import main
+from fedceo.config import parse_config
 from fedceo.errors import NoConvergence
-from fedceo.protocol import usable_cpus
+from fedceo.protocol import build_dataset, usable_cpus
 from fedceo.sweep import SWEEPABLE
 from fedceo.tensor import load_tensors, save_tensors
 
@@ -231,16 +234,67 @@ def test_run_missing_data_file_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_every_package_error_but_the_programming_errors_has_one_exit_code():
+def test_every_package_error_has_one_exit_code():
     from fedceo import errors
 
-    programming = {errors.FedceoError, errors.NotSmoothingRound}
+    bases = {errors.FedceoError, errors.InputError, errors.NumericFailure}
     for cls in vars(errors).values():
-        if isinstance(cls, type) and issubclass(cls, errors.FedceoError):
+        if isinstance(cls, type) and issubclass(cls, errors.FedceoError) and cls not in bases:
             codes = [code for code, group in ((2, errors.InputError),
                                               (3, errors.NumericFailure))
                      if issubclass(cls, group)]
-            assert len(codes) == (0 if cls in programming else 1), (cls, codes)
+            assert len(codes) == 1, (cls, codes)
+
+
+# An address-space cap makes an oversized allocation fail at once, in the
+# child alone; one BLAS thread keeps its start-up well inside the cap.
+CAPPED_MAIN = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fedceo.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(argv):
+    """``main(argv)`` in a child process whose address space is capped at
+    2 GiB: (exit code, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+# Each request lies between 2^57 bytes, more than any address space, and
+# 2^63 bytes, where NumPy raises ValueError instead.
+@pytest.mark.parametrize("line,big", [
+    ("data.samples = 120", "data.samples = 99999999999999999"),  # 8e17 bytes of labels
+    ("lr = 0.1", "lr = 0.1\nmodel.kind = mlp\nmodel.hidden = 10000000000000000"),  # 6.4e17
+], ids=["data.samples", "model.hidden"])
+def test_allocation_failure_exits_2(tmp_path, line, big):
+    cfg = write_config(tmp_path, TINY_CONFIG.replace(line, big))
+    code, err = run_capped(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                            "--threads", "1"])
+    assert code == 2, err
+    assert err.startswith("config error:") and "Traceback" not in err, err
+
+
+def test_batch_beyond_every_client_writes_the_largest_clients_bytes(tmp_path):
+    # A minibatch holds at most one whole client, so a batch of 10**17
+    # trains as a batch of the largest client does, in as little memory.
+    text = TINY_CONFIG + "partition.mode = dirichlet\n"
+    parts = build_dataset(parse_config(write_config(tmp_path, text)))[2]
+    largest = max(p.n for p in parts)
+    outputs = []
+    for batch in (largest, 10**17):
+        cfg = write_config(tmp_path, text.replace("batch = 16", f"batch = {batch}"))
+        out = tmp_path / f"batch-{batch}"
+        code, err = run_capped(["run", "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert code == 0, err
+        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "final_model.t3r")])
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +396,8 @@ def _path_cases(tmp_path):
         "run-sub": ["run", "--config", cfg, "--out", str(blocker / "sub")],
         "analyze": ["analyze", "--run", str(run_dir), "--out", str(blocker)],
         "sweep": sweep + [str(blocker)],
+        "run-empty": ["run", "--config", cfg, "--out", ""],
+        "sweep-empty": sweep + [""],
         "gen-data": ["gen-data", "--out", str(blocker / "x.ds")],
     }
 
@@ -356,8 +412,11 @@ def test_out_path_through_a_file_exits_2(tmp_path, capsys, case):
     assert str(tmp_path / "file") in err
 
 
-@pytest.mark.parametrize("case", ["run", "run-sub", "sweep"])
-def test_out_path_is_checked_before_training(tmp_path, capsys, monkeypatch, case):
+@pytest.mark.parametrize("case,needle", [
+    ("run", "not a directory"), ("run-sub", "not a directory"), ("sweep", "not a directory"),
+    ("run-empty", "--out: must not be empty"), ("sweep-empty", "--out: must not be empty"),
+])
+def test_out_path_is_checked_before_training(tmp_path, capsys, monkeypatch, case, needle):
     import fedceo.cli as cli_mod
     import fedceo.sweep as sweep_mod
 
@@ -369,7 +428,7 @@ def test_out_path_is_checked_before_training(tmp_path, capsys, monkeypatch, case
     monkeypatch.setattr(sweep_mod, "run_experiment", no_training)
     capsys.readouterr()
     assert main(argv) == 2
-    assert "not a directory" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,field", [("--values", "-1", "dp.sigma"),

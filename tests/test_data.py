@@ -14,7 +14,7 @@ from fedceo.data import (
     split_train_test,
     synth_blobs,
 )
-from fedceo.errors import EmptyDataset, ParseError, TooManyClients, ValidationError
+from fedceo.errors import ParseError, ShapeMismatch, ValidationError
 
 
 def assert_exact_cover(parts, n):
@@ -59,6 +59,22 @@ class TestSynthBlobs:
         assert err.value.field == "data.spread"
 
 
+class TestDataset:
+    @pytest.mark.parametrize("features,labels,num_classes", [
+        (np.zeros(4), np.zeros(4), 2),             # features not 2-d
+        (np.zeros((4, 2)), np.zeros((4, 1)), 2),   # labels not 1-d
+        (np.zeros((4, 2)), np.zeros(3), 2),        # not one label per row
+        (np.zeros((0, 2)), np.zeros(0), 2),        # no samples
+        (np.zeros((4, 2)), np.array([0, 1, 2, 0]), 2),  # label past the classes
+        (np.zeros((4, 2)), np.array([0, -1, 1, 0]), 2),  # negative label
+        (np.zeros((4, 2)), np.zeros(4), 0),        # no class for any label
+    ], ids=["features-1d", "labels-2d", "labels-short", "empty", "label-high",
+            "label-negative", "no-classes"])
+    def test_bad_arrays_raise_shape_mismatch(self, features, labels, num_classes):
+        with pytest.raises(ShapeMismatch):
+            Dataset(features, labels, num_classes)
+
+
 class TestSplitTrainTest:
     def test_stratified_and_disjoint(self):
         data = synth_blobs(4, 5, 400, 1.0, seed=6)
@@ -71,6 +87,12 @@ class TestSplitTrainTest:
         test_rows = {tuple(r) for r in test.features}
         assert train_rows | test_rows == all_rows
         assert not train_rows & test_rows
+
+    def test_no_class_with_two_samples_names_data_samples(self):
+        with pytest.raises(ValidationError) as err:
+            split_train_test(Dataset(np.zeros((3, 2)), np.arange(3), 3), 0.5, seed=0)
+        assert str(err.value) == ("data.samples: no class has two samples, so the test "
+                                  "split would be empty")
 
 
 class TestPartition:
@@ -120,8 +142,9 @@ class TestPartition:
                 assert min(p.size for p in parts) >= 1
 
     def test_too_many_clients(self):
-        with pytest.raises(TooManyClients):
+        with pytest.raises(ValidationError) as err:
             partition_indices(np.zeros(5, dtype=int), 6, "iid", seed=0)
+        assert str(err.value) == "n_total: 6 clients but only 5 samples to split"
 
     def test_dataset_wrapper(self):
         data = synth_blobs(4, 5, 200, 1.0, seed=7)
@@ -198,6 +221,7 @@ class TestAsciiFormat:
     def test_zero_samples_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("2 2 0\n")
-        with pytest.raises(EmptyDataset) as exc:
+        with pytest.raises(ParseError) as exc:
             load_dataset(path)
-        assert str(exc.value) == f"{path}: dataset file declares zero samples"
+        assert str(exc.value) == f"{path}: line 1: dataset file declares zero samples"
+        assert exc.value.line == 1

@@ -9,7 +9,7 @@ import pytest
 import dp_oracle
 from fedceo.dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.config import RunConfig
-from fedceo.errors import InvalidDelta, NonFinite, ValidationError
+from fedceo.errors import NonFinite, ValidationError
 
 
 def noise_streams(seed, clients, round_no=0):
@@ -164,8 +164,9 @@ class TestPrivacyBudget:
 
     def test_invalid_delta(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(InvalidDelta):
+            with pytest.raises(ValidationError) as err:
                 DpConfig(delta=bad)
+            assert str(err.value) == f"dp.delta: must lie in (0, 1), got {bad}"
 
     @pytest.mark.parametrize("dp,rounds", [(DpConfig(sigma=1e-320), 10),
                                            (DpConfig(c1=1e308), 10**9)],
@@ -183,7 +184,7 @@ class TestPrivacyBudget:
             with pytest.raises(ValidationError) as err:
                 RunConfig(**kwargs)
             assert err.value.field == field
-        with pytest.raises(InvalidDelta) as err:
+        with pytest.raises(ValidationError) as err:
             DpConfig(delta=1.0)
         assert err.value.field == "dp.delta"
 

@@ -19,7 +19,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedceo.cli import main
-from fedceo.config import _SCHEMA, ALGORITHMS, _to_bool, _to_float, _to_int
+from fedceo.config import _SCHEMA, ALGORITHMS, _to_bool
 from fedceo.data import load_dataset
 from fedceo.sweep import SWEEPABLE
 
@@ -56,9 +56,9 @@ WORDS = {
 
 def value_strategy(key):
     convert = _SCHEMA[key][2]
-    if convert is _to_int:
+    if convert is int:
         return st.integers(-2, INT_BOUNDS.get(key, 64)).map(str)
-    if convert is _to_float:
+    if convert is float:
         return st.sampled_from(FLOATS)
     if convert is _to_bool:
         return st.sampled_from(("true", "false", "maybe"))

@@ -1,6 +1,7 @@
 """Model construction, loss, gradients, flattening, and local SGD."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 import sgd_oracle
 from fedceo.dp import rng_stream
 from fedceo.data import synth_blobs
-from fedceo.errors import DimMismatch, EmptyDataset, ShapeMismatch
+from fedceo.errors import ShapeMismatch
 from fedceo.models import (
     Model,
     evaluate,
@@ -94,15 +95,15 @@ class TestForwardLoss:
         rng = np.random.default_rng(2)
         model = logistic_model(6, 4, rng=rng_stream(0, purpose="init"))
         x, y = make_batch(rng)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ShapeMismatch):
             forward_loss(model, x[:0], y[:0])
         with pytest.raises(ShapeMismatch):
             forward_loss(model, x[:, :5], y)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             forward_loss(model, x, y[:-1])
         with pytest.raises(ShapeMismatch):
             forward_loss(model, x, np.full_like(y, 9))
-        with pytest.raises(DimMismatch):  # (n,) vs (n, 1) would compare as (n, n)
+        with pytest.raises(ShapeMismatch):  # (n,) vs (n, 1) would compare as (n, n)
             evaluate(model, x, y.reshape(-1, 1))
 
     @pytest.mark.parametrize("k", [2, 32])
@@ -235,7 +236,7 @@ class TestLocalTrain:
 
     def test_empty_dataset_rejected(self):
         model = logistic_model(5, 3, rng=rng_stream(13, purpose="init"))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ShapeMismatch):
             local_train(Model(model.shapes, model.params[None].copy()),
                         [np.zeros((0, 5))], [np.zeros(0, dtype=int)], 1, 8, 0.1,
                         [rng_stream(0, purpose="train")])
@@ -338,6 +339,21 @@ class TestLockStepMatchesOneByOne:
         got = lock_step(model, starts, *args)
         assert worst_rel(got, one_by_one(model, starts, *args)) <= 1e-12
         assert not np.any(np.all(got == starts, axis=1)), "a client did not train"
+
+    def test_batch_beyond_every_client_is_sized_by_the_largest(self):
+        # A batch of 10**6 trains as one of 12, the largest client, in a
+        # lock-step layout sized by that client rather than by the batch.
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((7, 12, 3))
+        starts = spread_starts(model, 3)
+        tracemalloc.start()
+        try:
+            huge = lock_step(model, starts, xs, ys, 2, 10**6, 0.2, [0, 1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        npt.assert_array_equal(huge, lock_step(model, starts, xs, ys, 2, 12, 0.2, [0, 1, 2]))
 
     def test_needs_a_client_axis_and_one_dataset_and_stream_per_row(self):
         model = ARCHS["logistic"](True)

@@ -20,7 +20,7 @@ from fedceo.config import (
     parse_config_text,
 )
 from fedceo.dp import DpConfig, rng_stream
-from fedceo.errors import ArchMismatch, NotSmoothingRound, ShapeMismatch, ValidationError
+from fedceo.errors import ShapeMismatch, ValidationError
 from fedceo.models import flatten_params, mlp_model
 from fedceo.protocol import (
     MetricsRow,
@@ -119,26 +119,19 @@ def test_select_clients_rejects_bad_k():
 
 
 def test_threshold_geometric_schedule_frozen_value():
-    # 1/(2*0.5) * 2**(30/10) = 8
-    assert smoothing_threshold(0.5, 2.0, round_no=30, interval=10) == 8.0
+    # 1/(2*0.5) * 2**3 = 8, the pass of round 30 at interval 10
+    assert smoothing_threshold(0.5, 2.0, passes=3) == 8.0
 
 
 def test_threshold_flat_when_ratio_is_one():
-    for r in (5, 10, 45):
-        assert smoothing_threshold(0.25, 1.0, round_no=r, interval=5) == 2.0
+    for passes in (1, 2, 9):
+        assert smoothing_threshold(0.25, 1.0, passes=passes) == 2.0
 
 
 def test_threshold_grows_geometrically():
-    taus = [smoothing_threshold(0.5, 1.1, round_no=r, interval=3)
-            for r in (3, 6, 9)]
+    taus = [smoothing_threshold(0.5, 1.1, passes=p) for p in (1, 2, 3)]
     assert taus[1] / taus[0] == pytest.approx(1.1, rel=1e-12)
     assert taus[2] / taus[1] == pytest.approx(1.1, rel=1e-12)
-
-
-def test_threshold_off_schedule_rounds_raise():
-    for bad in (0, 1, 4, 7):
-        with pytest.raises(NotSmoothingRound):
-            smoothing_threshold(0.5, 1.05, round_no=bad, interval=3)
 
 
 def test_threshold_parameter_validation():
@@ -202,7 +195,7 @@ def test_stack_rejects_mixed_architectures():
 def test_unstack_rejects_wrong_tensor_count():
     models = [random_mlp(seed=s) for s in range(2)]
     tensors = stack_clients(uploads_of(models), models[0])
-    with pytest.raises(ArchMismatch):
+    with pytest.raises(ShapeMismatch):
         unstack_clients(tensors[:-1], models[0])
 
 

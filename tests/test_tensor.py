@@ -20,7 +20,7 @@ import pytest
 
 import tensor_oracle as oracle
 from fedceo import tensor as tz
-from fedceo.errors import DimMismatch, NoConvergence, NonFinite, ParseError
+from fedceo.errors import NoConvergence, NonFinite, ParseError, ShapeMismatch
 
 
 def naive_dft_mode3(t):
@@ -140,7 +140,7 @@ class TestDftMode3:
             oracle.dft_mode3(bad)
 
     def test_wrong_rank_rejected(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             oracle.dft_mode3(np.ones((2, 2)))
 
 
@@ -184,9 +184,9 @@ class TestBcircAndTProduct:
         npt.assert_allclose(oracle.t_product(oracle.identity_tensor(5, 6), a), a, atol=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             oracle.t_product(np.ones((2, 3, 4)), np.ones((2, 3, 4)))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             oracle.t_product(np.ones((2, 3, 4)), np.ones((3, 2, 5)))
 
     def test_conj_transpose_involution_and_product_rule(self):
@@ -508,7 +508,7 @@ class TestProxObjective:
     def test_validation(self):
         with pytest.raises(ValueError):
             oracle.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), 0.0)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             oracle.prox_objective(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), 1.0)
 
 
