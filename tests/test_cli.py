@@ -413,8 +413,10 @@ def test_out_path_through_a_file_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case,needle", [
-    ("run", "not a directory"), ("run-sub", "not a directory"), ("sweep", "not a directory"),
-    ("run-empty", "--out: must not be empty"), ("sweep-empty", "--out: must not be empty"),
+    pytest.param(case, needle, id=case) for case, needle in [
+        ("run", "not a directory"), ("run-sub", "not a directory"), ("sweep", "not a directory"),
+        ("run-empty", "--out: must not be empty"), ("sweep-empty", "--out: must not be empty"),
+    ]
 ])
 def test_out_path_is_checked_before_training(tmp_path, capsys, monkeypatch, case, needle):
     import fedceo.cli as cli_mod
