@@ -15,7 +15,8 @@ including a path that cannot be read or written, 3 for a numeric failure.
 when it cannot become a directory.  --threads caps the threads that
 decompose the Fourier slices of each smoothing pass (default: the CPUs
 this process may use); it changes no output byte, and ``run`` records it
-in the manifest, which it writes last.  Sweep cells run one after another.
+in the manifest, which it writes last.  Sweep cells run one after another,
+and a file-backed sweep reads its data file once for all of them.
 ``analyze`` gets all three of its outputs from
 :func:`fedceo.analysis.analyze_run` before it writes any.  Every file is
 written by :func:`fedceo.errors.write_file`, which replaces it whole.

@@ -68,6 +68,10 @@ class DataSpec:
             raise ValidationError(
                 f"{self.samples} is not divisible by data.classes ({self.classes}), "
                 "so the label histogram cannot be exactly uniform", field="data.samples")
+        if self.source == "blobs" and self.samples * self.dim * 8 >= 2 ** 63:
+            raise ValidationError(  # more than NumPy can address
+                f"{self.samples} samples of dim {self.dim} take 2**63 bytes or more",
+                field="data.dim" if self.dim > self.samples else "data.samples")
         if not (self.spread >= 0 and math.isfinite(self.spread)):
             raise ValidationError("must be finite and >= 0", field="data.spread")
         if not 0.0 < self.test_fraction < 1.0:

@@ -37,7 +37,7 @@ from . import __version__
 from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
 from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
-from .errors import NonFinite, ShapeMismatch, write_file
+from .errors import NonFinite, ShapeMismatch, ValidationError, write_file
 from .models import (
     Model,
     block_views,
@@ -131,13 +131,21 @@ class ExperimentResult:
     budget: PrivacyBudget
 
 
-def build_dataset(cfg: RunConfig):
-    """(train, test, per-client datasets) for a run config."""
+def whole_dataset(cfg: RunConfig) -> Dataset:
+    """The run's dataset before the train/test split: blobs drawn from
+    ``cfg.data_seed``, or the file at ``cfg.data.path``."""
     if cfg.data.source == "blobs":
-        full = synth_blobs(cfg.data.classes, cfg.data.dim, cfg.data.samples,
+        return synth_blobs(cfg.data.classes, cfg.data.dim, cfg.data.samples,
                            cfg.data.spread, cfg.data_seed)
-    else:
-        full = load_dataset(cfg.data.path)
+    return load_dataset(cfg.data.path)
+
+
+def build_dataset(cfg: RunConfig, full: Dataset | None = None):
+    """(train, test, per-client datasets) for a run config.  ``full`` is
+    :func:`whole_dataset` of ``cfg``, already loaded (a sweep reads its data
+    file once for all cells); if None it is built here."""
+    if full is None:
+        full = whole_dataset(cfg)
     train, test = split_train_test(full, cfg.data.test_fraction, cfg.data_seed)
     parts = partition(train, cfg.n_total, cfg.data.partition_mode,
                       shards_per_client=cfg.data.shards_per_client,
@@ -146,10 +154,22 @@ def build_dataset(cfg: RunConfig):
 
 
 def build_model(cfg: RunConfig, dim: int, classes: int) -> Model:
+    """The run's initial model on ``dim`` features.  An MLP whose round of K
+    float64 uploads would reach 2**63 bytes, more than NumPy can address,
+    raises :class:`ValidationError` naming ``model.hidden`` before anything
+    is allocated; the bound covers every weight block's element count too."""
     rng = rng_stream(cfg.seed, purpose="init")
+    bias = cfg.model.use_bias
     if cfg.model.kind == "logistic":
-        return logistic_model(dim, classes, bias=cfg.model.use_bias, rng=rng)
-    return mlp_model(dim, cfg.model.hidden, classes, bias=cfg.model.use_bias, rng=rng)
+        return logistic_model(dim, classes, bias=bias, rng=rng)
+    hidden = cfg.model.hidden
+    shapes = [(dim, hidden, bias), (hidden, classes, bias)]
+    params = sum(r * c for r, c in param_blocks(shapes))
+    if cfg.k_selected * params * 8 >= 2 ** 63:
+        raise ValidationError(f"{hidden} hidden units on {dim} features make one round's "
+                              f"{cfg.k_selected} uploads 2**63 bytes or more",
+                              field="model.hidden")
+    return mlp_model(dim, hidden, classes, bias=bias, rng=rng)
 
 
 def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
@@ -189,8 +209,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_experiment(cfg: RunConfig, *, threads: int | None = None) -> ExperimentResult:
-    """Run the configured algorithm for cfg.rounds rounds.
+def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
+                   threads: int | None = None) -> ExperimentResult:
+    """Run the configured algorithm for cfg.rounds rounds, on ``full`` if
+    given, else on :func:`whole_dataset` of ``cfg`` (see
+    :func:`build_dataset`).
 
     Metrics rows appear every cfg.eval_every rounds and always on the final
     round: global-model loss on the training split, accuracy on the held-out
@@ -201,7 +224,7 @@ def run_experiment(cfg: RunConfig, *, threads: int | None = None) -> ExperimentR
     """
     if threads is None:
         threads = usable_cpus()
-    train, test, parts = build_dataset(cfg)
+    train, test, parts = build_dataset(cfg, full)
     template = build_model(cfg, train.dim, train.num_classes)
     global_vec = flatten_params(template)
     budget = privacy_budget(cfg.dp, cfg.n_total, cfg.k_selected, cfg.rounds)

@@ -5,9 +5,12 @@ A sweep varies exactly one dotted config field (``dp.sigma``, ``lr``,
 and reports per-cell final accuracy and privacy budget plus per-value
 mean/std summaries.  Cells run one after another in (value index, seed
 index) order, and every cell's config is built before the first cell runs,
-so a bad value fails before any training.  If a cell fails, the cells
-completed before the failure ride along on the raised exception's
-``partial_rows`` attribute.
+so a bad value fails before any training or file read.  No sweepable field
+is a ``data.*`` key, so every cell of a file-backed sweep reads the same
+file: the sweep reads it once and hands the loaded dataset to each cell,
+which still splits and partitions it by its own seed.  If a cell fails,
+the cells completed before the failure ride along on the raised
+exception's ``partial_rows`` attribute.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .config import _SCHEMA, RunConfig, convert_value
 from .errors import ValidationError
-from .protocol import _format_cell, run_experiment
+from .protocol import _format_cell, run_experiment, whole_dataset
 
 SWEEPABLE = tuple(
     key for key in _SCHEMA
@@ -81,12 +84,6 @@ def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
     return dataclasses.replace(spec.base, seed=int(seed), dp=dp)
 
 
-def _run_cell(cfg: RunConfig, threads: int | None) -> tuple[float, float, float]:
-    result = run_experiment(cfg, threads=threads)
-    last = result.metrics[-1]
-    return last.acc, last.loss, last.eps_p
-
-
 def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     """Run the full (value, seed) grid and summarize per value; each cell
     smooths on up to ``threads`` threads (see :func:`run_experiment`).
@@ -96,10 +93,13 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     """
     grid = [(value, int(seed)) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in grid]
+    # Blobs are drawn from each cell's data seed; a data file is the same for all.
+    full = whole_dataset(spec.base) if spec.base.data.source == "file" else None
     outcomes = []
     try:
         for cfg in configs:
-            outcomes.append(_run_cell(cfg, threads))
+            last = run_experiment(cfg, full, threads=threads).metrics[-1]
+            outcomes.append((last.acc, last.loss, last.eps_p))
     except Exception as exc:
         exc.partial_rows = _finished_rows(grid, outcomes)
         raise

@@ -281,6 +281,28 @@ def test_allocation_failure_exits_2(tmp_path, line, big):
     assert err.startswith("config error:") and "Traceback" not in err, err
 
 
+def test_run_mlp_past_2_63_bytes_exits_2_naming_model_hidden(tmp_path, capsys):
+    # The rule fires before anything is allocated, so this runs in-process.
+    text = TINY_CONFIG + "model.kind = mlp\nmodel.hidden = 1000000000000000000\n"
+    code, out = do_run(tmp_path, text=text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model.hidden:") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_blobs_past_2_63_bytes_exit_2_naming_data_dim(tmp_path, capsys):
+    code, out = do_run(tmp_path, text=TINY_CONFIG.replace("data.dim = 5",
+                                                          "data.dim = 10000000000000000"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: data.dim:")
+    assert not out.exists()
+    data_path = tmp_path / "blobs.ds"
+    assert main(["gen-data", "--out", str(data_path), "--dim", "10000000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("config error: data.dim:")
+    assert not data_path.exists()
+
+
 def test_batch_beyond_every_client_writes_the_largest_clients_bytes(tmp_path):
     # A minibatch holds at most one whole client, so a batch of 10**17
     # trains as a batch of the largest client does, in as little memory.
@@ -446,6 +468,45 @@ def test_sweep_bad_cell_exits_2_and_leaves_no_directory(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "malformed"])
+def test_sweep_bad_data_file_exits_2_before_any_cell(tmp_path, capsys, monkeypatch, case):
+    import fedceo.sweep as sweep_mod
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep_mod, "run_experiment", no_cell)
+    data_path = tmp_path / "six.ds"
+    if case == "malformed":
+        data_path.write_text("2 2 6\n" + "".join(f"{i % 2} 1.0 2.0\n" for i in range(5))
+                             + "lr\n")
+    cfg = write_config(tmp_path, TINY_CONFIG + f"data.source = file\ndata.path = {data_path}\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--axis", "dp.sigma", "--values", "0.5,1.0",
+                 "--seeds", "0,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(data_path) in err
+    if case == "malformed":
+        assert f"{data_path}: line 7:" in err
+    assert not out.exists()
+
+
+def test_sweep_bad_value_fails_before_the_data_file_is_read(tmp_path, capsys, monkeypatch):
+    import fedceo.protocol as protocol_mod
+
+    def no_load(path):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(protocol_mod, "load_dataset", no_load)
+    text = TINY_CONFIG + f"data.source = file\ndata.path = {tmp_path}/blobs.ds\n"
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "dp.sigma",
+                 "--values=0.5,-1", "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: dp.sigma:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -591,14 +652,14 @@ def test_sweep_non_integer_seeds_exit_2(tmp_path, capsys):
 def test_sweep_failure_keeps_partial_rows(tmp_path, capsys, monkeypatch):
     import fedceo.sweep as sweep_mod
 
-    real = sweep_mod._run_cell
+    real = sweep_mod.run_experiment
 
-    def sabotaged(cfg, threads):
+    def sabotaged(cfg, *args, **kwargs):
         if cfg.dp.sigma == 1.0 and cfg.seed == 1:
             raise NoConvergence("diverged")
-        return real(cfg, threads)
+        return real(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "_run_cell", sabotaged)
+    monkeypatch.setattr(sweep_mod, "run_experiment", sabotaged)
     cfg = write_config(tmp_path)
     out = tmp_path / "sw"
     code = main(["sweep", "--config", cfg, "--axis", "dp.sigma",

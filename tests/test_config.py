@@ -160,6 +160,23 @@ def test_out_of_range_delta_names_its_field():
     assert err.value.field == "dp.delta"
 
 
+@pytest.mark.parametrize("samples,dim,field", [
+    (2, 2 ** 59 - 1, None),        # 2**63 - 16 bytes of features
+    (2, 2 ** 59, "data.dim"),      # 2**63 bytes
+    (2 ** 60, 1, "data.samples"),
+    (10, 10 ** 18, "data.dim"),
+])
+def test_blobs_past_2_63_bytes_name_the_larger_size(samples, dim, field):
+    # NumPy cannot address 2**63 bytes; the rule allocates nothing itself.
+    if field is None:
+        DataSpec(classes=2, samples=samples, dim=dim)
+        return
+    with pytest.raises(ValidationError) as err:
+        DataSpec(classes=2, samples=samples, dim=dim)
+    assert err.value.field == field
+    DataSpec(source="file", path="a.ds", classes=2, samples=samples, dim=dim)
+
+
 def test_cross_field_validation_still_applies():
     with pytest.raises(ValidationError) as err:
         parse_config_text("n_total = 4\nk_selected = 9\n")

@@ -100,6 +100,7 @@ def check_contract(code, err, names):
 @example({"algorithm": "fedavg", "eval_every": "1", "data.spread": "1e200"})
 @example({"partition.mode": "dirichlet", "partition.alpha": "inf"})
 @example({"dp.sigma": "1e-320"})
+@example({"model.kind": "mlp", "model.hidden": "1000000000000000000"})
 def test_any_config_value_keeps_the_exit_code_contract(values):
     config = {**BASE, **values}
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,6 +124,8 @@ gen_data_flags = st.fixed_dictionaries({
 @example({"classes": "3", "dim": "2", "samples": "30", "spread": "1e308", "seed": "0"})
 @example({"classes": "3", "dim": "2", "samples": "30", "spread": "1", "seed": "-1"})
 @example({"classes": "1", "dim": "2", "samples": "30", "spread": "1", "seed": "0"})
+@example({"classes": "2", "dim": "1000000000000000000", "samples": "2", "spread": "1",
+          "seed": "0"})
 def test_any_gen_data_flags_keep_the_exit_code_contract(flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "blobs.ds")

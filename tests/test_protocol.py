@@ -33,8 +33,10 @@ from fedceo.protocol import (
     stack_clients,
     unstack_clients,
     usable_cpus,
+    whole_dataset,
     write_run_outputs,
 )
+from fedceo.data import save_dataset, synth_blobs
 from fedceo.tensor import load_tensors, tnn
 from tensor_oracle import truncated_svd_matrix
 
@@ -392,6 +394,51 @@ def test_shared_data_seed_fixes_the_dataset():
     train_b, test_b, _ = build_dataset(b)
     assert np.array_equal(train_a.features, train_b.features)
     assert np.array_equal(test_a.labels, test_b.labels)
+
+
+def test_build_model_keeps_one_rounds_uploads_below_2_63_bytes(monkeypatch):
+    # dim 5, 3 classes, no bias: P = 8 * hidden, so K = 4 uploads take
+    # 256 * hidden bytes, exactly 2**63 at hidden = 2**55.
+    monkeypatch.setattr(protocol, "mlp_model", lambda *args, **kwargs: "allocated")
+    for hidden, allowed in ((2 ** 55 - 1, True), (2 ** 55, False), (10 ** 18, False)):
+        cfg = dataclasses.replace(TINY, k_selected=4,
+                                  model=ModelSpec(kind="mlp", hidden=hidden))
+        if allowed:
+            assert protocol.build_model(cfg, 5, 3) == "allocated"
+        else:
+            with pytest.raises(ValidationError) as err:
+                protocol.build_model(cfg, 5, 3)
+            assert err.value.field == "model.hidden"
+
+
+def file_config(tmp_path):
+    path = tmp_path / "blobs.ds"
+    save_dataset(path, synth_blobs(3, 5, 120, 1.0, 4))
+    return dataclasses.replace(TINY, algorithm="fedceo", data=DataSpec(
+        source="file", path=str(path), partition_mode="dirichlet"))
+
+
+@pytest.mark.parametrize("source", ["blobs", "file"])
+def test_a_loaded_dataset_runs_as_the_config_alone(tmp_path, source):
+    # The run on a dataset loaded beforehand is the oracle run, bit for bit.
+    cfg = TINY if source == "blobs" else file_config(tmp_path)
+    full = whole_dataset(cfg)
+    given = run_experiment(cfg, full)
+    alone = run_experiment(cfg)
+    assert metrics_csv_text(given.metrics) == metrics_csv_text(alone.metrics)
+    assert len(given.final_stack) == len(alone.final_stack)
+    for a, b in zip(given.final_stack, alone.final_stack):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_run_leaves_its_loaded_dataset_as_it_was(tmp_path):
+    cfg = file_config(tmp_path)
+    full = whole_dataset(cfg)
+    features, labels = full.features.copy(), full.labels.copy()
+    for seed in (0, 1):
+        run_experiment(dataclasses.replace(cfg, seed=seed), full)
+    assert full.features.tobytes() == features.tobytes()
+    assert np.array_equal(full.labels, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from config_oracle import config_file_text
+from fedceo import protocol
 from fedceo.cli import main
 from fedceo.config import DataSpec, ModelSpec, RunConfig
+from fedceo.data import save_dataset, synth_blobs
 from fedceo.dp import DpConfig
 from fedceo.errors import ValidationError
 from fedceo.protocol import run_experiment
 from fedceo.sweep import (
     SWEEPABLE,
+    SweepResult,
+    SweepRow,
     SweepSpec,
+    SweepSummary,
     cell_config,
     sweep,
     sweep_csv_text,
@@ -57,10 +62,10 @@ def test_values_and_seeds_must_be_nonempty(monkeypatch):
     # A negative seed is RunConfig's to reject, before any cell runs.
     import fedceo.sweep as sweep_mod
 
-    def no_cell(cfg, threads):
+    def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(sweep_mod, "_run_cell", no_cell)
+    monkeypatch.setattr(sweep_mod, "run_experiment", no_cell)
     with pytest.raises(ValidationError) as err:
         sweep(tiny_spec(seeds=(0, -1)))
     assert err.value.field == "seed"
@@ -129,19 +134,94 @@ def test_summaries_aggregate_rows():
 def test_failure_preserves_completed_cells(monkeypatch):
     import fedceo.sweep as sweep_mod
 
-    real = sweep_mod._run_cell
+    real = sweep_mod.run_experiment
 
-    def sabotaged(cfg, threads):
+    def sabotaged(cfg, *args, **kwargs):
         if cfg.dp.sigma == 1.0 and cfg.seed == 1:
             raise RuntimeError("boom")
-        return real(cfg, threads)
+        return real(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "_run_cell", sabotaged)
+    monkeypatch.setattr(sweep_mod, "run_experiment", sabotaged)
     with pytest.raises(RuntimeError) as err:
         sweep(tiny_spec())
     done = {(r.value, r.seed) for r in err.value.partial_rows}
     assert (1.0, 1) not in done
     assert {(0.5, 0), (0.5, 1), (1.0, 0)} <= done
+
+
+# ---------------------------------------------------------------------------
+# file-backed sweeps
+
+
+def file_spec(tmp_path, **kwargs):
+    path = tmp_path / "blobs.ds"
+    save_dataset(path, synth_blobs(3, 5, 120, 1.0, 9))
+    base = dataclasses.replace(TINY, data=DataSpec(source="file", path=str(path),
+                                                   partition_mode="dirichlet"))
+    return tiny_spec(base=base, **kwargs)
+
+
+def count_loads(monkeypatch):
+    """Wrap fedceo.protocol.load_dataset; the list gains one path per call."""
+    real, paths = protocol.load_dataset, []
+
+    def counted(path):
+        paths.append(path)
+        return real(path)
+
+    monkeypatch.setattr(protocol, "load_dataset", counted)
+    return paths
+
+
+def oracle_sweep_csv(spec):
+    """sweep.csv as it was before cells shared one load: every cell is a
+    plain run_experiment of its config, which reads data.path itself."""
+    rows, summaries = [], []
+    for value in spec.values:
+        lasts = [run_experiment(cell_config(spec, value, seed)).metrics[-1]
+                 for seed in spec.seeds]
+        rows += [SweepRow(value, seed, m.acc, m.loss, m.eps_p)
+                 for seed, m in zip(spec.seeds, lasts)]
+        accs = np.array([m.acc for m in lasts])
+        summaries.append(SweepSummary(value, float(accs.mean()), float(accs.std()),
+                                      float(np.mean([m.eps_p for m in lasts]))))
+    return sweep_csv_text(SweepResult(spec, rows, summaries))
+
+
+def test_file_backed_sweep_loads_its_data_file_once(tmp_path, monkeypatch):
+    spec = file_spec(tmp_path)
+    paths = count_loads(monkeypatch)
+    assert len(sweep(spec).rows) == 4
+    assert paths == [spec.base.data.path]
+
+
+def test_blobs_sweep_builds_its_data_per_cell(monkeypatch):
+    import fedceo.sweep as sweep_mod
+
+    fulls = []
+    real = sweep_mod.run_experiment
+
+    def spy(cfg, full=None, **kwargs):
+        fulls.append(full)
+        return real(cfg, full, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_experiment", spy)
+    sweep(tiny_spec())
+    assert fulls == [None] * 4
+
+
+def test_file_backed_sweep_csv_matches_per_cell_loads(tmp_path, monkeypatch):
+    spec = file_spec(tmp_path, values=("0.5", "1.0"))
+    paths = count_loads(monkeypatch)
+    oracle = oracle_sweep_csv(spec).encode()
+    assert len(paths) == 4  # the oracle re-reads the file for every cell
+    config = tmp_path / "base.cfg"
+    config.write_text(config_file_text(spec.base))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(config), "--axis", "dp.sigma",
+                 "--values", "0.5,1.0", "--seeds", "0,1", "--out", str(out)]) == 0
+    assert len(paths) == 5
+    assert (out / "sweep.csv").read_bytes() == oracle
 
 
 # ---------------------------------------------------------------------------
