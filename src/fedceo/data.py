@@ -3,14 +3,16 @@
 The file format is one header line ``d num_classes num_samples`` followed
 by one ``label f1 ... fd`` line per sample, plain ASCII decimals.  Floats
 are written with enough digits to round-trip float64 exactly.  A header
-must declare d >= 1 and 2 <= num_classes <= num_samples, and every line's
-field count is checked before the samples are allocated.
+must declare d >= 1 and 2 <= num_classes <= num_samples, and the reader
+sizes nothing by it: each line is checked and parsed as it is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -167,13 +169,15 @@ def save_dataset(path, data: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset file at ``path``; a malformed one raises
-    :class:`ParseError` naming the file and the line."""
+    """The dataset file at ``path``, read in one pass that sizes nothing by
+    the header; a malformed one raises :class:`ParseError` naming the file
+    and the line (lines end where ``str.splitlines()`` ends them)."""
     with open(path, "r", encoding="ascii") as fh, naming_file(path):
-        lines = fh.read().splitlines()
-        if not lines:
+        lines = enumerate((ln for text in fh for ln in text.splitlines()), start=1)
+        lineno, header = next(lines, (1, None))
+        if header is None:
             raise ParseError("empty dataset file", line=1)
-        head = lines[0].split()
+        head = header.split()
         if len(head) != 3:
             raise ParseError("header must be 'dim num_classes num_samples'", line=1)
         try:
@@ -187,20 +191,15 @@ def load_dataset(path) -> Dataset:
         if not 2 <= num_classes <= count:
             raise ParseError(f"header num_classes must be in [2, num_samples = {count}], "
                              f"got {num_classes}", line=1)
-        body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-        if len(body) != count:
-            raise ParseError(
-                f"header declares {count} samples but file has {len(body)}",
-                line=len(lines),
-            )
-        for lineno, ln in body:  # before allocating what the header claims
-            got = len(ln.split())
-            if got != dim + 1:
-                raise ParseError(f"expected {dim + 1} fields, got {got}", line=lineno)
-        features = np.empty((count, dim))
-        labels = np.empty(count, dtype=np.int64)
-        for i, (lineno, ln) in enumerate(body):
+        features, labels = array("d"), []
+        for lineno, ln in lines:
             tokens = ln.split()
+            if not tokens:
+                continue
+            if len(labels) == count:
+                raise ParseError(f"header declares {count} samples; file has more", line=lineno)
+            if len(tokens) != dim + 1:
+                raise ParseError(f"expected {dim + 1} fields, got {len(tokens)}", line=lineno)
             try:
                 label = int(tokens[0])
                 row = [float(tok) for tok in tokens[1:]]
@@ -208,9 +207,11 @@ def load_dataset(path) -> Dataset:
                 raise ParseError("malformed number", line=lineno) from None
             if not 0 <= label < num_classes:
                 raise ParseError(f"label {label} outside [0, {num_classes})", line=lineno)
-            labels[i] = label
-            features[i] = row
-        finite = np.isfinite(features).all(axis=1)
-        if not finite.all():
-            raise ParseError("non-finite feature value", line=body[np.argmin(finite)][0])
-        return Dataset(features, labels, num_classes)
+            if not all(map(isfinite, row)):
+                raise ParseError("non-finite feature value", line=lineno)
+            labels.append(label)
+            features.extend(row)
+        if len(labels) != count:
+            raise ParseError(f"header declares {count} samples but file has {len(labels)}",
+                             line=lineno)
+        return Dataset(np.frombuffer(features).reshape(count, dim), labels, num_classes)

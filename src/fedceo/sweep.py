@@ -95,16 +95,15 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     configs = [cell_config(spec, value, seed) for value, seed in grid]
     # Blobs are drawn from each cell's data seed; a data file is the same for all.
     full = whole_dataset(spec.base) if spec.base.data.source == "file" else None
-    outcomes = []
+    rows = []
     try:
-        for cfg in configs:
+        for (value, seed), cfg in zip(grid, configs):
             last = run_experiment(cfg, full, threads=threads).metrics[-1]
-            outcomes.append((last.acc, last.loss, last.eps_p))
+            rows.append(SweepRow(value, seed, last.acc, last.loss, last.eps_p))
     except Exception as exc:
-        exc.partial_rows = _finished_rows(grid, outcomes)
+        exc.partial_rows = rows
         raise
 
-    rows = _finished_rows(grid, outcomes)
     summaries = []
     per_value = len(spec.seeds)
     for vi, value in enumerate(spec.values):
@@ -118,13 +117,6 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             mean_eps=float(eps.mean()),
         ))
     return SweepResult(spec=spec, rows=rows, summaries=summaries)
-
-
-def _finished_rows(grid, outcomes) -> list[SweepRow]:
-    return [
-        SweepRow(value=value, seed=seed, acc=acc, loss=loss, eps_p=eps)
-        for (value, seed), (acc, loss, eps) in zip(grid, outcomes)
-    ]
 
 
 def sweep_csv_text(result: SweepResult) -> str:

@@ -545,6 +545,20 @@ def test_analyze_overflowing_weights_exit_3(tmp_path, capsys):
     assert not (run_dir / "heatmap.csv").exists()
 
 
+def test_analyze_svd_failure_exits_3(tmp_path, capsys, monkeypatch):
+    _, run_dir = do_run(tmp_path)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: SVD failed to converge on a Fourier slice"), err
+    assert not (run_dir / "heatmap.csv").exists()
+
+
 def test_analyze_separate_out_dir(tmp_path):
     _, run_dir = do_run(tmp_path)
     out = tmp_path / "diag"
@@ -567,10 +581,21 @@ EMPTY_AXIS = struct.pack("<4sIII", b"T3R1", 0, 3, 3)
 NAN_PAYLOAD = struct.pack("<4sIIId", b"T3R1", 1, 1, 1, float("nan"))
 
 
-def extra_layer(manifest_bytes):
-    manifest = json.loads(manifest_bytes)
-    manifest["layer_shapes"].append([3, 3, False])
-    return json.dumps(manifest).encode()
+def edit_manifest(change):
+    """An edit of a manifest's bytes that applies ``change`` to its dict."""
+    def edit(manifest_bytes):
+        manifest = json.loads(manifest_bytes)
+        change(manifest)
+        return json.dumps(manifest).encode()
+    return edit
+
+
+def set_seed(seed):
+    return edit_manifest(lambda manifest: manifest["config"].update(seed=seed))
+
+
+extra_layer = edit_manifest(lambda manifest: manifest["layer_shapes"].append([3, 3, False]))
+bad_layer = edit_manifest(lambda manifest: manifest["layer_shapes"].append([3, "3", False]))
 
 
 # Each case maps artifacts to their new bytes, to a function of their old
@@ -587,9 +612,13 @@ def extra_layer(manifest_bytes):
     ({"final_model.t3r": NAN_PAYLOAD, "run_manifest.json": None},
      "final_model.t3r: stored tensor contains NaN"),
     ({"run_manifest.json": None}, "run_manifest.json"),
+    ({"run_manifest.json": set_seed(-1)}, "run_manifest.json: bad config.seed"),
+    ({"run_manifest.json": set_seed(True)}, "run_manifest.json: bad config.seed"),
+    ({"run_manifest.json": set_seed("0")}, "run_manifest.json: bad config.seed"),
+    ({"run_manifest.json": bad_layer}, "run_manifest.json: bad config.seed or layer_shapes"),
 ], ids=["huge-dims", "short-payload", "bad-json", "not-an-object", "empty-model",
         "empty-model-no-manifest", "manifest-extra-layer", "empty-axis", "nan-payload",
-        "no-manifest"])
+        "no-manifest", "negative-seed", "bool-seed", "string-seed", "malformed-layer"])
 def test_analyze_corrupt_artifact_exits_2(tmp_path, capsys, edits, needle):
     _, run_dir = do_run(tmp_path)
     for name, new in edits.items():

@@ -1,8 +1,15 @@
 """Synthetic data generation, client partitioning, and the ASCII format."""
 
+import os
+import tempfile
+import tracemalloc
+
+import data_oracle
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedceo.config import DataSpec
 from fedceo.data import (
@@ -194,11 +201,19 @@ class TestAsciiFormat:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty dataset file") as err:
+            load_dataset(path)
+        assert err.value.line == 1
+
     @pytest.mark.parametrize("header,needle,line", [
         ("2 99999999999 6", "num_classes", 1),   # split_train_test never ended
         ("99999999999 2 6", "fields", 2),        # allocated before reading a row
         ("2 1 6", "num_classes", 1),             # one class loaded and ran
         ("0 2 6", "dim", 1),
+        ("2 6", "header must be", 1),
+        ("2 2 6 1", "header must be", 1),
+        ("2 two 6", "integers", 1),
     ])
     def test_header_out_of_range_rejected(self, tmp_path, header, needle, line):
         path = tmp_path / "bad.txt"
@@ -225,3 +240,102 @@ class TestAsciiFormat:
             load_dataset(path)
         assert str(exc.value) == f"{path}: line 1: dataset file declares zero samples"
         assert exc.value.line == 1
+
+    def test_vertical_tab_ends_a_line_and_form_feed_splits_one(self, tmp_path):
+        # Lines end where str.splitlines() ends them, not only at newlines.
+        path = tmp_path / "vt.txt"
+        path.write_text("2 2 2\n0 1.0 2.0\v1 3.0 4.0\n")
+        data = load_dataset(path)
+        npt.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+        npt.assert_array_equal(data.labels, [0, 1])
+        path.write_text("2 2 2\n0 1.0\f2.0\n")
+        with pytest.raises(ParseError, match="expected 3 fields, got 2") as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
+    def test_more_samples_than_declared_fail_at_the_first_extra(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("2 2 2\n0 1.0 2.0\n\n1 3.0 4.0\n0 5.0 6.0\nnot even a sample\n")
+        with pytest.raises(ParseError, match="declares 2 samples; file has more") as err:
+            load_dataset(path)
+        assert err.value.line == 5
+
+    def test_load_holds_less_than_the_file_size(self, tmp_path):
+        # A reader that holds the whole text and its list of lines peaks at
+        # about 2.1 times the file's size; holding only the parsed samples
+        # peaks at about 0.45 times it.
+        path = tmp_path / "blobs.txt"
+        save_dataset(path, synth_blobs(10, 32, 10_000, 1.0, seed=0))
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path), peak
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader against the whole-file reader it replaced
+
+
+@pytest.fixture(scope="module")
+def saved_blobs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("blobs") / "blobs.txt"
+    save_dataset(path, synth_blobs(3, 4, 12, 1.0, seed=0))
+    return path.read_bytes()
+
+
+# Line ends that str.splitlines() honours besides "\n", whitespace-only
+# lines, and the blank lines the format skips.
+BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\r", "\r\n", "\n", "\n\n", " \t")
+where = st.integers(0, 2**20)
+damage = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("truncate", "flip", "duplicate", "delete")), where),
+    st.tuples(st.sampled_from(("insert", "end")), where, st.sampled_from(BREAKS)),
+), min_size=1, max_size=3)
+
+
+def damaged(blob: bytes, ops) -> bytes:
+    blob = bytearray(blob)
+    for op, at, *text in ops:
+        if op == "truncate":  # cut ``at`` bytes off the end, mod the length
+            del blob[len(blob) - at % (len(blob) + 1):]
+        elif op == "flip" and blob:
+            bit = at % (8 * len(blob))
+            blob[bit // 8] ^= 1 << (bit % 8)
+        elif op == "insert":
+            at %= len(blob) + 1
+            blob[at:at] = text[0].encode()
+        elif op == "end" and b"\n" in blob:  # end a line with ``text`` instead
+            ends = [i for i, byte in enumerate(blob) if byte == ord("\n")]
+            at = ends[at % len(ends)]
+            blob[at:at + 1] = text[0].encode()
+        elif op in ("duplicate", "delete") and blob:
+            lines = blob.splitlines(keepends=True)
+            at %= len(lines)
+            lines[at:at + 1] = [lines[at]] * (2 if op == "duplicate" else 0)
+            blob = bytearray(b"".join(lines))
+    return bytes(blob)
+
+
+def verdict(reader, path):
+    """The loaded arrays as bytes, or ``ParseError`` for a rejected file."""
+    try:
+        data = reader(path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        return ParseError
+    return (data.features.dtype, data.features.shape, data.features.tobytes(),
+            data.labels.dtype, data.labels.tobytes(), data.num_classes)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(damage)
+def test_damaged_file_gets_the_whole_file_readers_verdict(saved_blobs, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blobs.txt")
+        with open(path, "wb") as fh:
+            fh.write(damaged(saved_blobs, ops))
+        assert verdict(load_dataset, path) == verdict(data_oracle.load_dataset, path)
+

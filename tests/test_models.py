@@ -167,6 +167,8 @@ class TestFlattening:
             unflatten_params(model, np.zeros(model.params.size + 1))
         with pytest.raises(ShapeMismatch):
             Model(model.shapes, np.zeros(model.params.size - 1))
+        with pytest.raises(ShapeMismatch, match="vector or a"):
+            Model(model.shapes, np.zeros((1, 1, model.params.size)))
 
     def test_layers_are_views_of_params(self):
         model = mlp_model(5, 7, 3, bias=True, rng=rng_stream(7, purpose="init"))

@@ -199,6 +199,8 @@ def test_unstack_rejects_wrong_tensor_count():
     tensors = stack_clients(uploads_of(models), models[0])
     with pytest.raises(ShapeMismatch):
         unstack_clients(tensors[:-1], models[0])
+    with pytest.raises(ShapeMismatch, match="tensor 1 shape"):
+        unstack_clients([tensors[0], tensors[1][:, :, :1], *tensors[2:]], models[0])
 
 
 # ---------------------------------------------------------------------------
