@@ -10,7 +10,8 @@ one statement of that flat layout, and :func:`block_views` reads any
 A model's ``params`` may also carry a leading client axis, ``(K, P)``:
 every layer view then has it too.  Only :func:`local_train` trains on that
 axis: it runs the K clients of a round in lock step, in place in the
-round's array.  :func:`forward_loss` (evaluation) and :func:`gradient`
+round's array, each lock step on only the clients that still have a
+minibatch.  :func:`forward_loss` (evaluation) and :func:`gradient`
 (the attack report) take one model and one batch of samples.  The lock
 step (:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share
 one forward pass, :func:`_forward`; the lock step and :func:`gradient`
@@ -222,14 +223,13 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
 
     Client k starts from row k and trains on ``features[k]``,
     ``labels[k]`` as it would alone: it redraws its shuffle from
-    ``rngs[k]`` each epoch and keeps its final short minibatch.  Each lock
-    step is one :func:`_sgd_step` on every client's next minibatch, padded
-    to a common row count.  A client with fewer minibatches in an epoch
-    than the largest client gets a zero gradient for the steps left, so
-    its row does not move.  The padding layout depends only on the client
-    sizes, so it is built once per call; each epoch only writes the
-    shuffles into it and gathers that epoch's samples.  One gradient array
-    is allocated per call and reused by every step.
+    ``rngs[k]`` each epoch and keeps its final short minibatch.  The rows
+    train ordered by client size, largest first (a stable sort), and go
+    back to the caller's order when training ends; rows already in that
+    order are not moved.  Each lock step is then one :func:`_sgd_step` on
+    a prefix of the rows, the clients that still have a minibatch in the
+    epoch: a finished client sits out the steps left, so its row does not
+    move.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -242,13 +242,41 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     for x, y in zip(features, labels):
         _check_samples(model, x, y)
 
+    rank = sorted(range(k), key=lambda c: -labels[c].shape[0])
+    moved = rank != list(range(k))
+    # Each permutation holds a copy of the rows only while no gradient
+    # scratch is alive, so training's memory peak stays where it was.
+    if moved:
+        params[:] = params[rank]
+    try:
+        _lock_steps(model, [features[c] for c in rank], [labels[c] for c in rank],
+                    epochs, batch_size, lr, [rngs[c] for c in rank])
+    finally:
+        if moved:
+            params[rank] = params.copy()
+
+
+def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
+                lr: float, rngs) -> None:
+    """The lock steps of :func:`local_train` on checked clients whose
+    sizes do not increase along the rows.
+
+    Each step runs on every client's next minibatch, padded to a common
+    row count, over the prefix of clients that still have one.  The
+    padding layout depends only on the client sizes, so it is built once
+    per call; each epoch only writes the shuffles into it and gathers that
+    epoch's samples.  One gradient array is allocated per call, and every
+    step uses a prefix of it.
+    """
+    params = model.params
     sizes = [y.shape[0] for y in labels]
-    batch_size = min(batch_size, max(sizes))  # a wider minibatch would hold only padding
+    k = len(sizes)
+    batch_size = min(batch_size, sizes[0])  # a wider minibatch would hold only padding
     offsets = np.cumsum([0] + sizes[:-1])
     pad = sum(sizes)  # the all-zero row, labelled 0, appended to the pooled samples
     x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
     onehot_all = np.eye(model.num_classes)[np.concatenate(labels + [[0]])]
-    steps = -(-max(sizes) // batch_size)
+    steps = -(-sizes[0] // batch_size)
     order = np.full((k, steps * batch_size), pad)
     # batches[t, c] is client c's t-th minibatch, its samples first
     batches = order.reshape(k, steps, batch_size).swapaxes(0, 1)
@@ -257,15 +285,18 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     counts = real.sum(axis=2, keepdims=True)
     # a sample's gradient is divided by its minibatch's size, padding's by infinity
     batch_sizes = np.where(real, counts, np.inf)[..., None]
-    widths = counts.max(axis=(1, 2))
-    grad = Model(model.shapes, np.empty_like(params))
+    widths = counts[:, 0, 0].tolist()  # the largest client's minibatch is the widest
+    active = (counts[:, :, 0] > 0).sum(axis=1).tolist()  # clients [:a] have one at step t
+    grad = np.empty_like(params)
+    prefixes = {a: (Model(model.shapes, params[:a]), Model(model.shapes, grad[:a]))
+                for a in set(active)}
     for _ in range(epochs):
         for c, (n, rng) in enumerate(zip(sizes, rngs)):
             order[c, :n] = offsets[c] + rng.permutation(n)
         xs, targets = x_all[batches], onehot_all[batches]
-        for t, width in enumerate(widths):
-            _sgd_step(model, grad, xs[t, :, :width], targets[t, :, :width],
-                      batch_sizes[t, :, :width], lr)
+        for t, (width, a) in enumerate(zip(widths, active)):
+            _sgd_step(*prefixes[a], xs[t, :a, :width], targets[t, :a, :width],
+                      batch_sizes[t, :a, :width], lr)
 
 
 def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,

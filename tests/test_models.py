@@ -22,7 +22,8 @@ from fedceo.models import (
     mlp_model,
     unflatten_params,
 )
-from fedceo.config import ModelSpec
+from fedceo import models
+from fedceo.config import DataSpec, ModelSpec, RunConfig
 from fedceo.protocol import build_dataset, build_model, select_clients
 from test_acceptance import DESK
 
@@ -372,16 +373,31 @@ class TestLockStepMatchesOneByOne:
         npt.assert_array_equal(lock_step(model, starts, xs, ys, 0, 4, 0.2, [0, 1]), starts)
 
 
+SIZE_ORDERS = {
+    "descending": (40, 23, 17, 5),
+    "ascending": (5, 17, 23, 40),
+    "ties": (17, 40, 17, 5, 40),
+    "interleaved": (9, 40, 3, 33, 17, 25),
+    "one-large": (4, 6, 3, 60, 5),
+    "k1": (29,),
+}
+
+
 class TestLockStepMatchesOracle:
     """local_train against the first lock-step trainer, which rebuilt the
-    padding layout each epoch and ran each step as a caching forward pass
-    and a backward pass from the cache: equal bit for bit."""
+    padding layout each epoch, ran every lock step on all K rows and ran
+    each step as a caching forward pass and a backward pass from the
+    cache: equal bit for bit, trained in the caller's array and order."""
 
     @staticmethod
-    def assert_same(model, starts, *args):
+    def assert_same(model, starts, xs, ys, epochs, batch_size, lr, clients):
+        params = np.array(starts, dtype=np.float64)
+        trained = Model(model.shapes, params)
+        local_train(trained, xs, ys, epochs, batch_size, lr, train_streams(clients))
+        assert trained.params is params
         npt.assert_array_equal(
-            lock_step(model, starts, *args),
-            lock_step(model, starts, *args, trainer=sgd_oracle.local_train_lockstep))
+            params, lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients,
+                              trainer=sgd_oracle.local_train_lockstep))
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("bias", [False, True])
@@ -392,6 +408,14 @@ class TestLockStepMatchesOracle:
         self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, epochs,
                          batch_size, 0.2, list(range(len(sizes))))
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("sizes", SIZE_ORDERS.values(), ids=SIZE_ORDERS)
+    def test_size_orders(self, kind, sizes):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients(sizes)
+        self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, 3, 8, 0.2,
+                         list(range(len(sizes))))
+
     @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
     def test_desk_clients(self, mode):
         cfg = dataclasses.replace(
@@ -401,6 +425,72 @@ class TestLockStepMatchesOracle:
             assert len({x.shape[0] for x in xs}) > 1, "the partition is not ragged"
         self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
                          cfg.local_epochs, cfg.batch, cfg.lr, clients)
+
+    def test_dirichlet_round_of_the_cli_shape(self):
+        # The benchmark's file-backed session: MLP hidden 64, K = 10 of 40,
+        # batch 32, 3 epochs, 10 classes in 32 dimensions, alpha 0.5.
+        cfg = RunConfig(n_total=40, k_selected=10, local_epochs=3, batch=32,
+                        model=ModelSpec(kind="mlp", hidden=64),
+                        data=DataSpec(classes=10, dim=32, samples=10000,
+                                      partition_mode="dirichlet", alpha=0.5))
+        model, xs, ys, clients = round_clients(cfg)
+        sizes = [x.shape[0] for x in xs]
+        assert max(sizes) >= 4 * min(sizes), sizes
+        self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
+                         cfg.local_epochs, cfg.batch, cfg.lr, clients)
+
+
+class TestLockStepWork:
+    """A lock step runs only the clients that still have a minibatch."""
+
+    @staticmethod
+    def rows_stepped(monkeypatch, sizes, batch_size, epochs):
+        """The client rows of every ``_sgd_step`` call of one round, summed."""
+        rows = []
+        step = models._sgd_step
+
+        def counted(model, grad, x, *rest):
+            rows.append(x.shape[0])
+            step(model, grad, x, *rest)
+
+        monkeypatch.setattr(models, "_sgd_step", counted)
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients(sizes)
+        lock_step(model, spread_starts(model, len(sizes)), xs, ys, epochs, batch_size,
+                  0.2, list(range(len(sizes))))
+        return sum(rows)
+
+    def test_ragged_clients_step_once_per_minibatch(self, monkeypatch):
+        sizes, batch_size, epochs = (5, 40, 1, 23, 17, 40), 8, 3
+        assert (self.rows_stepped(monkeypatch, sizes, batch_size, epochs)
+                == epochs * sum(-(-n // batch_size) for n in sizes))
+
+    def test_equal_clients_all_step(self, monkeypatch):
+        sizes, batch_size, epochs = (24,) * 4, 10, 2
+        assert self.rows_stepped(monkeypatch, sizes, batch_size, epochs) == 4 * 3 * epochs
+
+
+class TestLockStepMemory:
+    """The gradient scratch is the one (K, P) array a round allocates: rows
+    are reordered by size only while it is not alive, and every step uses
+    a prefix of it."""
+
+    @pytest.mark.parametrize("sizes", [(3, 9, 5, 12), (6, 6, 6, 6)],
+                             ids=["ragged", "equal"])
+    def test_no_second_row_array(self, sizes):
+        # 1 MiB a row against minibatches of 4 samples
+        model = mlp_model(256, 512, 4, rng=rng_stream(22, purpose="init"))
+        xs, ys = ragged_clients(sizes, dim=256)
+        params = spread_starts(model, len(sizes))
+        tracemalloc.start()
+        try:
+            local_train(Model(model.shapes, params), xs, ys, 2, 4, 0.2,
+                        train_streams(range(len(sizes))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = params.nbytes // len(sizes)
+        assert peak < params.nbytes + row // 2, (peak, params.nbytes)
 
 
 class TestGradientMatchesOracle:
