@@ -14,9 +14,10 @@ including a path that cannot be read or written, 3 for a numeric failure.
 ``run`` and ``sweep`` check --out before any training and create nothing
 when it cannot become a directory.  --threads caps the threads that
 decompose the Fourier slices of each smoothing pass (default: the CPUs
-this process may use); it changes no output byte, and ``run`` records it
-in the manifest, which it writes last.  Sweep cells run one after another,
-and a file-backed sweep reads its data file once for all of them.
+this process may use); it changes no byte of any file ``run`` or
+``sweep`` writes.  ``run`` writes its manifest last.  Sweep cells run one
+after another, and a file-backed sweep reads its data file once for all
+of them.
 ``analyze`` gets all three of its outputs from
 :func:`fedceo.analysis.analyze_run` before it writes any.  Every file is
 written by :func:`fedceo.errors.write_file`, which replaces it whole.
@@ -36,20 +37,9 @@ from .analysis import analyze_run, smoothness_map, spectral_curves  # noqa: F401
 from .config import DataSpec, parse_config
 from .data import save_dataset, synth_blobs
 from .errors import INPUT_ERRORS, NUMERIC_FAILURES, ValidationError, write_file
-from .protocol import run_experiment, usable_cpus, write_run_outputs
+from .protocol import run_experiment, write_run_outputs
 from .sweep import SweepResult, SweepSpec, sweep, sweep_csv_text
 from .tensor import load_tensors  # noqa: F401
-
-
-def worker_count(threads: int | None = None) -> int:
-    """The number of threads that decompose Fourier slices, from --threads:
-    a positive integer, or None for :func:`usable_cpus`.  It changes no
-    result."""
-    if threads is None:
-        return usable_cpus()
-    if threads < 1:
-        raise ValidationError("must be >= 1", field="--threads")
-    return threads
 
 
 def _check_out_dir(path) -> None:
@@ -109,10 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    threads = worker_count(args.threads)
     _check_out_dir(args.out)
-    result = run_experiment(cfg, threads=threads)
-    write_run_outputs(result, args.out, threads=threads)
+    result = run_experiment(cfg, threads=args.threads)
+    write_run_outputs(result, args.out)
     last = result.metrics[-1]
     print(f"run complete: round={last.round} loss={last.loss:.6f} acc={last.acc:.4f}")
     print(f"wrote metrics.csv, final_model.t3r, run_manifest.json to {args.out}")
@@ -127,12 +116,11 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError("seeds must be integers", field="seeds") from None
     spec = SweepSpec(base=base, axis=args.axis, values=values, seeds=seeds)
-    threads = worker_count(args.threads)
     _check_out_dir(args.out)
     try:
         # sweep checks every cell config before the first cell runs, and
         # the directory is made only once there are rows to write.
-        result = sweep(spec, threads)
+        result = sweep(spec, args.threads)
     except Exception as exc:
         partial = getattr(exc, "partial_rows", [])
         if partial:
@@ -191,6 +179,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, --version or a usage error: argparse's status
         return exc.code
     try:
+        # run and sweep pass --threads on as given; None means every usable CPU.
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ValidationError("must be >= 1", field="--threads")
         return _COMMANDS[args.command](args)
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

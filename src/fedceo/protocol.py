@@ -17,8 +17,8 @@ Three algorithms share one round pipeline:
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
 results are identical across replays, and the smoothing pass's thread count
-changes no bit of them.  The run's outputs are ``metrics.csv``,
-``final_model.t3r`` and, written last, ``run_manifest.json``; the config
+changes no bit of them or of the run's outputs: ``metrics.csv``,
+``final_model.t3r`` and, written last, ``run_manifest.json``.  The config
 types a run takes, and their flat rendering in the manifest, live in
 :mod:`fedceo.config`.
 """
@@ -65,7 +65,10 @@ def select_clients(n_total: int, k_selected: int, round_no: int, seed: int) -> n
 def smoothing_threshold(lambda0: float, ratio: float, passes: int) -> float:
     """(1 / (2 * lambda0)) * ratio**passes, the threshold of the smoothing
     schedule's ``passes``-th pass (round ``passes * interval``)."""
-    return (1.0 / (2.0 * lambda0)) * ratio ** passes
+    try:
+        return (1.0 / (2.0 * lambda0)) * ratio ** passes
+    except OverflowError:  # beyond float64: saturate, shrinking every value to 0
+        return math.inf
 
 
 def stack_clients(uploads: np.ndarray, template: Model) -> list[np.ndarray]:
@@ -146,7 +149,12 @@ def build_dataset(cfg: RunConfig, full: Dataset | None = None):
     file once for all cells); if None it is built here."""
     if full is None:
         full = whole_dataset(cfg)
-    train, test = split_train_test(full, cfg.data.test_fraction, cfg.data_seed)
+    try:
+        train, test = split_train_test(full, cfg.data.test_fraction, cfg.data_seed)
+    except ValidationError as exc:  # it names data.samples, a key files do not take
+        if cfg.data.source == "blobs":
+            raise
+        raise ValidationError(str(exc).partition(": ")[2], field="data.path") from None
     parts = partition(train, cfg.n_total, cfg.data.partition_mode,
                       shards_per_client=cfg.data.shards_per_client,
                       alpha=cfg.data.alpha, seed=cfg.data_seed)
@@ -290,8 +298,9 @@ def metrics_csv_text(metrics: list[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_outputs(result: ExperimentResult, out_dir, *, threads: int) -> None:
-    """metrics.csv, final_model.t3r, then run_manifest.json under out_dir."""
+def write_run_outputs(result: ExperimentResult, out_dir) -> None:
+    """metrics.csv, final_model.t3r, then run_manifest.json under out_dir;
+    each is a function of ``result`` alone."""
     from .tensor import save_tensors
 
     os.makedirs(out_dir, exist_ok=True)
@@ -309,6 +318,5 @@ def write_run_outputs(result: ExperimentResult, out_dir, *, threads: int) -> Non
             "lemma_valid": result.budget.lemma_valid,
             "validity_bound": result.budget.validity_bound,
         },
-        "threads": threads,
     }
     write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])

@@ -533,7 +533,7 @@ def test_criterion_11_smoothing_reduces_roughness():
 
 
 # ---------------------------------------------------------------------------
-# 12: byte-identical metrics and final model across `run --threads` settings
+# 12: byte-identical run files across `run --threads` settings
 
 
 def test_criterion_12_thread_reproducibility(tmp_path, capsys, monkeypatch):
@@ -546,14 +546,14 @@ def test_criterion_12_thread_reproducibility(tmp_path, capsys, monkeypatch):
         dp=DpConfig(clip_c=1.0, sigma=1.0, delta=1e-2))
     config = tmp_path / "run.cfg"
     config.write_text(config_file_text(cfg))
-    texts, models = {}, {}
+    names = ("metrics.csv", "final_model.t3r", "run_manifest.json")
+    files = {}
     for n in (1, 2, 8):
         out = tmp_path / f"threads{n}"
         assert main(["run", "--config", str(config), "--out", str(out),
                      "--threads", str(n)]) == 0
-        texts[n] = (out / "metrics.csv").read_bytes()
-        models[n] = (out / "final_model.t3r").read_bytes()
+        files[n] = [(out / name).read_bytes() for name in names]
     capsys.readouterr()
-    ok = texts[1] == texts[2] == texts[8] and models[1] == models[2] == models[8]
+    ok = files[1] == files[2] == files[8]
     report(12, "thread reproducibility", ok,
-           f"metrics.csv and final_model.t3r identical across 1/2/8 workers: {ok}")
+           f"{', '.join(names)} identical across 1/2/8 workers: {ok}")

@@ -256,7 +256,7 @@ def test_analyze_run_matches_oracle_bytes(tmp_path, kind, bias, algorithm, mode,
         algorithm=algorithm, seed=seed, eval_every=2,
         model=ModelSpec(kind=kind, hidden=7, bias=bias),
         data=DataSpec(classes=3, dim=5, samples=150, partition_mode=mode))
-    write_run_outputs(run_experiment(cfg), tmp_path, threads=1)
+    write_run_outputs(run_experiment(cfg), tmp_path)
     got = analyze_run(tmp_path)
     want = analysis_oracle.analyze(tmp_path)
     assert got == want

@@ -16,7 +16,7 @@ from fedceo import __version__, tensor
 from fedceo.cli import main
 from fedceo.config import parse_config
 from fedceo.errors import NoConvergence
-from fedceo.protocol import build_dataset, usable_cpus
+from fedceo.protocol import build_dataset, run_experiment
 from fedceo.sweep import SWEEPABLE
 from fedceo.tensor import load_tensors, save_tensors
 
@@ -105,16 +105,24 @@ def test_run_is_reproducible_across_invocations_and_threads(tmp_path):
     threaded = tmp_path / "c"
     assert main(["run", "--config", cfg, "--out", str(threaded),
                  "--threads", "3"]) == 0
-    assert (first / "metrics.csv").read_bytes() == (threaded / "metrics.csv").read_bytes()
-    assert json.loads((threaded / "run_manifest.json").read_text())["threads"] == 3
+    for name in ("metrics.csv", "final_model.t3r", "run_manifest.json"):
+        assert (first / name).read_bytes() == (threaded / name).read_bytes()
 
 
 def test_threads_env_var_is_ignored(tmp_path, monkeypatch):
+    import fedceo.cli as cli_mod
+
+    received = []
+
+    def recording(cfg, *, threads):
+        received.append(threads)
+        return run_experiment(cfg, threads=threads)
+
+    monkeypatch.setattr(cli_mod, "run_experiment", recording)
     monkeypatch.setenv("FEDCEO_THREADS", "0")
-    code, out = do_run(tmp_path)
+    code, _ = do_run(tmp_path)
     assert code == 0
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["threads"] == usable_cpus()
+    assert received == [None]  # run_experiment's own default: every usable CPU
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -374,6 +382,18 @@ def test_diverging_run_exits_3(tmp_path, capsys, algorithm):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_overflowing_smoothing_schedule_saturates(tmp_path):
+    # ratio ** 2 is beyond float64: the threshold of the second pass on is
+    # infinite, and each pass shrinks every singular value to 0.
+    text = TINY_CONFIG.replace("algorithm = ldp_fedavg", "algorithm = fedceo").replace(
+        "rounds = 2", "rounds = 3").replace("eval_every = 2", "eval_every = 1")
+    text += "interval = 1\nratio = 1e300\n"
+    code, out = do_run(tmp_path, text=text)
+    assert code == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[3]) for row in rows] == [0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -387,6 +407,22 @@ def test_gen_data_then_run_from_file(tmp_path):
     code, out = do_run(tmp_path, text=text)
     assert code == 0
     assert (out / "metrics.csv").exists()
+
+
+def test_data_file_that_cannot_be_split_names_data_path(tmp_path, capsys):
+    # One sample per class leaves the test split empty; a data file has no
+    # data.samples key to blame.
+    data_path = tmp_path / "blobs.ds"
+    assert main(["gen-data", "--out", str(data_path), "--classes", "10",
+                 "--samples", "10"]) == 0
+    text = "".join(line + "\n" for line in TINY_CONFIG.splitlines()
+                   if not line.startswith("data."))
+    text += f"data.source = file\ndata.path = {data_path}\n"
+    code, out = do_run(tmp_path, text=text)
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: data.path: no class has two "
+                                       "samples, so the test split would be empty\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--samples", "1999"), ("--spread", "inf"),

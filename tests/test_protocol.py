@@ -11,7 +11,6 @@ import pytest
 import sgd_oracle
 from config_oracle import config_file_text
 from fedceo import protocol
-from fedceo.cli import worker_count
 from fedceo.config import (
     DataSpec,
     ModelSpec,
@@ -55,12 +54,25 @@ def random_mlp(seed=0, hidden=4, dim=5, classes=3):
 
 
 # ---------------------------------------------------------------------------
-# worker_count: how many threads decompose Fourier slices; it changes no result
+# threads: how many threads decompose Fourier slices; it changes no result
 
 
-def test_worker_count_defaults_to_usable_cpus():
-    assert worker_count() == usable_cpus() >= 1
-    assert worker_count(3) == 3
+def test_run_experiment_smooths_on_usable_cpus_by_default(monkeypatch):
+    seen = []
+    real = protocol.truncated_tsvd
+
+    def recording(t, tau, *, threads=1):
+        seen.append(threads)
+        return real(t, tau, threads=threads)
+
+    monkeypatch.setattr(protocol, "truncated_tsvd", recording)
+    # Passes at rounds 2 and 4, each over a weight stack and a bias stack.
+    cfg = dataclasses.replace(TINY, algorithm="fedceo")
+    run_experiment(cfg)
+    assert seen == [usable_cpus()] * 4 and usable_cpus() >= 1
+    seen.clear()
+    run_experiment(cfg, threads=3)
+    assert seen == [3] * 4
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
@@ -71,11 +83,6 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     assert usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
-
-
-def test_worker_count_rejects_nonpositive():
-    with pytest.raises(ValidationError):
-        worker_count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +135,12 @@ def test_threshold_geometric_schedule_frozen_value():
 def test_threshold_flat_when_ratio_is_one():
     for passes in (1, 2, 9):
         assert smoothing_threshold(0.25, 1.0, passes=passes) == 2.0
+
+
+def test_threshold_saturates_at_infinity():
+    # ratio ** 2 overflows float64; so does 1 / (2 * lambda0).
+    assert smoothing_threshold(0.5, 1e300, 2) == math.inf
+    assert smoothing_threshold(1e-320, 1.0, 1) == math.inf
 
 
 def test_threshold_grows_geometrically():
@@ -521,7 +534,7 @@ def test_config_to_dict_flat_keys():
 def test_write_run_outputs_files(tmp_path):
     res = run_experiment(TINY)
     out = tmp_path / "run"
-    write_run_outputs(res, out, threads=1)
+    write_run_outputs(res, out)
     csv_path = out / "metrics.csv"
     assert csv_path.read_text() == metrics_csv_text(res.metrics)
     stored = load_tensors(out / "final_model.t3r")
@@ -532,16 +545,15 @@ def test_write_run_outputs_files(tmp_path):
     assert manifest["config"] == {
         k: v for k, v in config_to_dict(TINY).items()
     }
+    assert set(manifest) == {"package_version", "config", "layer_shapes", "privacy"}
     assert manifest["layer_shapes"] == [[5, 3, True]]
-    assert manifest["threads"] == 1
     assert manifest["privacy"]["epsilon"] == pytest.approx(res.budget.epsilon)
-    assert "package_version" in manifest
 
 
 def test_rerun_from_manifest_reproduces_csv(tmp_path):
     res = run_experiment(TINY)
     out = tmp_path / "run"
-    write_run_outputs(res, out, threads=1)
+    write_run_outputs(res, out)
     text = config_file_text(TINY)
     again = run_experiment(parse_config_text(text))
     assert metrics_csv_text(again.metrics) == (out / "metrics.csv").read_text()

@@ -331,6 +331,22 @@ class TestTruncatedTsvd:
             for i in range(k):
                 assert np.abs(out[:, :, i] - ref).max() <= 1e-9
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_distinct_slices_shrink_their_mean_by_the_matrix_rule(self, k):
+        # Fourier slice 0 is the sum of the K slices, so their mean after
+        # smoothing is the matrix rule at tau / K on their mean, and it moves
+        # by the part of the sum's spectrum that is cut off, divided by K.
+        rng = np.random.default_rng(70 + k)
+        for shape in ((5, 4), (3, 7), (1, 6), (8, 8)):
+            t = rng.standard_normal(shape + (k,))
+            s0 = np.linalg.svd(t.sum(axis=2), compute_uv=False)
+            for tau in (0.0, 0.5 * float(np.median(s0)), float(s0.max()), 2.0 * float(s0.max())):
+                mean = tz.truncated_tsvd(t, tau)[0].mean(axis=2)
+                ref = oracle.truncated_svd_matrix(t.mean(axis=2), tau / k)
+                assert np.abs(mean - ref).max() <= 1e-12
+                shift = np.linalg.norm(t.mean(axis=2) - mean)
+                assert abs(shift - np.sqrt(np.sum(np.minimum(s0, tau) ** 2)) / k) <= 1e-12
+
     @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 50])
     def test_returned_tnn_is_tnn_of_the_result(self, n3):
         rng = np.random.default_rng(65 + n3)

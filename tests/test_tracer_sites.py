@@ -1,12 +1,16 @@
 """The benchmark tracer wraps package functions by module attribute name
-(``perfbench/tracer.py`` ``SITES`` and ``COUNTED``), so renaming or moving
-one of them breaks ``perfbench/run.py --trace 1``.  This catches that here."""
+(``perfbench/tracer.py`` ``SITES`` and ``COUNTED``), and its probes read
+some of their arguments and results, so renaming or moving one of them, or
+changing what a probe reads, breaks ``perfbench/run.py --trace 1``.  These
+tests catch both here."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from fedceo import cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -25,3 +29,46 @@ tracer = load_tracer()
                                                 tracer.SITES + tracer.COUNTED}))
 def test_every_traced_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+SESSION_CONFIG = """\
+algorithm = fedceo
+n_total = 6
+k_selected = 3
+rounds = 4
+interval = 2
+batch = 16
+model.kind = mlp
+model.hidden = 8
+data.source = file
+data.path = {path}
+partition.mode = dirichlet
+partition.alpha = 0.5
+"""
+
+
+def test_a_traced_cli_session_runs_end_to_end(tmp_path, capsys):
+    # The probes read the wrapped calls' arguments and results, so a change
+    # to them breaks a traced benchmark run even when every name resolves.
+    sites = [(importlib.import_module(m), a) for m, a, *_ in tracer.SITES + tracer.COUNTED]
+    originals = [getattr(module, attr) for module, attr in sites]
+    data, cfg = tmp_path / "blobs.ds", tmp_path / "run.cfg"
+    cfg.write_text(SESSION_CONFIG.format(path=data))
+    run_dir = tmp_path / "run"
+    argvs = [
+        ["gen-data", "--out", str(data), "--classes", "3", "--dim", "4", "--samples", "150"],
+        ["run", "--config", str(cfg), "--out", str(run_dir), "--threads", "1"],
+        ["analyze", "--run", str(run_dir)],
+        ["sweep", "--config", str(cfg), "--axis", "dp.sigma", "--values", "0.5,2",
+         "--seeds", "0,1", "--out", str(tmp_path / "sweep"), "--threads", "2"],
+    ]
+    tr = tracer.Tracer()
+    with tr.installed():
+        codes = [cli.main(argv) for argv in argvs]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0]
+    assert [getattr(module, attr) for module, attr in sites] == originals
+    metrics = tracer.layer_metrics(tr.spans, tr.counts())
+    assert metrics["protocol.rounds"][0] == 4 * 5  # the run and four sweep cells
+    names = {span.name for span in tr.spans}
+    assert {"tensor.truncated_tsvd", "dp.clip_update", "protocol.write_run_outputs"} <= names
