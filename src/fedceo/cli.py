@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
         if partial:
             csv_path = _save_sweep_csv(args.out, SweepResult(spec, partial, []))
             print(f"sweep failed after {len(partial)} cells; partial rows kept "
-                  f"in {csv_path}", file=sys.stderr)
+                  f"in {csv_path}")
         raise
     _save_sweep_csv(args.out, result)
     for s in result.summaries:

@@ -172,8 +172,6 @@ _SCHEMA = {
     "dp.clip_c": ("dp", "clip_c", float),
     "dp.sigma": ("dp", "sigma", float),
     "dp.delta": ("dp", "delta", float),
-    "dp.c1": ("dp", "c1", float),
-    "dp.c2": ("dp", "c2", float),
     "model.kind": ("model", "kind", str),
     "model.hidden": ("model", "hidden", int),
     "model.bias": ("model", "bias", _to_bool),

@@ -103,9 +103,9 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
                       seed: int = 0) -> list[np.ndarray]:
     """Index sets of a disjoint cover of range(len(labels)), one per client.
 
-    Every client receives at least one sample regardless of mode; the
-    non-iid modes steal singletons from the largest client when a draw
-    leaves someone empty.
+    Every client receives at least one sample regardless of mode:
+    label_shard needs at least one sample per shard, and a Dirichlet draw
+    that leaves someone empty steals singletons from the largest client.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -114,6 +114,10 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
                               field="n_total")
     if mode not in PARTITION_MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
+    if mode == "label_shard" and n_clients * shards_per_client > n:
+        raise ValidationError(
+            f"n_total ({n_clients}) x {shards_per_client} is more shards than "
+            f"the {n} samples to split", field="partition.shards_per_client")
     rng = rng_stream(seed, purpose="partition")
 
     if mode == "iid":

@@ -52,18 +52,15 @@ class DpConfig:
     """Privacy knobs shared by the clipping and noising steps.
 
     clip_c bounds the l2 norm of an update; sigma is the noise multiplier;
-    delta is the failure probability in the (epsilon, delta) guarantee;
-    c1 and c2 are the constants of the budget bound and its validity gate.
+    delta is the failure probability in the (epsilon, delta) guarantee.
     """
 
     clip_c: float = 1.0
     sigma: float = 1.0
     delta: float = 1e-2
-    c1: float = 1.0
-    c2: float = 1.0
 
     def __post_init__(self):
-        for name in ("clip_c", "sigma", "c1", "c2"):
+        for name in ("clip_c", "sigma"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"must be positive, got {value}", field=f"dp.{name}")
@@ -113,15 +110,21 @@ class PrivacyBudget(NamedTuple):
 def privacy_budget(dp: DpConfig, n_total: int, k_selected: int, rounds: int) -> PrivacyBudget:
     """Closed-form epsilon after ``rounds`` rounds of subsampled noisy updates.
 
-    epsilon = c2 * p * sqrt(rounds * ln(1/delta)) / sigma with sampling
-    ratio p = k_selected / n_total (natural log).  The bound is only a
-    guarantee while epsilon < c1 * p^2 * rounds; `lemma_valid` reports that
-    gate and `validity_bound` the right-hand side; either overflowing
-    raises :class:`NonFinite`.
+    This is the moments-accountant lemma (Abadi et al., "Deep Learning with
+    Differential Privacy", CCS 2016, Theorem 1) with its two absolute
+    constants c1 = c2 = 1: epsilon = p * sqrt(rounds * ln(1/delta)) / sigma
+    with sampling ratio p = k_selected / n_total (natural log).  The bound
+    is only a guarantee while epsilon < p^2 * rounds; `lemma_valid` reports
+    that gate and `validity_bound` the right-hand side; either overflowing
+    float64, ``rounds`` included, raises :class:`NonFinite`.
     """
     p = k_selected / n_total
-    epsilon = dp.c2 * p * math.sqrt(rounds * math.log(1.0 / dp.delta)) / dp.sigma
-    bound = dp.c1 * p * p * rounds
+    try:
+        rounds = float(rounds)
+    except OverflowError:
+        rounds = math.inf
+    epsilon = p * math.sqrt(rounds * math.log(1.0 / dp.delta)) / dp.sigma
+    bound = p * p * rounds
     if not (math.isfinite(epsilon) and math.isfinite(bound)):
         raise NonFinite(f"privacy budget overflows: epsilon {epsilon}, bound {bound}")
     return PrivacyBudget(epsilon=epsilon, lemma_valid=epsilon < bound, validity_bound=bound)

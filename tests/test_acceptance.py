@@ -74,8 +74,8 @@ from tensor_oracle import (
 SEEDS = (0, 1, 2, 3, 4)
 
 # Noise multiplier that prices the desk-scale privacy budget at 0.5:
-# sigma = c2 * (K/N) * sqrt(T * ln(1/delta)) / eps with K/N = 5/20, T = 60,
-# delta = 1e-2, eps = 0.5.
+# sigma = c2 * (K/N) * sqrt(T * ln(1/delta)) / eps with the lemma's c2 = 1,
+# K/N = 5/20, T = 60, delta = 1e-2, eps = 0.5.
 HIGH_SIGMA = 1.0 * (5 / 20) * math.sqrt(60 * math.log(100)) / 0.5
 
 DESK = RunConfig(
@@ -274,7 +274,7 @@ def test_criterion_04_dp_mechanism_statistics():
     std_err = abs(float(draws.std()) - target) / target
     std_ok = std_err <= 0.02
 
-    frozen = privacy_budget(DpConfig(sigma=2.0, delta=1e-2, c1=1.0, c2=1.0),
+    frozen = privacy_budget(DpConfig(sigma=2.0, delta=1e-2),
                             n_total=10, k_selected=1, rounds=100).epsilon
     frozen_ok = abs(frozen - 1.072985) <= 1e-5
 

@@ -167,6 +167,8 @@ def test_rerun_from_manifest_config_reproduces_csv(tmp_path):
     ("data.samples = 1999\n", "samples"),
     ("data.spread = 1e308\n", "data.spread"),
     ("smoothing.divide_threshold_by_k = true\n", "smoothing.divide_threshold_by_k"),
+    ("dp.c1 = 1.0\n", "dp.c1"),  # the budget lemma's constants are not keys
+    ("dp.c2 = 1.0\n", "dp.c2"),
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     cfg = write_config(tmp_path, bad_text, name="bad.cfg")
@@ -695,6 +697,16 @@ def test_sweep_bad_axis_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis", ["dp.c1", "dp.c2"])
+def test_sweep_over_a_budget_lemma_constant_exits_2(tmp_path, capsys, axis):
+    code = main(["sweep", "--config", write_config(tmp_path), "--axis", axis,
+                 "--values", "1.0", "--seeds", "0", "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {axis}: not a sweepable config field")
+    assert not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize("axis", SWEEPABLE)
 def test_sweep_value_that_does_not_convert_exits_2_naming_the_axis(tmp_path, capsys, axis):
     value = "fedsgd" if axis == "algorithm" else "abc"
@@ -731,8 +743,8 @@ def test_sweep_failure_keeps_partial_rows(tmp_path, capsys, monkeypatch):
                  "--values", "0.5,1.0", "--seeds", "0,1", "--out", str(out)])
     assert code == 3
     captured = capsys.readouterr()
-    assert "numeric failure:" in captured.err
-    assert "partial rows kept" in captured.err
+    assert captured.err.startswith("numeric failure:")
+    assert "partial rows kept" in captured.out
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "dp.sigma,seed,acc,loss,eps_p"
     assert len(lines) == 1 + 3  # cells before the failing one

@@ -13,6 +13,7 @@ import pytest
 import config_oracle
 from config_oracle import config_file_text
 from fedceo.config import (
+    _SCHEMA,
     DataSpec,
     ModelSpec,
     RunConfig,
@@ -237,7 +238,7 @@ def test_importing_config_leaves_out_the_round_pipeline():
 
 BASE = RunConfig(
     n_total=8, k_selected=2, rounds=7, local_epochs=2, batch=8, lr=0.05,
-    dp=DpConfig(clip_c=0.5, sigma=3.0, delta=1e-3, c1=2.0, c2=0.5),
+    dp=DpConfig(clip_c=0.5, sigma=3.0, delta=1e-3),
     lambda0=0.2, ratio=1.2, interval=7, algorithm="ldp_fedavg", seed=3, eval_every=7,
 )
 SOURCES = {"blobs": dict(classes=4, dim=6, samples=300, spread=2.5),
@@ -274,3 +275,11 @@ def test_stray_path_on_blobs_is_not_rendered():
     text = config_file_text(STRAY_PATH)
     assert "data.path" not in text
     assert parse_config_text(text) == dataclasses.replace(STRAY_PATH, data=DataSpec())
+
+
+def test_readme_lists_every_config_key_in_schema_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    keys = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+            if line.startswith("| `")]
+    assert keys == list(_SCHEMA)

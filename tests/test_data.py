@@ -153,6 +153,15 @@ class TestPartition:
             partition_indices(np.zeros(5, dtype=int), 6, "iid", seed=0)
         assert str(err.value) == "n_total: 6 clients but only 5 samples to split"
 
+    def test_more_shards_than_samples(self):
+        # Checked before the shards are built: at a large shards_per_client
+        # that would be an unbounded allocation.
+        with pytest.raises(ValidationError) as err:
+            partition_indices(np.repeat(np.arange(4), 3), 6, "label_shard",
+                              shards_per_client=10**6, seed=0)
+        assert str(err.value) == ("partition.shards_per_client: n_total (6) x 1000000 "
+                                  "is more shards than the 12 samples to split")
+
     def test_dataset_wrapper(self):
         data = synth_blobs(4, 5, 200, 1.0, seed=7)
         parts = partition(data, 5, "iid", seed=7)

@@ -135,7 +135,7 @@ class TestMatchesPerClientOracle:
 
 class TestPrivacyBudget:
     def test_frozen_reference_value(self):
-        dp = DpConfig(sigma=2.0, delta=1e-2, c1=1.0, c2=1.0)
+        dp = DpConfig(sigma=2.0, delta=1e-2)
         got = privacy_budget(dp, n_total=100, k_selected=10, rounds=100)
         assert got.epsilon == pytest.approx(0.1 * math.sqrt(100 * math.log(100)) / 2.0, abs=1e-12)
         assert got.epsilon == pytest.approx(1.0729830131445025, abs=1e-5)
@@ -152,7 +152,7 @@ class TestPrivacyBudget:
         assert eps(delta=1e-1) < eps(delta=1e-2) < eps(delta=1e-5)
 
     def test_validity_gate(self):
-        # at sigma=2 the epsilon (1.073) exceeds the gate c1*p^2*T = 1.0
+        # at sigma=2 the epsilon (1.073) exceeds the gate p^2*T = 1.0
         tight = privacy_budget(DpConfig(sigma=2.0, delta=1e-2), 100, 10, 100)
         assert isinstance(tight, PrivacyBudget)
         assert tight.validity_bound == pytest.approx(0.01 * 100)
@@ -169,10 +169,11 @@ class TestPrivacyBudget:
             assert str(err.value) == f"dp.delta: must lie in (0, 1), got {bad}"
 
     @pytest.mark.parametrize("dp,rounds", [(DpConfig(sigma=1e-320), 10),
-                                           (DpConfig(c1=1e308), 10**9)],
+                                           (DpConfig(), 10**400)],
                              ids=["epsilon", "validity-bound"])
     def test_overflow_raises_non_finite(self, dp, rounds):
-        # Both values are written to the run manifest, where JSON has no inf.
+        # Both values are written to the run manifest, where JSON has no inf;
+        # a round count beyond float64 overflows the bound as well as epsilon.
         with pytest.raises(NonFinite, match="privacy budget overflows"):
             privacy_budget(dp, n_total=10, k_selected=10, rounds=rounds)
 

@@ -101,6 +101,8 @@ def check_contract(code, err, names):
 @example({"partition.mode": "dirichlet", "partition.alpha": "inf"})
 @example({"dp.sigma": "1e-320"})
 @example({"model.kind": "mlp", "model.hidden": "1000000000000000000"})
+@example({"rounds": "1" + "0" * 400})
+@example({"partition.mode": "label_shard", "partition.shards_per_client": "1000000"})
 def test_any_config_value_keeps_the_exit_code_contract(values):
     config = {**BASE, **values}
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,6 +174,8 @@ sweep_args = st.sampled_from(SWEEP_AXES).flatmap(lambda axis: st.fixed_dictionar
 @example({"axis": "rounds", "values": ["2"], "seeds": ["0"], "out": "file/sub"})
 # An Arabic-Indic two: int() reads it, but sweep.csv is ASCII.
 @example({"axis": "rounds", "values": ["\u0662"], "seeds": ["0"], "out": "fresh"})
+# The second cell diverges after the first wrote its row.
+@example({"axis": "lr", "values": ["0.1", "1e200"], "seeds": ["0"], "out": "fresh"})
 def test_any_sweep_keeps_the_exit_code_contract(args):
     """Exit 0, 2 or 3; exit 2 makes no directory; exit 0 writes one row
     per cell and two per value."""

@@ -2,8 +2,10 @@
 (``perfbench/tracer.py`` ``SITES`` and ``COUNTED``), and its probes read
 some of their arguments and results, so renaming or moving one of them, or
 changing what a probe reads, breaks ``perfbench/run.py --trace 1``.  These
-tests catch both here."""
+tests catch both here, and that a module imports nothing it does not use
+unless the benchmark reaches it through that module."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 from fedceo import cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -29,6 +32,38 @@ tracer = load_tracer()
                                                 tracer.SITES + tracer.COUNTED}))
 def test_every_traced_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def unused_imports(tree):
+    """Names that a module's top-level imports bind and its code never loads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def benchmark_reached():
+    """(module, name) pairs the benchmark looks up in the package: the
+    tracer's sites and every ``from fedceo.<m> import name`` under perfbench/."""
+    reached = {site[:2] for site in tracer.SITES + tracer.COUNTED}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fedceo."):
+                reached.update((node.module, alias.name) for alias in node.names)
+    return reached
+
+
+def test_every_unused_import_is_one_the_benchmark_reaches():
+    # When the benchmark stops reaching a name, its import goes with it.
+    unused = {(f"fedceo.{path.stem}", name)
+              for path in (ROOT / "src" / "fedceo").glob("*.py")
+              for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert unused <= benchmark_reached(), sorted(unused - benchmark_reached())
 
 
 SESSION_CONFIG = """\
