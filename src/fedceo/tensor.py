@@ -9,10 +9,18 @@ matrix algebra, transform back with the 1/n3-scaled inverse.
 Real input makes the Fourier slices conjugate-symmetric: slice i pairs with
 slice n3 - i, and a conjugated slice has the same singular values.  So only
 the n3 // 2 + 1 distinct slices that ``np.fft.rfft`` returns are decomposed,
-and ``np.fft.irfft`` rebuilds the real tensor from them.  The slices are
-independent, so :func:`truncated_tsvd` decomposes them one by one on up to
-``threads`` threads; NumPy releases the GIL in the SVD and matmul loops,
-and each slice's result is the same whichever thread computes it.
+and ``np.fft.irfft`` rebuilds the real tensor from them.
+
+Shrinking a slice A needs only its right singular vectors V and singular
+values s: A V diag(max(s - tau, 0) / s) V^H is A with every singular value
+soft-thresholded.  :func:`truncated_tsvd` reads V and s^2 off the Hermitian
+eigendecomposition of A's Gram matrix, which costs less than an SVD and
+never forms the left singular vectors.  The slices are independent, so it
+shrinks them one by one on up to ``threads`` threads; NumPy releases the
+GIL in the eigensolver and matmul loops, and each slice's result is the
+same whichever thread computes it.  :func:`fourier_singular_values` keeps
+the SVD: it serves spectra whose small singular values a Gram matrix cannot
+resolve.
 """
 
 from __future__ import annotations
@@ -51,14 +59,20 @@ def fourier_singular_values(arr: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-# Slice-SVD work, in n1 * n2 * min(n1, n2) units summed over the slices,
-# that each thread of a pool must get.  Below about this much, starting a
+# Slice work, in n1 * n2 * min(n1, n2) units summed over the slices, that
+# each thread of a pool must get.  Below about this much, starting a
 # thread and handing it slices costs more than the thread saves.  On a
 # 2-CPU host with one BLAS thread, 2 threads were slower than 1 on every
 # stack of up to 665,600 units (each of the benchmark's desk and cli
 # stacks, and stress's (256, 10, 50) one) and faster on every stack of
 # 1.5 million units and more.
 MIN_WORK_PER_THREAD = 1 << 19
+
+# Share of a matrix's largest singular value above which its Gram matrix
+# resolves a singular value to about 128 * eps relative to the largest.
+# Below it, a block whose threshold is also below it is shrunk again
+# through its own Gram matrix.
+RESOLVED = 2.0 ** -7
 
 
 def _tnn_of(sv: np.ndarray, n3: int) -> float:
@@ -71,17 +85,65 @@ def _tnn_of(sv: np.ndarray, n3: int) -> float:
     return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
 
 
+def _shrink_tall(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-threshold the singular values of a C-contiguous complex matrix
+    with at least as many rows as columns by ``tau``, through the
+    eigendecomposition of its Gram matrix.
+
+    Returns a @ v @ diag(max(s - tau, 0) / s) @ v^H (written to ``out`` when
+    given) and the shrunk singular values max(s - tau, 0), descending.  The
+    singular values below :data:`RESOLVED` times the largest are shrunk by
+    the same rule on the block a @ v that holds them, when ``tau`` is below
+    that share too.
+    """
+    parts = a.view(np.float64)
+    top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+    # A power of two scales exactly, and brings the largest entry into
+    # [0.5, 1), so the Gram matrix cannot overflow whatever the slice's
+    # magnitude.
+    scale = np.ldexp(1.0, min(-int(np.frexp(top)[1]), 1023))
+    b = a * scale
+    w, v = np.linalg.eigh(b.conj().T @ b)
+    s = np.sqrt(np.maximum(w, 0.0))
+    t = tau * scale
+    cut = RESOLVED * s.max(initial=0.0)
+    m = int(np.searchsorted(s, cut)) if t < cut else 0
+    kept = np.maximum(s[m:] - t, 0.0)
+    weight = np.divide(kept, s[m:], out=np.zeros_like(kept), where=kept > 0.0)
+    head = v[:, m:]
+    out = np.matmul(a @ head * weight, head.conj().T, out=out)
+    kept = kept[::-1] / scale  # eigh's order is ascending
+    if not m:
+        return out, kept
+    low, low_kept = _shrink_tall(a @ v[:, :m], tau)
+    out += low @ v[:, :m].conj().T
+    return out, np.concatenate([kept, low_kept])
+
+
 def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, float]:
     """Soft-threshold every Fourier slice's singular values by ``tau``.
 
     Returns the smoothed tensor and its tensor nuclear norm, which the
     shrunk singular values give without a second transform.  For
     coeff > 0 the tensor is the exact minimizer of
-    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).  The distinct
-    slices are shrunk on up to ``threads`` threads, never more than there
-    are slices or multiples of :data:`MIN_WORK_PER_THREAD` in their SVD
-    work, and each thread holds one slice's factors at a time; the result
-    does not depend on the thread count.
+    coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).
+
+    Each distinct slice A is shrunk through the eigendecomposition
+    A^H A = V diag(s^2) V^H of its Gram matrix on the smaller side (A A^H
+    when A is wide): the result is A V diag(max(s - tau, 0) / s) V^H, so
+    the left singular vectors are never formed, and the slice is scaled
+    by a power of two first, so its Gram matrix cannot overflow.  Squaring
+    costs accuracy in the small singular values: a singular value s near
+    tau carries an error of about eps * s_max^2 / s.  So when ``tau`` is
+    below :data:`RESOLVED` times a slice's largest singular value, the
+    singular values below that share are shrunk again through the Gram
+    matrix of the block A V that holds them.  The result then agrees with
+    a shrinkage through the full SVD to about 1e-13 relative.
+
+    The distinct slices are shrunk on up to ``threads`` threads, never
+    more than there are slices or multiples of :data:`MIN_WORK_PER_THREAD`
+    in their work, and each thread holds one slice's factors at a time;
+    the result does not depend on the thread count.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -98,13 +160,18 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
         # the caller's error state.
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             try:
-                u, sv, vh = np.linalg.svd(mats[j], full_matrices=False)
+                if n1 >= n2:
+                    _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j]), tau, rec[j])
+                else:
+                    # prox(A) = prox(A^H)^H
+                    _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau,
+                                           rec[j].T)
+                    np.conjugate(rec[j], out=rec[j])
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(
-                    f"SVD failed to converge on Fourier slice {j} of shape {arr.shape}"
+                    f"Gram eigendecomposition failed to converge on Fourier slice {j} "
+                    f"of shape {arr.shape}"
                 ) from exc
-            s[j] = np.maximum(sv - tau, 0.0)
-            np.matmul(u * s[j], vh, out=rec[j])
 
     work = slices * n1 * n2 * min(n1, n2)
     workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
@@ -119,9 +186,11 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
         list(map(shrink, range(slices)))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = np.fft.irfft(np.moveaxis(rec, 0, 2), n=n3, axis=2)
-    if not np.all(np.isfinite(out)):
+    norm = _tnn_of(s, n3)
+    # A singular value past float64 leaves the tensor finite but not its norm.
+    if not (np.all(np.isfinite(out)) and np.isfinite(norm)):
         raise NonFinite("smoothed tensor contains NaN or infinity")
-    return out, _tnn_of(s, n3)
+    return out, norm
 
 
 def tnn(t) -> float:

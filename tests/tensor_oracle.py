@@ -14,8 +14,9 @@ agree with:
   implementations that ``fedceo.tensor`` replaced with one batched
   ``rfft`` pass; the rewrite is checked against them.
 * ``truncated_tsvd_batched``: that ``rfft`` pass with all distinct slices
-  in one batched SVD, which ``fedceo.tensor`` replaced with one SVD per
-  slice on a thread pool; the rewrite must match it bit for bit.
+  in one batched SVD, which ``fedceo.tensor`` replaced with one shrinkage
+  per slice on a thread pool, through the slice's Gram matrix; the rewrite
+  must agree with it to 1e-12 relative.
 * ``prox_objective``: the objective whose minimizer ``truncated_tsvd`` is.
 * ``truncated_svd_matrix``: the matrix nuclear-norm prox, which a tensor
   of identical slices reduces to; ``frobenius``: the norm of any array.

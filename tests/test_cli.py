@@ -347,18 +347,19 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_svd_failure_in_a_pool_thread_exits_3(tmp_path, capsys, monkeypatch):
-    # One Fourier slice's SVD fails on a worker thread of the smoothing pass.
+    # One Fourier slice's eigendecomposition fails on a worker thread of the
+    # smoothing pass.
     calls = itertools.count()
     failed_on = []
-    real_svd = np.linalg.svd
+    real_eigh = np.linalg.eigh
 
     def flaky(a, *args, **kwargs):
         if next(calls) == 1:
             failed_on.append(threading.current_thread())
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
     monkeypatch.setattr(tensor, "MIN_WORK_PER_THREAD", 1)  # pool these tiny stacks
     text = TINY_CONFIG.replace("algorithm = ldp_fedavg",
                                "algorithm = fedceo\ninterval = 2")
@@ -367,7 +368,8 @@ def test_svd_failure_in_a_pool_thread_exits_3(tmp_path, capsys, monkeypatch):
                  "--threads", "2"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: SVD failed to converge on Fourier slice")
+    assert err.startswith("numeric failure: Gram eigendecomposition failed to converge "
+                          "on Fourier slice")
     assert "Traceback" not in err
     assert failed_on and failed_on[0] is not threading.main_thread()
 

@@ -250,7 +250,7 @@ def test_server_smooth_never_increases_tnn():
 
 def test_server_smooth_transforms_each_layer_stack_once(monkeypatch):
     models = [random_mlp(seed=s) for s in range(4)]
-    calls = {"rfft": 0, "svd": 0}
+    calls = {"rfft": 0, "eigh": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -261,12 +261,13 @@ def test_server_smooth_transforms_each_layer_stack_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(np.fft, "rfft")
-    counted(np.linalg, "svd")
+    counted(np.linalg, "eigh")
     server_smooth(uploads_of(models), models[0], 0.3)
     stacks = len(stack_clients(uploads_of(models), models[0]))
     assert stacks == 4
-    # one SVD per distinct Fourier slice: 4 // 2 + 1 per stack of 4 clients
-    assert calls == {"rfft": stacks, "svd": stacks * 3}
+    # one eigendecomposition per distinct Fourier slice: 4 // 2 + 1 per
+    # stack of 4 clients
+    assert calls == {"rfft": stacks, "eigh": stacks * 3}
 
 
 def test_server_smooth_huge_threshold_zeroes_everything():

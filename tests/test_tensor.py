@@ -6,8 +6,9 @@ block-circulant matmul route, tnn against the block-circulant nuclear norm
 and against characteristic-polynomial roots obtained from the closed-form
 trigonometric cubic solver, and the rfft shrinkage and tnn against the
 full-spectrum slice-by-slice implementations in ``tensor_oracle``.  The
-thread-pooled per-slice shrinkage must also match the batched-SVD pass it
-replaced, kept in ``tensor_oracle``, bit for bit at every thread count.
+thread-pooled per-slice shrinkage through each slice's Gram matrix must
+give the same bits at every thread count as on one thread, and agree with
+the batched-SVD pass kept in ``tensor_oracle`` to 1e-12 relative.
 """
 
 import concurrent.futures
@@ -17,6 +18,8 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensor_oracle as oracle
 from fedceo import tensor as tz
@@ -91,6 +94,12 @@ def pool_sizes(monkeypatch):
 def rel_err(got, want):
     denom = np.linalg.norm(np.asarray(want).ravel())
     return np.linalg.norm((np.asarray(got) - np.asarray(want)).ravel()) / max(denom, 1e-300)
+
+
+def input_rel_err(got, want, t):
+    """||got - want|| / ||t||, in units that keep entries near 1e200 finite."""
+    unit = np.ldexp(1.0, int(np.frexp(np.abs(t).max())[1]))
+    return np.linalg.norm(((got - want) / unit).ravel()) / np.linalg.norm((t / unit).ravel())
 
 
 class TestDftMode3:
@@ -364,6 +373,17 @@ class TestTruncatedTsvd:
         with pytest.raises(NonFinite):
             tz.truncated_tsvd(np.full((4, 4, 1), 1e308), 0.0)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2)])
+    def test_empty_slices_shrink_to_empty(self, shape):
+        out, norm = tz.truncated_tsvd(np.zeros(shape), 0.5)
+        assert out.shape == shape and norm == 0.0
+
+    def test_nonfinite_norm_rejected(self):
+        # The singular value 4e308 overflows, though no entry of the
+        # shrunk slice does.
+        with pytest.raises(NonFinite):
+            tz.truncated_tsvd(np.full((16, 1, 1), 1e308), 0.0)
+
     def test_nonfinite_result_rejected_from_pool_threads(self, small_pools):
         # Every Fourier slice of this stack is its first frontal slice, so
         # all 3 distinct slices overflow, on 2 threads; a RuntimeWarning
@@ -379,19 +399,91 @@ class TestTruncatedTsvd:
                                                         threads):
         t = np.random.default_rng(66).standard_normal((5, 4, 4))
         bad = np.fft.rfft(t, axis=2)[:, :, 1]
-        real_svd = np.linalg.svd
+        gram = bad.conj().T @ bad  # the slice is scaled by a power of two first
+        real_eigh = np.linalg.eigh
 
         def flaky(a, *args, **kwargs):
-            if np.array_equal(a, bad):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real_svd(a, *args, **kwargs)
+            if np.allclose(a * (np.trace(gram).real / np.trace(a).real), gram, rtol=1e-12):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", flaky)
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
         with pytest.raises(NoConvergence, match="Fourier slice 1"):
             tz.truncated_tsvd(t, 0.1, threads=threads)
 
 
+@st.composite
+def conditioned_stacks(draw):
+    """A stack and a threshold.  Each frontal slice has singular values
+    spread evenly over up to 14 decades; the clients may be identical
+    (Fourier slices 1 .. n3 - 1 are then zero: exactly for n3 = 2, 3, 4 and
+    9, up to rounding for others), and the entries may sit near 1e-200 or
+    1e200."""
+    kind = draw(st.sampled_from(["tall", "wide", "row", "column"]))
+    a, b = sorted(draw(st.lists(st.integers(2, 12), min_size=2, max_size=2)))
+    n1, n2 = {"tall": (b, a), "wide": (a, b), "row": (1, b), "column": (b, 1)}[kind]
+    n3 = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 50]))
+    decades = draw(st.sampled_from([0.0, 2.0, 6.0, 10.0, 14.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(n1, n2)
+    frontal = []
+    for _ in range(1 if draw(st.booleans()) else n3):
+        q1 = np.linalg.qr(rng.standard_normal((n1, k)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((n2, k)))[0]
+        frontal.append((q1 * np.logspace(0.0, -decades, k)) @ q2.T)
+    t = np.stack([frontal[i % len(frontal)] for i in range(n3)], axis=2)
+    t *= 10.0 ** draw(st.sampled_from([-200, 0, 200]))
+    sv = tz.fourier_singular_values(t).ravel()
+    where = draw(st.sampled_from(["zero", "quantile", "above"]))
+    tau = {"zero": 0.0,
+           "quantile": float(np.quantile(sv, draw(st.floats(0.0, 1.0)))),
+           "above": 1.5 * float(sv.max())}[where]
+    return t, tau
+
+
+class TestGramRouteMatchesBatchedSvd:
+    # Both routes round to a share of the input, since the shrinkage is
+    # 1-Lipschitz; so errors are relative to the input's Frobenius norm and
+    # tensor nuclear norm.  Relative to the output they would compare
+    # rounding noise whenever tau sits at a singular value at the top of
+    # the spectrum.
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(conditioned_stacks())
+    def test_agrees_with_the_batched_svd_oracle(self, case):
+        t, tau = case
+        got, norm = tz.truncated_tsvd(t, tau)
+        want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+        assert input_rel_err(got, want, t) <= 1e-12
+        assert abs(norm - want_norm) <= 1e-12 * oracle.tnn(t)
+
+    def test_huge_entries_smooth_like_the_oracle(self):
+        # Their Gram matrix would overflow if the slices were not scaled.
+        t = np.random.default_rng(74).standard_normal((6, 5, 4)) * 1e200
+        tau = float(np.median(tz.fourier_singular_values(t)))
+        got, norm = tz.truncated_tsvd(t, tau)
+        want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+        assert np.all(np.isfinite(got))
+        assert rel_err(got / 1e200, want / 1e200) <= 1e-12
+        assert abs(norm - want_norm) <= 1e-12 * want_norm
+
+    def test_small_singular_values_near_the_threshold(self):
+        # 12 decades in 13 singular values, tau at each of them: the Gram
+        # matrix alone resolves the small ones to about eps * s_max**2 / s.
+        rng = np.random.default_rng(75)
+        q1 = np.linalg.qr(rng.standard_normal((40, 13)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((13, 13)))[0]
+        t = ((q1 * np.logspace(0.0, -12.0, 13)) @ q2.T)[:, :, None]
+        for tau in np.logspace(0.0, -12.0, 13):
+            got, norm = tz.truncated_tsvd(t, tau)
+            want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+            assert input_rel_err(got, want, t) <= 1e-12
+            assert abs(norm - want_norm) <= 1e-12 * oracle.tnn(t)
+
+
 class TestSliceParallel:
+    # Bit identity is against the package's own serial result; agreement
+    # with the batched-SVD oracle is to the bound of
+    # TestRfftMatchesFullSpectrumOracle.
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     @pytest.mark.parametrize("n3", [1, 2, 3, 4, 9, 50])
     def test_matches_batched_oracle_bit_for_bit(self, small_pools, n3, threads):
@@ -400,17 +492,20 @@ class TestSliceParallel:
             t = rng.standard_normal(shape)
             sv = tz.fourier_singular_values(t)
             for tau in (0.0, float(np.median(sv)), 2.0 * float(sv.max())):
-                want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+                serial, serial_norm = tz.truncated_tsvd(t, tau, threads=1)
                 got, norm = tz.truncated_tsvd(t, tau, threads=threads)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert norm == want_norm
+                assert got.shape == serial.shape == t.shape
+                assert got.tobytes() == serial.tobytes()
+                assert norm == serial_norm
+                want, want_norm = oracle.truncated_tsvd_batched(t, tau)
+                assert rel_err(got, want) <= 1e-12
+                assert abs(norm - want_norm) <= 1e-12 * want_norm
 
     def test_more_workers_than_cores_under_fast_switching(self, small_pools):
         # Each worker writes only its own slices of the shared buffers; a
         # lost or misplaced write would break bit identity.
         t = np.random.default_rng(68).standard_normal((40, 30, 50))
-        want, want_norm = oracle.truncated_tsvd_batched(t, 1.0)
+        want, want_norm = tz.truncated_tsvd(t, 1.0, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -418,14 +513,17 @@ class TestSliceParallel:
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes() and norm == want_norm
+        svd, svd_norm = oracle.truncated_tsvd_batched(t, 1.0)
+        assert rel_err(got, svd) <= 1e-12 and abs(norm - svd_norm) <= 1e-12 * svd_norm
 
     def test_pool_is_capped_at_the_slice_count(self, small_pools, pool_sizes):
         rng = np.random.default_rng(67)
         three = rng.standard_normal((3, 2, 5))  # 5 // 2 + 1 = 3 distinct slices
         got, _ = tz.truncated_tsvd(three, 0.1, threads=10**6)
         assert pool_sizes == [3]
-        want, _ = oracle.truncated_tsvd_batched(three, 0.1)
+        want, _ = tz.truncated_tsvd(three, 0.1, threads=1)
         assert got.tobytes() == want.tobytes()
+        assert rel_err(got, oracle.truncated_tsvd_batched(three, 0.1)[0]) <= 1e-12
         # One slice, or one thread, takes no executor at all.
         tz.truncated_tsvd(rng.standard_normal((3, 2, 1)), 0.1, threads=10**6)
         tz.truncated_tsvd(three, 0.1, threads=1)
