@@ -13,8 +13,8 @@ codes (mapped in :mod:`fedceo.errors`): 0 on success, 2 for an input error,
 including a path that cannot be read or written, 3 for a numeric failure.
 ``run`` and ``sweep`` check --out before any training and create nothing
 when it cannot become a directory.  --threads caps the threads that
-decompose the Fourier slices of each smoothing pass (default: the CPUs
-this process may use); it changes no byte of any file ``run`` or
+share each round's lock steps, noise draws and smoothing pass (default:
+the CPUs this process may use); it changes no byte of any file ``run`` or
 ``sweep`` writes.  ``run`` writes its manifest last.  Sweep cells run one
 after another, and a file-backed sweep reads its data file once for all
 of them.
@@ -68,8 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="flat key=value config file")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="threads that decompose the Fourier slices; changes "
-                            "no output (default: the usable CPU count)")
+                       help="threads that share each round's training, noise and "
+                            "smoothing; changes no output (default: the usable CPU "
+                            "count)")
 
     sweep_p = sub.add_parser("sweep", help="vary one config field over a value grid")
     sweep_p.add_argument("--config", required=True, help="base config file")
@@ -79,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seeds")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--threads", type=int, default=None,
-                         help="threads that decompose each cell's Fourier slices; "
-                              "cells run serially (default: the usable CPU count)")
+                         help="threads that share each round of a cell; cells run "
+                              "serially (default: the usable CPU count)")
 
     analyze_p = sub.add_parser("analyze", help="diagnostics for a finished run")
     analyze_p.add_argument("--run", required=True, help="directory written by `run`")

@@ -6,7 +6,8 @@ deterministic random streams every stochastic step draws from.
 Randomness is counter-based: each (seed, round, client, purpose) triple
 names its own Philox stream, so a draw never depends on scheduling order,
 thread count, or how many draws other components made.  Replaying a round
-for one client replays exactly its noise.
+for one client replays exactly its noise, and the rows of a round's noise
+can be drawn on several threads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ValidationError
+from .parallel import row_blocks, thread_map
 
 # Stable codes for the stream purposes; values are part of the on-disk
 # reproducibility contract, so append only, never renumber.
@@ -85,20 +87,37 @@ def clip_update(deltas: np.ndarray, clip_c: float) -> None:
     deltas /= np.maximum(1.0, norms / clip_c)[:, None]
 
 
+# Noise draws (entries of the (K, P) array) that each thread of a pool
+# must get.  On a 2-CPU host, 2 threads were slower than 1 on the 26,880
+# draws of a benchmark cli round and took 0.51-0.69 of the time on every
+# array of 163,840 draws and more.
+MIN_DRAWS_PER_THREAD = 1 << 17
+
+
 def gaussianize(clipped: np.ndarray, dp: DpConfig, k_selected: int,
-                rngs: list[np.random.Generator]) -> None:
+                rngs: list[np.random.Generator], *, threads: int = 1) -> None:
     """Add z ~ N(0, sigma^2 c^2 / K) to each row k of the (K, P) array
     ``clipped``, in place, drawn from ``rngs[k]``.
 
     The 1/K variance split makes the K aggregated uploads carry the same
-    total noise a central server would have added once.
+    total noise a central server would have added once.  The rows are
+    split into contiguous blocks on up to ``threads`` threads, never more
+    than there are rows or multiples of :data:`MIN_DRAWS_PER_THREAD` in
+    the array; a row's noise does not depend on the thread count.
     """
     scale = dp.sigma * dp.clip_c / math.sqrt(k_selected)
-    noise = np.empty(clipped.shape[1])
-    for row, rng in zip(clipped, rngs):
-        rng.standard_normal(out=noise)
-        noise *= scale
-        row += noise
+    k, p = clipped.shape
+    workers = min(threads, k, clipped.size // MIN_DRAWS_PER_THREAD)
+
+    def add_noise(rows: slice) -> None:
+        noise = np.empty(p)
+        for row, rng in zip(clipped[rows], rngs[rows]):
+            rng.standard_normal(out=noise)
+            noise *= scale
+            row += noise
+
+    with thread_map(workers) as run:
+        run(add_noise, row_blocks(k, workers))
 
 
 class PrivacyBudget(NamedTuple):

@@ -11,7 +11,8 @@ A model's ``params`` may also carry a leading client axis, ``(K, P)``:
 every layer view then has it too.  Only :func:`local_train` trains on that
 axis: it runs the K clients of a round in lock step, in place in the
 round's array, each lock step on only the clients that still have a
-minibatch.  :func:`forward_loss` (evaluation) and :func:`gradient`
+minibatch, split into blocks of rows on up to ``threads`` threads when
+the round is large.  :func:`forward_loss` (evaluation) and :func:`gradient`
 (the attack report) take one model and one batch of samples.  The lock
 step (:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share
 one forward pass, :func:`_forward`; the lock step and :func:`gradient`
@@ -24,6 +25,7 @@ kink.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -31,6 +33,7 @@ import numpy as np
 
 from .data import check_samples
 from .errors import ShapeMismatch
+from .parallel import row_blocks, thread_map
 
 
 def param_blocks(shapes) -> list[tuple[int, int]]:
@@ -214,9 +217,16 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
 # ---------------------------------------------------------------------------
 # Local optimization
 
+# Parameters (entries of the (K, P) array) that each thread of a lock-step
+# pool must get.  On a 2-CPU host with one BLAS thread and minibatches of
+# 32, 2 threads were slower than 1 on every round of up to 353,280
+# parameters (the benchmark's desk and cli rounds among them), saved under
+# 10% at 473,600 and 706,560, and saved 36% at stress's 3.4 million.
+MIN_PARAMS_PER_THREAD = 1 << 20
+
 
 def local_train(model: Model, features, labels, epochs: int, batch_size: int,
-                lr: float, rngs) -> None:
+                lr: float, rngs, *, threads: int = 1) -> None:
     """Plain minibatch SGD for ``epochs`` passes over each of K clients'
     samples, the K clients in lock step, training the (K, P)
     ``model.params`` in place.
@@ -230,6 +240,12 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     a prefix of the rows, the clients that still have a minibatch in the
     epoch: a finished client sits out the steps left, so its row does not
     move.
+
+    A step's prefix is split into contiguous blocks of rows on up to
+    ``threads`` threads, never more than there are clients or multiples
+    of :data:`MIN_PARAMS_PER_THREAD` in ``model.params``.  Every block
+    steps at the step's full minibatch width, so each client's row is the
+    same whatever the thread count.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -250,16 +266,18 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
         params[:] = params[rank]
     try:
         _lock_steps(model, [features[c] for c in rank], [labels[c] for c in rank],
-                    epochs, batch_size, lr, [rngs[c] for c in rank])
+                    epochs, batch_size, lr, [rngs[c] for c in rank],
+                    min(threads, k, params.size // MIN_PARAMS_PER_THREAD))
     finally:
         if moved:
             params[rank] = params.copy()
 
 
 def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
-                lr: float, rngs) -> None:
+                lr: float, rngs, workers: int) -> None:
     """The lock steps of :func:`local_train` on checked clients whose
-    sizes do not increase along the rows.
+    sizes do not increase along the rows, each step's rows split into
+    blocks on ``workers`` threads when that is 2 or more.
 
     Each step runs on every client's next minibatch, padded to a common
     row count, over the prefix of clients that still have one.  The
@@ -290,13 +308,31 @@ def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
     grad = np.empty_like(params)
     prefixes = {a: (Model(model.shapes, params[:a]), Model(model.shapes, grad[:a]))
                 for a in set(active)}
-    for _ in range(epochs):
-        for c, (n, rng) in enumerate(zip(sizes, rngs)):
-            order[c, :n] = offsets[c] + rng.permutation(n)
-        xs, targets = x_all[batches], onehot_all[batches]
-        for t, (width, a) in enumerate(zip(widths, active)):
-            _sgd_step(*prefixes[a], xs[t, :a, :width], targets[t, :a, :width],
-                      batch_sizes[t, :a, :width], lr)
+    # blocks[a]: the row blocks of prefix [:a] that pooled steps split it
+    # into, each with its rows of params and grad
+    blocks = {a: [(rows, Model(model.shapes, params[rows]), Model(model.shapes, grad[rows]))
+                  for rows in row_blocks(a, workers)]
+              for a in (set(active) if workers > 1 else ())}
+    with thread_map(workers) as run:
+        for _ in range(epochs):
+            for c, (n, rng) in enumerate(zip(sizes, rngs)):
+                order[c, :n] = offsets[c] + rng.permutation(n)
+            xs, targets = x_all[batches], onehot_all[batches]
+            for t, (width, a) in enumerate(zip(widths, active)):
+                if workers < 2:
+                    _sgd_step(*prefixes[a], xs[t, :a, :width], targets[t, :a, :width],
+                              batch_sizes[t, :a, :width], lr)
+                else:
+                    run(partial(_block_step, xs[t, :, :width], targets[t, :, :width],
+                                batch_sizes[t, :, :width], lr), blocks[a])
+
+
+def _block_step(x, targets, batch_sizes, lr, block) -> None:
+    """The :func:`_sgd_step` of one row block ``(rows, model, grad)`` of a
+    lock step whose minibatches for all rows are ``x``, ``targets`` and
+    ``batch_sizes``."""
+    rows, part, part_grad = block
+    _sgd_step(part, part_grad, x[rows], targets[rows], batch_sizes[rows], lr)
 
 
 def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,

@@ -16,8 +16,9 @@ Three algorithms share one round pipeline:
   average of the slices.
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
-results are identical across replays, and the smoothing pass's thread count
-changes no bit of them or of the run's outputs: ``metrics.csv``,
+results are identical across replays.  A large round splits its lock
+steps, noise draws and smoothing pass over threads, and the thread count
+changes no bit of the results or of the run's outputs: ``metrics.csv``,
 ``final_model.t3r`` and, written last, ``run_manifest.json``.  The config
 types a run takes, and their flat rendering in the manifest, live in
 :mod:`fedceo.config`.
@@ -182,11 +183,12 @@ def build_model(cfg: RunConfig, dim: int, classes: int) -> Model:
 
 def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
                     parts: list[Dataset], starts: list[np.ndarray],
-                    round_no: int) -> np.ndarray:
+                    round_no: int, threads: int) -> np.ndarray:
     """The round's (K, P) uploads, start + lr * update: the selected clients
     train in lock step from their starts, and each update is the client's
-    delta, clipped and noised unless the algorithm is ``fedavg``.  Raises
-    :class:`NonFinite` if any upload is not finite."""
+    delta, clipped and noised unless the algorithm is ``fedavg``; training
+    and noise run on up to ``threads`` threads.  Raises :class:`NonFinite`
+    if any upload is not finite."""
     uploads = np.stack(starts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         local_train(
@@ -195,6 +197,7 @@ def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
             cfg.local_epochs, cfg.batch, cfg.lr,
             [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
              for c in clients],
+            threads=threads,
         )
         starts = np.stack(starts)  # only now: training is the memory peak
         uploads -= starts  # the clients' deltas
@@ -202,7 +205,7 @@ def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
             clip_update(uploads, cfg.dp.clip_c)
             gaussianize(uploads, cfg.dp, cfg.k_selected,
                         [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="noise")
-                         for c in clients])
+                         for c in clients], threads=threads)
         uploads *= cfg.lr
         uploads += starts
     if not np.isfinite(uploads).all():
@@ -227,8 +230,9 @@ def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
     round: global-model loss on the training split, accuracy on the held-out
     split, summed tensor nuclear norm of the (smoothed) stack when the row
     lands on a smoothing round, and the closed-form privacy budget.
-    Smoothing passes decompose Fourier slices on up to ``threads`` threads
-    (default: :func:`usable_cpus`); no result depends on the count.
+    Lock steps, noise draws and smoothing passes run on up to ``threads``
+    threads (default: :func:`usable_cpus`), each only when its round is
+    large enough to gain; no result depends on the count.
     """
     if threads is None:
         threads = usable_cpus()
@@ -249,7 +253,7 @@ def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
                    select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)]
         uploads = _client_uploads(
             cfg, template, clients, [parts[c] for c in clients],
-            [personalized.get(c, global_vec) for c in clients], round_no,
+            [personalized.get(c, global_vec) for c in clients], round_no, threads,
         )
         personalized = {}
 

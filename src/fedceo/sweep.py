@@ -86,7 +86,7 @@ def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
 
 def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     """Run the full (value, seed) grid and summarize per value; each cell
-    smooths on up to ``threads`` threads (see :func:`run_experiment`).
+    runs its rounds on up to ``threads`` threads (see :func:`run_experiment`).
 
     Raises the first cell failure; the rows completed before it (in grid
     order) are attached to the exception as ``partial_rows``.

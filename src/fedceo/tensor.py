@@ -16,11 +16,12 @@ values s: A V diag(max(s - tau, 0) / s) V^H is A with every singular value
 soft-thresholded.  :func:`truncated_tsvd` reads V and s^2 off the Hermitian
 eigendecomposition of A's Gram matrix, which costs less than an SVD and
 never forms the left singular vectors.  The slices are independent, so it
-shrinks them one by one on up to ``threads`` threads; NumPy releases the
-GIL in the eigensolver and matmul loops, and each slice's result is the
-same whichever thread computes it.  :func:`fourier_singular_values` keeps
-the SVD: it serves spectra whose small singular values a Gram matrix cannot
-resolve.
+shrinks them one by one on up to ``threads`` threads, and the transforms
+there and back run on the same threads in blocks of rows; NumPy releases
+the GIL in the FFT, eigensolver and matmul loops, and each slice's and
+row's result is the same whichever thread computes it.
+:func:`fourier_singular_values` keeps the SVD: it serves spectra whose
+small singular values a Gram matrix cannot resolve.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import struct
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, ParseError, ShapeMismatch, naming_file, write_file
+from .parallel import row_blocks, thread_map
 
 
 def as_tensor3(t) -> np.ndarray:
@@ -142,50 +144,52 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
 
     The distinct slices are shrunk on up to ``threads`` threads, never
     more than there are slices or multiples of :data:`MIN_WORK_PER_THREAD`
-    in their work, and each thread holds one slice's factors at a time;
-    the result does not depend on the thread count.
+    in their work, and each thread holds one slice's factors at a time.
+    When that pool starts, the forward and inverse transforms run on it
+    too, each thread transforming a block of rows (the n1 axis).  The
+    result does not depend on the thread count.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
-    n3 = arr.shape[2]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        mats = np.moveaxis(np.fft.rfft(arr, axis=2), 2, 0)
-    slices, n1, n2 = mats.shape
-    rec = np.empty(mats.shape, dtype=mats.dtype)
-    s = np.empty((slices, min(n1, n2)))
-
-    def shrink(j: int) -> None:
-        # Entered here, not by the caller: a pool thread does not inherit
-        # the caller's error state.
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            try:
-                if n1 >= n2:
-                    _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j]), tau, rec[j])
-                else:
-                    # prox(A) = prox(A^H)^H
-                    _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau,
-                                           rec[j].T)
-                    np.conjugate(rec[j], out=rec[j])
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(
-                    f"Gram eigendecomposition failed to converge on Fourier slice {j} "
-                    f"of shape {arr.shape}"
-                ) from exc
-
+    n1, n2, n3 = arr.shape
+    slices = n3 // 2 + 1
     work = slices * n1 * n2 * min(n1, n2)
     workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
-    if workers > 1:
-        # Imported here, so a process that never starts a pool (any run
-        # whose stacks are all small) does not pay for the import.
-        from concurrent.futures import ThreadPoolExecutor
+    # Slice-major buffers: each Fourier slice is one contiguous matrix, and
+    # the smoothed tensor keeps a client's entries together, so a stack of
+    # uploads unstacks into a C-ordered (K, P) array.
+    mats = np.empty((slices, n1, n2), dtype=np.complex128)
+    rec = np.empty_like(mats)
+    out = np.moveaxis(np.empty((n3, n1, n2)), 0, 2)
+    s = np.empty((slices, min(n1, n2)))
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(shrink, range(slices)))
-    else:
-        list(map(shrink, range(slices)))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = np.fft.irfft(np.moveaxis(rec, 0, 2), n=n3, axis=2)
+    def forward(rows: slice) -> None:
+        np.fft.rfft(arr[rows], axis=2, out=np.moveaxis(mats, 0, 2)[rows])
+
+    def shrink(j: int) -> None:
+        try:
+            if n1 >= n2:
+                _, s[j] = _shrink_tall(mats[j], tau, rec[j])
+            else:
+                # prox(A) = prox(A^H)^H
+                _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau, rec[j].T)
+                np.conjugate(rec[j], out=rec[j])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(
+                f"Gram eigendecomposition failed to converge on Fourier slice {j} "
+                f"of shape {arr.shape}"
+            ) from exc
+
+    def inverse(rows: slice) -> None:
+        np.fft.irfft(np.moveaxis(rec, 0, 2)[rows], n=n3, axis=2, out=out[rows])
+
+    # Checked below; the pool's threads run under this error state too.
+    with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:
+        blocks = row_blocks(n1, workers)
+        run(forward, blocks)
+        run(shrink, range(slices))
+        run(inverse, blocks)
     norm = _tnn_of(s, n3)
     # A singular value past float64 leaves the tensor finite but not its norm.
     if not (np.all(np.isfinite(out)) and np.isfinite(norm)):

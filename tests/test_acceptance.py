@@ -43,7 +43,6 @@ import numpy as np
 import pytest
 
 from config_oracle import config_file_text
-from fedceo import tensor
 from fedceo.analysis import invert_linear_gradient, smoothness_map, spectral_curves
 from fedceo.cli import main
 from fedceo.config import DataSpec, ModelSpec, RunConfig
@@ -536,10 +535,10 @@ def test_criterion_11_smoothing_reduces_roughness():
 # 12: byte-identical run files across `run --threads` settings
 
 
-def test_criterion_12_thread_reproducibility(tmp_path, capsys, monkeypatch):
-    # Desk-sized stacks are too small to be worth a thread pool; lift that
-    # floor so that 2 and 8 threads really split the Fourier slices.
-    monkeypatch.setattr(tensor, "MIN_WORK_PER_THREAD", 1)
+def test_criterion_12_thread_reproducibility(tmp_path, capsys, lifted_floors):
+    # Desk-sized rounds are too small to be worth a thread pool; the lifted
+    # floors make 2 and 8 threads really split the lock steps, the noise
+    # draws and the Fourier slices.
     cfg = dataclasses.replace(
         DESK, rounds=10, local_epochs=3, eval_every=5, algorithm="fedceo",
         interval=5, lambda0=0.5,

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,25 @@ def test_diverging_run_exits_3(tmp_path, capsys, algorithm):
     code, _ = do_run(tmp_path, text=text)
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "ldp_fedavg", "fedceo"])
+@pytest.mark.parametrize("lr,epochs", [("1e200", 1), ("1e308", 3)])
+def test_diverging_run_on_threads_exits_3(tmp_path, capsys, lifted_floors, algorithm, lr,
+                                          epochs):
+    # Lock steps and noise on 2 threads.  At lr 1e308 the lock steps
+    # themselves overflow, in the pool threads: under the caller's error
+    # state there, as on the caller, so no RuntimeWarning is raised.
+    text = TINY_CONFIG.replace("lr = 0.1", f"lr = {lr}").replace(
+        "local_epochs = 1", f"local_epochs = {epochs}").replace(
+        "algorithm = ldp_fedavg", f"algorithm = {algorithm}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "diverged" in err and "Traceback" not in err
 
 
 def test_overflowing_smoothing_schedule_saturates(tmp_path):

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import dp_oracle
+from fedceo import dp as fdp
 from fedceo.dp import DpConfig, PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
 from fedceo.config import RunConfig
 from fedceo.errors import NonFinite, ValidationError
@@ -97,6 +98,41 @@ class TestGaussianize:
         gaussianize(out, dp, 4, [rng_stream(11, purpose="noise")])
         assert np.std(out) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(out)) < 0.02
+
+
+class TestGaussianizeThreads:
+    """Row blocks of the noise on several threads: the same bits on any
+    thread count, and never more threads than rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_same_noise_on_any_thread_count(self, lifted_floors, k):
+        delta = np.random.default_rng(5).standard_normal((k, 37))
+        dp = DpConfig(sigma=2.0)
+        want = delta.copy()
+        gaussianize(want, dp, k, noise_streams(9, range(k), round_no=2))
+        for threads in (1, 2, k + 3):
+            got = delta.copy()
+            gaussianize(got, dp, k, noise_streams(9, range(k), round_no=2), threads=threads)
+            assert got.tobytes() == want.tobytes(), threads
+
+    def test_pool_is_capped_at_the_rows(self, lifted_floors, pool_sizes):
+        out = np.zeros((5, 8))
+        gaussianize(out, DpConfig(), 5, noise_streams(0, range(5)), threads=10**6)
+        assert pool_sizes == [5]
+        want = np.zeros((5, 8))
+        gaussianize(want, DpConfig(), 5, noise_streams(0, range(5)))
+        assert out.tobytes() == want.tobytes()
+
+    def test_each_thread_gets_a_minimum_of_draws(self, pool_sizes):
+        floor = fdp.MIN_DRAWS_PER_THREAD
+        # The benchmark's cli round (10 x 2688) draws on the caller.
+        for shape, pools in [((10, 2688), []), ((4, floor // 8), []), ((4, floor // 2), [2]),
+                             ((4, floor // 4 * 3), [3]), ((2, 4 * floor), [2]),
+                             ((16, floor), [8])]:
+            pool_sizes.clear()
+            gaussianize(np.zeros(shape), DpConfig(), shape[0],
+                        noise_streams(0, range(shape[0])), threads=8)
+            assert pool_sizes == pools, shape
 
 
 class TestMatchesPerClientOracle:

@@ -1,6 +1,7 @@
 """Model construction, loss, gradients, flattening, and local SGD."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -390,10 +391,11 @@ class TestLockStepMatchesOracle:
     cache: equal bit for bit, trained in the caller's array and order."""
 
     @staticmethod
-    def assert_same(model, starts, xs, ys, epochs, batch_size, lr, clients):
+    def assert_same(model, starts, xs, ys, epochs, batch_size, lr, clients, threads=1):
         params = np.array(starts, dtype=np.float64)
         trained = Model(model.shapes, params)
-        local_train(trained, xs, ys, epochs, batch_size, lr, train_streams(clients))
+        local_train(trained, xs, ys, epochs, batch_size, lr, train_streams(clients),
+                    threads=threads)
         assert trained.params is params
         npt.assert_array_equal(
             params, lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients,
@@ -416,17 +418,34 @@ class TestLockStepMatchesOracle:
         self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, 3, 8, 0.2,
                          list(range(len(sizes))))
 
+    # Each step's prefix of rows split into blocks on threads: a step with
+    # fewer active clients than threads, blocks of one client, K = 1.
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("sizes,batch_size,epochs",
+                             EDGE_CASES + [(SIZE_ORDERS["interleaved"], 8, 3)])
+    def test_row_blocks_on_threads(self, lifted_floors, threads, kind, sizes, batch_size,
+                                   epochs):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients(sizes)
+        self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, epochs,
+                         batch_size, 0.2, list(range(len(sizes))), threads=threads)
+
     @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
-    def test_desk_clients(self, mode):
+    def test_desk_clients(self, mode, threads=1):
         cfg = dataclasses.replace(
             DESK, data=dataclasses.replace(DESK.data, partition_mode=mode, alpha=0.3))
         model, xs, ys, clients = round_clients(cfg)
         if mode == "dirichlet":
             assert len({x.shape[0] for x in xs}) > 1, "the partition is not ragged"
         self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
-                         cfg.local_epochs, cfg.batch, cfg.lr, clients)
+                         cfg.local_epochs, cfg.batch, cfg.lr, clients, threads)
 
-    def test_dirichlet_round_of_the_cli_shape(self):
+    @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+    def test_desk_clients_on_threads(self, lifted_floors, mode):
+        self.test_desk_clients(mode, threads=2)
+
+    def test_dirichlet_round_of_the_cli_shape(self, threads=1):
         # The benchmark's file-backed session: MLP hidden 64, K = 10 of 40,
         # batch 32, 3 epochs, 10 classes in 32 dimensions, alpha 0.5.
         cfg = RunConfig(n_total=40, k_selected=10, local_epochs=3, batch=32,
@@ -437,7 +456,35 @@ class TestLockStepMatchesOracle:
         sizes = [x.shape[0] for x in xs]
         assert max(sizes) >= 4 * min(sizes), sizes
         self.assert_same(model, spread_starts(model, len(clients)), xs, ys,
-                         cfg.local_epochs, cfg.batch, cfg.lr, clients)
+                         cfg.local_epochs, cfg.batch, cfg.lr, clients, threads)
+
+    def test_dirichlet_round_of_the_cli_shape_on_threads(self, lifted_floors):
+        self.test_dirichlet_round_of_the_cli_shape(threads=2)
+
+
+class TestLockStepThreads:
+    """Never more lock-step threads than clients, and a pool only for
+    rounds with a minimum of parameters per thread."""
+
+    def test_pool_is_capped_at_the_clients(self, lifted_floors, pool_sizes):
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((5, 23, 40))
+        got = lock_step(model, spread_starts(model, 3), xs, ys, 2, 8, 0.2, [0, 1, 2],
+                        trainer=functools.partial(local_train, threads=10**6))
+        assert pool_sizes == [3]
+        npt.assert_array_equal(got, lock_step(model, spread_starts(model, 3), xs, ys, 2, 8,
+                                              0.2, [0, 1, 2]))
+
+    def test_each_thread_gets_a_minimum_of_parameters(self, pool_sizes):
+        floor = models.MIN_PARAMS_PER_THREAD
+        model = mlp_model(64, floor // 512, 64, rng=rng_stream(23, purpose="init"))
+        assert 4 * model.params.size == floor
+        xs, ys = ragged_clients((3, 2, 2, 1) * 3, dim=64, classes=64)
+        for k, pools in [(4, []), (7, []), (8, [2]), (12, [3])]:
+            pool_sizes.clear()
+            lock_step(model, spread_starts(model, k), xs[:k], ys[:k], 1, 2, 0.2,
+                      list(range(k)), trainer=functools.partial(local_train, threads=8))
+            assert pool_sizes == pools, k
 
 
 class TestLockStepWork:

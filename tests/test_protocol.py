@@ -54,7 +54,8 @@ def random_mlp(seed=0, hidden=4, dim=5, classes=3):
 
 
 # ---------------------------------------------------------------------------
-# threads: how many threads decompose Fourier slices; it changes no result
+# threads: how many threads train, draw noise and decompose Fourier slices;
+# it changes no result
 
 
 def test_run_experiment_smooths_on_usable_cpus_by_default(monkeypatch):
@@ -83,6 +84,73 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     assert usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
+
+
+def test_threads_reach_training_noise_and_smoothing(monkeypatch):
+    seen = {}
+    for name in ("local_train", "gaussianize", "truncated_tsvd"):
+        def recording(*args, threads, _real=getattr(protocol, name), _name=name, **kwargs):
+            seen.setdefault(_name, []).append(threads)
+            return _real(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(protocol, name, recording)
+    # 4 rounds; passes at rounds 2 and 4, each over a weight and a bias stack
+    run_experiment(dataclasses.replace(TINY, algorithm="fedceo"), threads=3)
+    assert seen == {"local_train": [3] * 4, "gaussianize": [3] * 4, "truncated_tsvd": [3] * 4}
+
+
+@pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+def test_every_phase_on_threads_changes_no_bit(lifted_floors, mode):
+    cfg = dataclasses.replace(
+        TINY, n_total=8, k_selected=5, algorithm="fedceo", eval_every=1,
+        model=ModelSpec(kind="mlp", hidden=6, bias=True),
+        data=dataclasses.replace(TINY.data, samples=300, partition_mode=mode, alpha=0.3))
+    want = run_experiment(cfg, threads=1)
+    for threads in (2, 5):
+        got = run_experiment(cfg, threads=threads)
+        assert metrics_csv_text(got.metrics) == metrics_csv_text(want.metrics)
+        for g, w in zip(got.final_stack, want.final_stack):
+            assert g.tobytes() == w.tobytes()
+
+
+# The benchmark's run shapes: desk, the cli session's run (a file of the
+# same shape there) and one round of stress.
+CLI_RUN = RunConfig(
+    n_total=40, k_selected=10, rounds=5, interval=5, algorithm="fedceo",
+    model=ModelSpec(kind="mlp", hidden=64),
+    data=DataSpec(classes=10, dim=32, samples=10000, spread=1.0,
+                  partition_mode="dirichlet", alpha=0.5))
+STRESS_ROUND = RunConfig(
+    n_total=100, k_selected=50, rounds=1, local_epochs=1, batch=32, lr=0.2,
+    interval=1, eval_every=1, algorithm="fedceo",
+    model=ModelSpec(kind="mlp", hidden=256),
+    data=DataSpec(classes=10, dim=256, samples=10000))
+
+
+def test_only_large_rounds_start_pools(pool_sizes):
+    from test_acceptance import DESK
+
+    # A huge --threads value is capped, not run: the spy starts no thread.
+    desk = dataclasses.replace(DESK, rounds=2, interval=2, algorithm="fedceo")
+    for cfg in (desk, CLI_RUN):
+        run_experiment(cfg, threads=10**6)
+        assert pool_sizes == [], cfg
+    run_experiment(STRESS_ROUND, threads=10**6)
+    # Lock steps: 3.4 million parameters over 2**20 a thread.  Noise: over
+    # 2**17 draws a thread.  The (256, 256, 50) stack: 26 distinct slices;
+    # the (256, 10, 50) one stays on the caller.
+    assert pool_sizes == [3, 25, 26]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_server_smooth_returns_c_ordered_uploads(lifted_floors, threads):
+    # A (K, P) array in another order would sum its client mean in
+    # another order too.
+    rng = np.random.default_rng(74)
+    template = mlp_model(5, 4, 3, bias=True, rng=rng)
+    uploads = rng.standard_normal((6, template.params.size))
+    out, _ = server_smooth(uploads, template, 0.3, threads=threads)
+    assert out.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +417,9 @@ def test_fedavg_ignores_noise_settings():
 # run_experiment: lock-step training against clients trained one by one
 
 
-def train_one_by_one(model, features, labels, epochs, batch_size, lr, rngs):
-    """A stand-in for local_train: the reference trainer, client by client."""
+def train_one_by_one(model, features, labels, epochs, batch_size, lr, rngs, *, threads):
+    """A stand-in for local_train: the reference trainer, client by client,
+    on the caller's thread."""
     model.params[:] = sgd_oracle.train_each(model.shapes, model.params, features,
                                             labels, epochs, batch_size, lr, rngs)
 

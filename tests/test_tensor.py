@@ -11,7 +11,6 @@ give the same bits at every thread count as on one thread, and agree with
 the batched-SVD pass kept in ``tensor_oracle`` to 1e-12 relative.
 """
 
-import concurrent.futures
 import math
 import sys
 
@@ -65,30 +64,6 @@ def hermitian3_eigvals_cubic(h):
 def small_pools(monkeypatch):
     """Let stacks of any size use a thread pool, so small ones test it."""
     monkeypatch.setattr(tz, "MIN_WORK_PER_THREAD", 1)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Record the ``max_workers`` of every pool ``truncated_tsvd`` makes; a
-    spy stands in for the executor and maps on the caller, so no thread is
-    started."""
-    sizes = []
-
-    class SpyExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
-    return sizes
 
 
 def rel_err(got, want):
@@ -500,6 +475,27 @@ class TestSliceParallel:
                 want, want_norm = oracle.truncated_tsvd_batched(t, tau)
                 assert rel_err(got, want) <= 1e-12
                 assert abs(norm - want_norm) <= 1e-12 * want_norm
+
+    @pytest.mark.parametrize("shape", [(0, 4, 6), (1, 5, 6), (7, 3, 9), (3, 40, 8),
+                                       (2, 64, 5), (9, 9, 1)],
+                             ids=["n1=0", "n1=1", "odd-n1", "wide", "wide-n1=2", "n3=1"])
+    def test_row_blocks_of_the_transforms_keep_every_bit(self, small_pools, shape):
+        # The transforms split the n1 axis into one block per thread:
+        # fewer rows than threads, an odd split and wide slices.
+        t = np.random.default_rng(72).standard_normal(shape)
+        want, want_norm = tz.truncated_tsvd(t, 0.3, threads=1)
+        got, norm = tz.truncated_tsvd(t, 0.3, threads=2)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert norm == want_norm
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_result_keeps_each_client_together(self, small_pools, threads):
+        # Client-major: a smoothed stack of uploads unstacks into a
+        # C-ordered (K, P) array, whose mean sums in the same order on
+        # any thread count.
+        t = np.random.default_rng(73).standard_normal((6, 5, 4))
+        out, _ = tz.truncated_tsvd(t, 0.3, threads=threads)
+        assert np.moveaxis(out, 2, 0).flags.c_contiguous
 
     def test_more_workers_than_cores_under_fast_switching(self, small_pools):
         # Each worker writes only its own slices of the shared buffers; a
