@@ -11,9 +11,10 @@ Three algorithms share one round pipeline:
   pass that stacks the K uploads into per-layer third-order tensors,
   soft-thresholds every Fourier slice's singular values at
   (1 / (2 * lambda0)) * ratio**(round / interval), and hands each client
-  back its slice as a personalized model.  Clients selected on the next
-  round resume from that slice; everyone else resumes from the global
-  average of the slices.
+  back its slice as a personalized model.  The stacks are views into the
+  round's (K, P) upload array, and the pass smooths that array in place.
+  Clients selected on the next round resume from their slice; everyone
+  else resumes from the global average of the slices.
 
 Every random draw comes from a (seed, round, client, purpose) stream, so
 results are identical across replays.  A large round splits its lock
@@ -87,7 +88,10 @@ def stack_clients(uploads: np.ndarray, template: Model) -> list[np.ndarray]:
 
 
 def unstack_clients(tensors: list[np.ndarray], template: Model) -> np.ndarray:
-    """Inverse of :func:`stack_clients`: the (K, P) array of flat uploads."""
+    """Inverse of :func:`stack_clients`: the (K, P) array of flat uploads.
+
+    The run path no longer calls it, but the benchmark tracer wraps it by
+    name."""
     shapes = param_blocks(template.shapes)
     if len(tensors) != len(shapes):
         raise ShapeMismatch(f"expected {len(shapes)} tensors, got {len(tensors)}")
@@ -105,13 +109,19 @@ def server_smooth(uploads: np.ndarray, template: Model, threshold: float,
     """Soft-threshold the Fourier spectra of each layer stack of K uploads,
     each stack's slices on up to ``threads`` threads.
 
-    Returns the (K, P) smoothed uploads, row k being client k's
-    personalized model, and the summed tensor nuclear norm of the smoothed
-    stacks.
+    The (K, P) uploads are smoothed in place, each layer stack written back
+    over its own entries, and returned, row k being client k's personalized
+    model, with the summed tensor nuclear norm of the smoothed stacks.
+    Uploads that are not a C-ordered, writeable float64 array are smoothed
+    in a float64 copy instead, and left as they were.  If a stack's pass
+    raises, the stacks before it are already smoothed; the failing stack
+    is unchanged on :class:`NoConvergence` and holds the result that failed
+    the check on :class:`NonFinite`.
     """
-    smoothed, norms = zip(*(truncated_tsvd(t, threshold, threads=threads)
-                            for t in stack_clients(uploads, template)))
-    return unstack_clients(list(smoothed), template), float(sum(norms))
+    uploads = np.require(uploads, np.float64, ["C", "W"])
+    norms = [truncated_tsvd(t, threshold, threads=threads, out=t)[1]
+             for t in stack_clients(uploads, template)]
+    return uploads, float(sum(norms))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ never forms the left singular vectors.  The slices are independent, so it
 shrinks them one by one on up to ``threads`` threads, and the transforms
 there and back run on the same threads in blocks of rows; NumPy releases
 the GIL in the FFT, eigensolver and matmul loops, and each slice's and
-row's result is the same whichever thread computes it.
+row's result is the same whichever thread computes it.  The Fourier
+slices live in one complex buffer, each shrunk slice replaces its own
+there, and the inverse transform writes the real result into ``out``: a
+new array, or any float64 array of the input's shape, the input itself
+included, since the forward transform has read all of the input before
+the first slice is shrunk.  A result that fails the finiteness check is
+already in ``out`` when :class:`NonFinite` is raised.
 :func:`fourier_singular_values` keeps the SVD: it serves spectra whose
 small singular values a Gram matrix cannot resolve.
 """
@@ -106,6 +112,7 @@ def _shrink_tall(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.nd
     scale = np.ldexp(1.0, min(-int(np.frexp(top)[1]), 1023))
     b = a * scale
     w, v = np.linalg.eigh(b.conj().T @ b)
+    del b  # a thread holds as few of its slice's factors as it can
     s = np.sqrt(np.maximum(w, 0.0))
     t = tau * scale
     cut = RESOLVED * s.max(initial=0.0)
@@ -122,7 +129,8 @@ def _shrink_tall(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.nd
     return out, np.concatenate([kept, low_kept])
 
 
-def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, float]:
+def truncated_tsvd(t, tau: float, *, threads: int = 1,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Soft-threshold every Fourier slice's singular values by ``tau``.
 
     Returns the smoothed tensor and its tensor nuclear norm, which the
@@ -142,6 +150,16 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
     matrix of the block A V that holds them.  The result then agrees with
     a shrinkage through the full SVD to about 1e-13 relative.
 
+    The distinct slices sit in one complex buffer, and each shrunk slice
+    replaces its own there.  The smoothed tensor is written to ``out``, a
+    float64 array of the input's shape (else :class:`ShapeMismatch`), or
+    to a new client-major array when ``out`` is None.  ``out`` may be the
+    input itself or overlap it: the forward transform reads all of the
+    input before any slice is shrunk, and only the inverse transform, after
+    the last slice, writes ``out``.  So on :class:`NoConvergence` ``out``
+    is untouched, and on :class:`NonFinite` it already holds the result
+    that failed the check.
+
     The distinct slices are shrunk on up to ``threads`` threads, never
     more than there are slices or multiples of :data:`MIN_WORK_PER_THREAD`
     in their work, and each thread holds one slice's factors at a time.
@@ -153,15 +171,18 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
     n1, n2, n3 = arr.shape
+    if out is None:
+        # Client-major: a stack of uploads keeps each client's entries
+        # together, as in a C-ordered (K, P) array.
+        out = np.moveaxis(np.empty((n3, n1, n2)), 0, 2)
+    elif not (isinstance(out, np.ndarray) and out.shape == arr.shape
+              and out.dtype == np.float64):
+        raise ShapeMismatch(f"out must be a float64 array of shape {arr.shape}")
     slices = n3 // 2 + 1
     work = slices * n1 * n2 * min(n1, n2)
     workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
-    # Slice-major buffers: each Fourier slice is one contiguous matrix, and
-    # the smoothed tensor keeps a client's entries together, so a stack of
-    # uploads unstacks into a C-ordered (K, P) array.
+    # Slice-major: each Fourier slice is one contiguous matrix.
     mats = np.empty((slices, n1, n2), dtype=np.complex128)
-    rec = np.empty_like(mats)
-    out = np.moveaxis(np.empty((n3, n1, n2)), 0, 2)
     s = np.empty((slices, min(n1, n2)))
 
     def forward(rows: slice) -> None:
@@ -170,11 +191,14 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
     def shrink(j: int) -> None:
         try:
             if n1 >= n2:
-                _, s[j] = _shrink_tall(mats[j], tau, rec[j])
+                # A new matrix takes the result: the re-shrink reads the
+                # slice again after the result is written.
+                mats[j], s[j] = _shrink_tall(mats[j], tau)
             else:
-                # prox(A) = prox(A^H)^H
-                _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau, rec[j].T)
-                np.conjugate(rec[j], out=rec[j])
+                # prox(A) = prox(A^H)^H; A^H is a copy, so the result can
+                # go straight over A.
+                _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau, mats[j].T)
+                np.conjugate(mats[j], out=mats[j])
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(
                 f"Gram eigendecomposition failed to converge on Fourier slice {j} "
@@ -182,7 +206,7 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1) -> tuple[np.ndarray, floa
             ) from exc
 
     def inverse(rows: slice) -> None:
-        np.fft.irfft(np.moveaxis(rec, 0, 2)[rows], n=n3, axis=2, out=out[rows])
+        np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=out[rows])
 
     # Checked below; the pool's threads run under this error state too.
     with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:

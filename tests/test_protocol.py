@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from fedceo.config import (
     parse_config_text,
 )
 from fedceo.dp import DpConfig, rng_stream
-from fedceo.errors import ShapeMismatch, ValidationError
-from fedceo.models import flatten_params, mlp_model
+from fedceo.errors import NoConvergence, ShapeMismatch, ValidationError
+from fedceo.models import flatten_params, logistic_model, mlp_model
 from fedceo.protocol import (
     MetricsRow,
     build_dataset,
@@ -62,9 +63,9 @@ def test_run_experiment_smooths_on_usable_cpus_by_default(monkeypatch):
     seen = []
     real = protocol.truncated_tsvd
 
-    def recording(t, tau, *, threads=1):
+    def recording(t, tau, *, threads=1, out=None):
         seen.append(threads)
-        return real(t, tau, threads=threads)
+        return real(t, tau, threads=threads, out=out)
 
     monkeypatch.setattr(protocol, "truncated_tsvd", recording)
     # Passes at rounds 2 and 4, each over a weight stack and a bias stack.
@@ -291,8 +292,9 @@ def test_unstack_rejects_wrong_tensor_count():
 def test_server_smooth_zero_threshold_is_identity():
     models = [random_mlp(seed=s) for s in range(3)]
     uploads = uploads_of(models)
+    before = uploads.copy()  # smoothed in place
     out, _ = server_smooth(uploads, models[0], 0.0)
-    for a, b in zip(uploads, out):
+    for a, b in zip(before, out):
         assert np.linalg.norm(a - b) <= 1e-10 * (1 + np.linalg.norm(a))
 
 
@@ -308,8 +310,8 @@ def test_server_smooth_identical_clients_reduce_to_matrix_rule():
 def test_server_smooth_never_increases_tnn():
     models = [random_mlp(seed=s) for s in range(4)]
     uploads = uploads_of(models)
+    before = stack_clients(uploads.copy(), models[0])  # smoothed in place
     out, tnn_total = server_smooth(uploads, models[0], 0.3)
-    before = stack_clients(uploads, models[0])
     after = stack_clients(out, models[0])
     for b, a in zip(before, after):
         assert tnn(a) <= tnn(b) + 1e-12
@@ -336,6 +338,70 @@ def test_server_smooth_transforms_each_layer_stack_once(monkeypatch):
     # one eigendecomposition per distinct Fourier slice: 4 // 2 + 1 per
     # stack of 4 clients
     assert calls == {"rfft": stacks, "eigh": stacks * 3}
+
+
+def test_server_smooth_writes_back_into_the_uploads():
+    models = [random_mlp(seed=s) for s in range(4)]
+    uploads = uploads_of(models)
+    want, want_norm = server_smooth(uploads.copy(), models[0], 0.3)
+    out, norm = server_smooth(uploads, models[0], 0.3)
+    assert out is uploads
+    assert out.tobytes() == want.tobytes() and norm == want_norm
+
+
+@pytest.mark.parametrize("kind", ["float32", "list", "fortran", "read-only"])
+def test_server_smooth_copies_what_it_cannot_write_back_into(kind):
+    models = [random_mlp(seed=s) for s in range(4)]
+    uploads = uploads_of(models)
+    given = {"float32": uploads.astype(np.float32), "list": uploads.tolist(),
+             "fortran": np.asfortranarray(uploads), "read-only": uploads}[kind]
+    if kind == "read-only":
+        uploads.flags.writeable = False
+    kept = np.array(given)
+    want, want_norm = server_smooth(np.array(given, dtype=np.float64), models[0], 0.3)
+    out, norm = server_smooth(given, models[0], 0.3)
+    assert out is not given and out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes() and norm == want_norm
+    assert np.array_equal(np.array(given), kept)
+
+
+def test_server_smooth_no_convergence_leaves_the_uploads_alone(monkeypatch):
+    # At 0.3 each of the first stack's 3 distinct slices takes one
+    # eigendecomposition (see the test above); the last one fails after
+    # the first two slices were shrunk.
+    models = [random_mlp(seed=s) for s in range(4)]
+    uploads = uploads_of(models)
+    before = uploads.copy()
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def flaky(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    with pytest.raises(NoConvergence, match="Fourier slice 2"):
+        server_smooth(uploads, models[0], 0.3)
+    assert uploads.tobytes() == before.tobytes()
+
+
+def test_server_smooth_allocates_about_one_copy_of_the_uploads():
+    # One (64, 32, 50) stack: 26 distinct slices in one complex buffer
+    # near the uploads' size, then the inverse transform writes back into
+    # the uploads.  A second slice buffer or a new smoothed array would
+    # each add another copy.
+    template = logistic_model(64, 32, bias=False, rng=np.random.default_rng(3))
+    uploads = np.random.default_rng(4).standard_normal((50, template.params.size))
+    slice_factors = 8 * 64 * 32 * 16  # a few complex (64, 32) matrices
+    tracemalloc.start()
+    try:
+        server_smooth(uploads, template, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * uploads.nbytes + slice_factors, (peak, uploads.nbytes)
 
 
 def test_server_smooth_huge_threshold_zeroes_everything():

@@ -353,6 +353,20 @@ class TestTruncatedTsvd:
         out, norm = tz.truncated_tsvd(np.zeros(shape), 0.5)
         assert out.shape == shape and norm == 0.0
 
+    def test_nonfinite_result_is_left_in_out(self):
+        out = np.zeros((4, 4, 1))
+        with pytest.raises(NonFinite):
+            tz.truncated_tsvd(np.full((4, 4, 1), 1e308), 0.0, out=out)
+        assert not np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4, 4)), np.empty((3, 4, 5), np.float32),
+                                     np.empty((3, 4, 5), complex), np.zeros((3, 4, 5)).tolist()],
+                             ids=["shape", "float32", "complex", "list"])
+    def test_out_must_be_a_float64_array_of_the_input_shape(self, out):
+        t = np.random.default_rng(76).standard_normal((3, 4, 5))
+        with pytest.raises(ShapeMismatch):
+            tz.truncated_tsvd(t, 0.1, out=out)
+
     def test_nonfinite_norm_rejected(self):
         # The singular value 4e308 overflows, though no entry of the
         # shrunk slice does.
@@ -487,6 +501,30 @@ class TestSliceParallel:
         got, norm = tz.truncated_tsvd(t, 0.3, threads=2)
         assert got.shape == shape and got.tobytes() == want.tobytes()
         assert norm == want_norm
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("shape", [(6, 4, 4), (6, 4, 5), (6, 4, 1),
+                                       (3, 7, 4), (3, 7, 5), (3, 7, 1)],
+                             ids=["tall-even", "tall-odd", "tall-n3=1",
+                                  "wide-even", "wide-odd", "wide-n3=1"])
+    def test_writing_over_the_input_keeps_every_bit(self, lifted_floors, shape, threads):
+        # Every Fourier slice is a multiple of one matrix whose singular
+        # values span 6 decades, so a threshold below RESOLVED times each
+        # slice's largest takes the re-shrink, which reads the slice again
+        # after its result is written.
+        n1, n2, n3 = shape
+        k = min(n1, n2)
+        rng = np.random.default_rng(77 + n3)
+        base = ((np.linalg.qr(rng.standard_normal((n1, k)))[0] * np.logspace(0, -6, k))
+                @ np.linalg.qr(rng.standard_normal((n2, k)))[0].T)
+        t = base[:, :, None] * rng.uniform(0.5, 1.5, n3)
+        sv = tz.fourier_singular_values(t)
+        for tau in (0.0, 0.5 * tz.RESOLVED * float(sv.max(axis=1).min()), 0.5 * float(sv.max())):
+            want, want_norm = tz.truncated_tsvd(t.copy(), tau, threads=threads)
+            given = t.copy()
+            got, norm = tz.truncated_tsvd(given, tau, threads=threads, out=given)
+            assert got is given
+            assert got.tobytes() == want.tobytes() and norm == want_norm
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_result_keeps_each_client_together(self, small_pools, threads):
