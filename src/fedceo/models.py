@@ -11,12 +11,13 @@ A model's ``params`` may also carry a leading client axis, ``(K, P)``:
 every layer view then has it too.  Only :func:`local_train` trains on that
 axis: it runs the K clients of a round in lock step, in place in the
 round's array, each lock step on only the clients that still have a
-minibatch, split into blocks of rows on up to ``threads`` threads when
-the round is large.  :func:`forward_loss` (evaluation) and :func:`gradient`
-(the attack report) take one model and one batch of samples.  The lock
-step (:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share
-one forward pass, :func:`_forward`; the lock step and :func:`gradient`
-share one backward pass, :func:`_backward`.
+minibatch, in interleaved blocks of rows fixed for the call, one per
+thread on up to ``threads`` threads when the round is large.
+:func:`forward_loss` (evaluation) and :func:`gradient` (the attack report)
+take one model and one batch of samples.  The lock step
+(:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share one
+forward pass, :func:`_forward`; the lock step and :func:`gradient` share
+one backward pass, :func:`_backward`.
 
 The loss is mean softmax cross-entropy over the batch fed in (a ragged
 final minibatch divides by its own size).  ReLU uses subgradient 0 at the
@@ -25,7 +26,6 @@ kink.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import check_samples
 from .errors import ShapeMismatch
-from .parallel import row_blocks, thread_map
+from .parallel import thread_map
 
 
 def param_blocks(shapes) -> list[tuple[int, int]]:
@@ -241,11 +241,14 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     epoch: a finished client sits out the steps left, so its row does not
     move.
 
-    A step's prefix is split into contiguous blocks of rows on up to
-    ``threads`` threads, never more than there are clients or multiples
-    of :data:`MIN_PARAMS_PER_THREAD` in ``model.params``.  Every block
-    steps at the step's full minibatch width, so each client's row is the
-    same whatever the thread count.
+    The rows are cut once per call into interleaved blocks, one per thread
+    on up to ``threads`` threads (never more than there are clients or
+    multiples of :data:`MIN_PARAMS_PER_THREAD` in ``model.params``): with
+    w blocks, block b holds rows b, b + w, ..., so the blocks' shares of
+    the samples differ by at most one client's.  Each epoch makes one pool
+    dispatch, in which every block runs its rows' lock steps at each
+    step's full minibatch width, so each client's row is the same whatever
+    the thread count.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -267,7 +270,7 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     try:
         _lock_steps(model, [features[c] for c in rank], [labels[c] for c in rank],
                     epochs, batch_size, lr, [rngs[c] for c in rank],
-                    min(threads, k, params.size // MIN_PARAMS_PER_THREAD))
+                    max(1, min(threads, k, params.size // MIN_PARAMS_PER_THREAD)))
     finally:
         if moved:
             params[rank] = params.copy()
@@ -276,15 +279,18 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
 def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
                 lr: float, rngs, workers: int) -> None:
     """The lock steps of :func:`local_train` on checked clients whose
-    sizes do not increase along the rows, each step's rows split into
-    blocks on ``workers`` threads when that is 2 or more.
+    sizes do not increase along the rows, in ``workers`` interleaved
+    blocks of rows.
 
     Each step runs on every client's next minibatch, padded to a common
     row count, over the prefix of clients that still have one.  The
     padding layout depends only on the client sizes, so it is built once
-    per call; each epoch only writes the shuffles into it and gathers that
-    epoch's samples.  One gradient array is allocated per call, and every
-    step uses a prefix of it.
+    per call, and so is each block's plan: its steps, each with its width
+    and views of the block's active rows and of the one gradient array.
+    Each epoch writes the shuffles into the layout, gathers its samples
+    and runs every plan in one pool dispatch.  The gradient array and the
+    gathers are allocated on the calling thread: pool threads put them in
+    glibc's per-thread arenas, which raised stress's resident peak by 11%.
     """
     params = model.params
     sizes = [y.shape[0] for y in labels]
@@ -306,33 +312,26 @@ def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
     widths = counts[:, 0, 0].tolist()  # the largest client's minibatch is the widest
     active = (counts[:, :, 0] > 0).sum(axis=1).tolist()  # clients [:a] have one at step t
     grad = np.empty_like(params)
-    prefixes = {a: (Model(model.shapes, params[:a]), Model(model.shapes, grad[:a]))
-                for a in set(active)}
-    # blocks[a]: the row blocks of prefix [:a] that pooled steps split it
-    # into, each with its rows of params and grad
-    blocks = {a: [(rows, Model(model.shapes, params[rows]), Model(model.shapes, grad[rows]))
-                  for rows in row_blocks(a, workers)]
-              for a in (set(active) if workers > 1 else ())}
+    plans = []  # per block, the (step, width, rows, part, part_grad) of each step it runs
+    for first in range(workers):
+        parts = {}  # a: the block's rows in [:a], and those rows of params and grad
+        for a in {a for a in active if a > first}:
+            rows = slice(first, a, workers)
+            parts[a] = rows, Model(model.shapes, params[rows]), Model(model.shapes, grad[rows])
+        plans.append([(t, width, *parts[a])
+                      for t, (width, a) in enumerate(zip(widths, active)) if a > first])
+
+    def run_plan(plan):  # on the epoch's gathers, xs and targets
+        for t, width, rows, part, part_grad in plan:
+            _sgd_step(part, part_grad, xs[t, rows, :width], targets[t, rows, :width],
+                      batch_sizes[t, rows, :width], lr)
+
     with thread_map(workers) as run:
         for _ in range(epochs):
             for c, (n, rng) in enumerate(zip(sizes, rngs)):
                 order[c, :n] = offsets[c] + rng.permutation(n)
             xs, targets = x_all[batches], onehot_all[batches]
-            for t, (width, a) in enumerate(zip(widths, active)):
-                if workers < 2:
-                    _sgd_step(*prefixes[a], xs[t, :a, :width], targets[t, :a, :width],
-                              batch_sizes[t, :a, :width], lr)
-                else:
-                    run(partial(_block_step, xs[t, :, :width], targets[t, :, :width],
-                                batch_sizes[t, :, :width], lr), blocks[a])
-
-
-def _block_step(x, targets, batch_sizes, lr, block) -> None:
-    """The :func:`_sgd_step` of one row block ``(rows, model, grad)`` of a
-    lock step whose minibatches for all rows are ``x``, ``targets`` and
-    ``batch_sizes``."""
-    rows, part, part_grad = block
-    _sgd_step(part, part_grad, x[rows], targets[rows], batch_sizes[rows], lr)
+            run(run_plan, plans)
 
 
 def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,

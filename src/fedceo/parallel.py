@@ -1,9 +1,9 @@
 """Splitting a phase of a round over a few threads.
 
 NumPy releases the GIL in its BLAS, LAPACK, FFT and random-fill loops, so
-threads that each own a contiguous block of an array's rows run those
-loops side by side.  Each caller splits work whose rows are independent,
-so no result depends on the block a row lands in or on the thread count.
+threads that each own a block of an array's rows run those loops side by
+side.  Each caller splits work whose rows are independent, so no result
+depends on the block a row lands in or on the thread count.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Fixtures shared by the thread-pool tests."""
 
 import concurrent.futures
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,15 +9,16 @@ from fedceo import dp, models, tensor
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Record the ``max_workers`` of every thread pool fedceo makes; a spy
-    stands in for the executor and maps on the caller, so no thread is
-    started."""
-    sizes = []
+def pool_spy(monkeypatch):
+    """Record every thread pool fedceo makes: ``sizes`` holds each pool's
+    ``max_workers`` and ``maps`` the items of each ``map`` call, in call
+    order.  A spy stands in for the executor and maps on the caller, so no
+    thread is started."""
+    spy = SimpleNamespace(sizes=[], maps=[])
 
     class SpyExecutor:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            spy.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -25,10 +27,19 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            spy.maps.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
-    return sizes
+    return spy
+
+
+@pytest.fixture
+def pool_sizes(pool_spy):
+    """The ``max_workers`` of every thread pool fedceo makes (see
+    :func:`pool_spy`)."""
+    return pool_spy.sizes
 
 
 @pytest.fixture

@@ -418,8 +418,8 @@ class TestLockStepMatchesOracle:
         self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, 3, 8, 0.2,
                          list(range(len(sizes))))
 
-    # Each step's prefix of rows split into blocks on threads: a step with
-    # fewer active clients than threads, blocks of one client, K = 1.
+    # The rows in interleaved blocks on threads: a step with fewer active
+    # clients than threads, blocks of one client, K = 1.
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("sizes,batch_size,epochs",
@@ -486,12 +486,25 @@ class TestLockStepThreads:
                       list(range(k)), trainer=functools.partial(local_train, threads=8))
             assert pool_sizes == pools, k
 
+    def test_one_pool_dispatch_per_epoch(self, lifted_floors, pool_spy):
+        # The rows are cut into blocks once per call, and each epoch runs
+        # every block's steps in one map call, the same blocks every epoch.
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((40, 23, 5))
+        epochs = 2
+        lock_step(model, spread_starts(model, 3), xs, ys, epochs, 8, 0.2, [0, 1, 2],
+                  trainer=functools.partial(local_train, threads=2))
+        assert pool_spy.sizes == [2]
+        assert [len(items) for items in pool_spy.maps] == [2] * epochs
+        assert all(items == pool_spy.maps[0] for items in pool_spy.maps)
+
 
 class TestLockStepWork:
-    """A lock step runs only the clients that still have a minibatch."""
+    """A lock step runs only the clients that still have a minibatch, on
+    one thread or in row blocks on several."""
 
     @staticmethod
-    def rows_stepped(monkeypatch, sizes, batch_size, epochs):
+    def rows_stepped(monkeypatch, sizes, batch_size, epochs, threads):
         """The client rows of every ``_sgd_step`` call of one round, summed."""
         rows = []
         step = models._sgd_step
@@ -504,17 +517,21 @@ class TestLockStepWork:
         model = ARCHS["mlp"](True)
         xs, ys = ragged_clients(sizes)
         lock_step(model, spread_starts(model, len(sizes)), xs, ys, epochs, batch_size,
-                  0.2, list(range(len(sizes))))
+                  0.2, list(range(len(sizes))),
+                  trainer=functools.partial(local_train, threads=threads))
         return sum(rows)
 
-    def test_ragged_clients_step_once_per_minibatch(self, monkeypatch):
+    def test_ragged_clients_step_once_per_minibatch(self, monkeypatch, lifted_floors):
         sizes, batch_size, epochs = (5, 40, 1, 23, 17, 40), 8, 3
-        assert (self.rows_stepped(monkeypatch, sizes, batch_size, epochs)
-                == epochs * sum(-(-n // batch_size) for n in sizes))
+        for threads in (1, 2):
+            assert (self.rows_stepped(monkeypatch, sizes, batch_size, epochs, threads)
+                    == epochs * sum(-(-n // batch_size) for n in sizes)), threads
 
-    def test_equal_clients_all_step(self, monkeypatch):
+    def test_equal_clients_all_step(self, monkeypatch, lifted_floors):
         sizes, batch_size, epochs = (24,) * 4, 10, 2
-        assert self.rows_stepped(monkeypatch, sizes, batch_size, epochs) == 4 * 3 * epochs
+        for threads in (1, 2):
+            assert (self.rows_stepped(monkeypatch, sizes, batch_size, epochs, threads)
+                    == 4 * 3 * epochs), threads
 
 
 class TestLockStepMemory:
@@ -524,20 +541,21 @@ class TestLockStepMemory:
 
     @pytest.mark.parametrize("sizes", [(3, 9, 5, 12), (6, 6, 6, 6)],
                              ids=["ragged", "equal"])
-    def test_no_second_row_array(self, sizes):
+    def test_no_second_row_array(self, lifted_floors, sizes):
         # 1 MiB a row against minibatches of 4 samples
         model = mlp_model(256, 512, 4, rng=rng_stream(22, purpose="init"))
         xs, ys = ragged_clients(sizes, dim=256)
         params = spread_starts(model, len(sizes))
-        tracemalloc.start()
-        try:
-            local_train(Model(model.shapes, params), xs, ys, 2, 4, 0.2,
-                        train_streams(range(len(sizes))))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         row = params.nbytes // len(sizes)
-        assert peak < params.nbytes + row // 2, (peak, params.nbytes)
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                local_train(Model(model.shapes, params), xs, ys, 2, 4, 0.2,
+                            train_streams(range(len(sizes))), threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < params.nbytes + row // 2, (threads, peak, params.nbytes)
 
 
 class TestGradientMatchesOracle:
