@@ -14,20 +14,22 @@ and ``np.fft.irfft`` rebuilds the real tensor from them.
 Shrinking a slice A needs only its right singular vectors V and singular
 values s: A V diag(max(s - tau, 0) / s) V^H is A with every singular value
 soft-thresholded.  :func:`truncated_tsvd` reads V and s^2 off the Hermitian
-eigendecomposition of A's Gram matrix, which costs less than an SVD and
-never forms the left singular vectors.  The slices are independent, so it
-shrinks them one by one on up to ``threads`` threads, and the transforms
-there and back run on the same threads in blocks of rows; NumPy releases
-the GIL in the FFT, eigensolver and matmul loops, and each slice's and
-row's result is the same whichever thread computes it.  The Fourier
-slices live in one complex buffer, each shrunk slice replaces its own
-there, and the inverse transform writes the real result into ``out``: a
-new array, or any float64 array of the input's shape, the input itself
-included, since the forward transform has read all of the input before
-the first slice is shrunk.  A result that fails the finiteness check is
-already in ``out`` when :class:`NonFinite` is raised.
-:func:`fourier_singular_values` keeps the SVD: it serves spectra whose
-small singular values a Gram matrix cannot resolve.
+eigendecomposition of A's Gram matrix A^H A, which costs less than an SVD
+and never forms the left singular vectors.  Soft-thresholding commutes
+with transposition, so a wide tensor is shrunk through its transpose and
+every slice's Gram matrix is on its short side.  The slices are
+independent, so it shrinks them one by one on up to ``threads`` threads,
+and the transforms there and back run on the same threads in blocks of
+rows along the long side; NumPy releases the GIL in the FFT, eigensolver
+and matmul loops, and each slice's and row's result is the same whichever
+thread computes it.  The Fourier slices live in one complex buffer, each
+shrunk slice replaces its own there, and the inverse transform writes the
+real result into ``out``: a new array, or any float64 array of the
+input's shape, the input itself included, since the forward transform has
+read all of the input before the first slice is shrunk.  A result that
+fails the finiteness check is already in ``out`` when :class:`NonFinite`
+is raised.  :func:`fourier_singular_values` keeps the SVD: it serves
+spectra whose small singular values a Gram matrix cannot resolve.
 """
 
 from __future__ import annotations
@@ -93,16 +95,16 @@ def _tnn_of(sv: np.ndarray, n3: int) -> float:
     return float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
 
 
-def _shrink_tall(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _shrink_tall(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Soft-threshold the singular values of a C-contiguous complex matrix
     with at least as many rows as columns by ``tau``, through the
     eigendecomposition of its Gram matrix.
 
-    Returns a @ v @ diag(max(s - tau, 0) / s) @ v^H (written to ``out`` when
-    given) and the shrunk singular values max(s - tau, 0), descending.  The
-    singular values below :data:`RESOLVED` times the largest are shrunk by
-    the same rule on the block a @ v that holds them, when ``tau`` is below
-    that share too.
+    Returns a new matrix a @ v @ diag(max(s - tau, 0) / s) @ v^H and the
+    shrunk singular values max(s - tau, 0), descending.  The singular
+    values below :data:`RESOLVED` times the largest are shrunk by the same
+    rule on the block a @ v that holds them, when ``tau`` is below that
+    share too.
     """
     parts = a.view(np.float64)
     top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
@@ -120,7 +122,7 @@ def _shrink_tall(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.nd
     kept = np.maximum(s[m:] - t, 0.0)
     weight = np.divide(kept, s[m:], out=np.zeros_like(kept), where=kept > 0.0)
     head = v[:, m:]
-    out = np.matmul(a @ head * weight, head.conj().T, out=out)
+    out = (a @ head * weight) @ head.conj().T
     kept = kept[::-1] / scale  # eigh's order is ascending
     if not m:
         return out, kept
@@ -138,13 +140,16 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
     coeff > 0 the tensor is the exact minimizer of
     coeff * ||w - t||_F^2 + tnn(w) at tau = 1 / (2 * coeff).
 
-    Each distinct slice A is shrunk through the eigendecomposition
-    A^H A = V diag(s^2) V^H of its Gram matrix on the smaller side (A A^H
-    when A is wide): the result is A V diag(max(s - tau, 0) / s) V^H, so
-    the left singular vectors are never formed, and the slice is scaled
-    by a power of two first, so its Gram matrix cannot overflow.  Squaring
-    costs accuracy in the small singular values: a singular value s near
-    tau carries an error of about eps * s_max^2 / s.  So when ``tau`` is
+    A wide tensor (n1 < n2) is shrunk through its transpose, since
+    soft-thresholding commutes with transposition: it is read and written
+    through transposed views, so every distinct slice A has at least as
+    many rows as columns.  Each is shrunk through the eigendecomposition
+    A^H A = V diag(s^2) V^H of its Gram matrix on its short side: the
+    result is A V diag(max(s - tau, 0) / s) V^H, so the left singular
+    vectors are never formed, and the slice is scaled by a power of two
+    first, so its Gram matrix cannot overflow.  Squaring costs accuracy in
+    the small singular values: a singular value s near tau carries an
+    error of about eps * s_max^2 / s.  So when ``tau`` is
     below :data:`RESOLVED` times a slice's largest singular value, the
     singular values below that share are shrunk again through the Gram
     matrix of the block A V that holds them.  The result then agrees with
@@ -153,52 +158,48 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
     The distinct slices sit in one complex buffer, and each shrunk slice
     replaces its own there.  The smoothed tensor is written to ``out``, a
     float64 array of the input's shape (else :class:`ShapeMismatch`), or
-    to a new client-major array when ``out`` is None.  ``out`` may be the
-    input itself or overlap it: the forward transform reads all of the
-    input before any slice is shrunk, and only the inverse transform, after
-    the last slice, writes ``out``.  So on :class:`NoConvergence` ``out``
-    is untouched, and on :class:`NonFinite` it already holds the result
-    that failed the check.
+    to a new array laid out like the input when ``out`` is None.  ``out``
+    may be the input itself or overlap it: the forward transform reads all
+    of the input before any slice is shrunk, and only the inverse
+    transform, after the last slice, writes ``out``.  So on
+    :class:`NoConvergence` ``out`` is untouched, and on :class:`NonFinite`
+    it already holds the result that failed the check.
 
     The distinct slices are shrunk on up to ``threads`` threads, never
     more than there are slices or multiples of :data:`MIN_WORK_PER_THREAD`
     in their work, and each thread holds one slice's factors at a time.
     When that pool starts, the forward and inverse transforms run on it
-    too, each thread transforming a block of rows (the n1 axis).  The
-    result does not depend on the thread count.
+    too, each thread transforming a block of rows along the long side.
+    The result does not depend on the thread count.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
-    n1, n2, n3 = arr.shape
     if out is None:
-        # Client-major: a stack of uploads keeps each client's entries
-        # together, as in a C-ordered (K, P) array.
-        out = np.moveaxis(np.empty((n3, n1, n2)), 0, 2)
+        out = np.empty_like(arr)
     elif not (isinstance(out, np.ndarray) and out.shape == arr.shape
               and out.dtype == np.float64):
         raise ShapeMismatch(f"out must be a float64 array of shape {arr.shape}")
+    # prox(A^T) = prox(A)^T: a wide stack is shrunk through its transpose,
+    # read and written through views.
+    wide = arr.shape[0] < arr.shape[1]
+    src, dst = (arr.swapaxes(0, 1), out.swapaxes(0, 1)) if wide else (arr, out)
+    n1, n2, n3 = src.shape
     slices = n3 // 2 + 1
-    work = slices * n1 * n2 * min(n1, n2)
+    work = slices * n1 * n2 * n2
     workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
     # Slice-major: each Fourier slice is one contiguous matrix.
     mats = np.empty((slices, n1, n2), dtype=np.complex128)
-    s = np.empty((slices, min(n1, n2)))
+    s = np.empty((slices, n2))
 
     def forward(rows: slice) -> None:
-        np.fft.rfft(arr[rows], axis=2, out=np.moveaxis(mats, 0, 2)[rows])
+        np.fft.rfft(src[rows], axis=2, out=np.moveaxis(mats, 0, 2)[rows])
 
     def shrink(j: int) -> None:
         try:
-            if n1 >= n2:
-                # A new matrix takes the result: the re-shrink reads the
-                # slice again after the result is written.
-                mats[j], s[j] = _shrink_tall(mats[j], tau)
-            else:
-                # prox(A) = prox(A^H)^H; A^H is a copy, so the result can
-                # go straight over A.
-                _, s[j] = _shrink_tall(np.ascontiguousarray(mats[j].T).conj(), tau, mats[j].T)
-                np.conjugate(mats[j], out=mats[j])
+            # A new matrix takes the result: the re-shrink reads the slice
+            # again after the result is written.
+            mats[j], s[j] = _shrink_tall(mats[j], tau)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(
                 f"Gram eigendecomposition failed to converge on Fourier slice {j} "
@@ -206,7 +207,7 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
             ) from exc
 
     def inverse(rows: slice) -> None:
-        np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=out[rows])
+        np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=dst[rows])
 
     # Checked below; the pool's threads run under this error state too.
     with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:

@@ -12,12 +12,15 @@ whole table:
 * its stress config (``STRESS``) at seeds 0-2, on 1 and on 2 threads;
 * its cli run config (``CLI_RUN_CONFIG``) through ``fedceo run``, on a
   ``fedceo gen-data`` file (``CLI_DATA``) of the same seed, at seeds 0-1,
-  on 1 and on 2 threads.
+  on 1 and on 2 threads;
+* the defaults an empty config file gives, as fedceo at seeds 0-2: its
+  logistic model's bias stacks are wide, (1, 10, 5), beside cli's wide
+  (32, 64, 10) first layer.
 
 OpenBLAS is pinned to one thread before NumPy loads it, since its thread
 count can change how a large matrix product rounds.  Run the script on
 two commits and compare the last line.  It is not a test: pytest does not
-collect it, and it takes about 15 s on two CPUs.
+collect it, and it takes about 30 s on two CPUs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fedceo import cli, protocol  # noqa: E402
+from fedceo import cli, config, protocol  # noqa: E402
 from workloads import CLI_DATA, CLI_RUN_CONFIG, DESK, STRESS  # noqa: E402
 
 OUTPUTS = ("metrics.csv", "final_model.t3r")
@@ -64,6 +67,13 @@ def _run_cli(seed: int, threads: int, out: Path) -> None:
                 raise SystemExit(f"fedceo {' '.join(argv)} failed")
 
 
+def _run_defaults(seed: int, out: Path) -> None:
+    empty = out.with_suffix(".cfg")
+    empty.write_text("")
+    cfg = dataclasses.replace(config.parse_config(empty), algorithm="fedceo", seed=seed)
+    _run_config(cfg, 1, out)
+
+
 def identity_set():
     """(label, writer) per run, where ``writer(out)`` writes its outputs."""
     for alg in ("fedavg", "ldp_fedavg", "fedceo"):
@@ -77,6 +87,8 @@ def identity_set():
     for seed in range(2):
         for threads in (1, 2):
             yield f"cli seed={seed} threads={threads}", partial(_run_cli, seed, threads)
+    for seed in range(3):
+        yield f"defaults fedceo seed={seed}", partial(_run_defaults, seed)
 
 
 def main() -> None:

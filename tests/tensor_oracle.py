@@ -17,6 +17,11 @@ agree with:
   in one batched SVD, which ``fedceo.tensor`` replaced with one shrinkage
   per slice on a thread pool, through the slice's Gram matrix; the rewrite
   must agree with it to 1e-12 relative.
+* ``truncated_tsvd_wide_branch``: that Gram-matrix shrinkage as it was
+  before a wide stack went through its transpose, when a wide slice was
+  shrunk from a copy of its conjugate transpose; the one-path rewrite must
+  match it bit for bit on tall and square stacks and to 1e-12 of the
+  input's norm on wide ones.
 * ``prox_objective``: the objective whose minimizer ``truncated_tsvd`` is.
 * ``truncated_svd_matrix``: the matrix nuclear-norm prox, which a tensor
   of identical slices reduces to; ``frobenius``: the norm of any array.
@@ -28,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedceo import tensor as tz
 from fedceo.errors import NoConvergence, NonFinite, ShapeMismatch
+from fedceo.parallel import row_blocks, thread_map
 from fedceo.tensor import as_tensor3
 
 
@@ -252,6 +259,84 @@ def truncated_tsvd_batched(t, tau: float) -> tuple[np.ndarray, float]:
         out = np.fft.irfft(np.moveaxis((u * s[:, None, :]) @ vh, 0, 2), n=n3, axis=2)
     norms = s.sum(axis=1)
     return out, float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
+
+
+def _shrink_tall_into(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``fedceo.tensor._shrink_tall`` with an ``out`` for its result."""
+    parts = a.view(np.float64)
+    top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+    scale = np.ldexp(1.0, min(-int(np.frexp(top)[1]), 1023))
+    b = a * scale
+    w, v = np.linalg.eigh(b.conj().T @ b)
+    del b
+    s = np.sqrt(np.maximum(w, 0.0))
+    t = tau * scale
+    cut = tz.RESOLVED * s.max(initial=0.0)
+    m = int(np.searchsorted(s, cut)) if t < cut else 0
+    kept = np.maximum(s[m:] - t, 0.0)
+    weight = np.divide(kept, s[m:], out=np.zeros_like(kept), where=kept > 0.0)
+    head = v[:, m:]
+    out = np.matmul(a @ head * weight, head.conj().T, out=out)
+    kept = kept[::-1] / scale
+    if not m:
+        return out, kept
+    low, low_kept = _shrink_tall_into(a @ v[:, :m], tau)
+    out += low @ v[:, :m].conj().T
+    return out, np.concatenate([kept, low_kept])
+
+
+def truncated_tsvd_wide_branch(t, tau: float, *, threads: int = 1,
+                               out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """``fedceo.tensor.truncated_tsvd`` with a branch per slice orientation:
+    a tall slice is shrunk through A^H A, a wide one through a contiguous
+    copy of A^H, whose result is written over A transposed and conjugated
+    back.  The pool and the transforms' row blocks follow n1, whatever the
+    orientation."""
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    arr = as_tensor3(t)
+    n1, n2, n3 = arr.shape
+    if out is None:
+        out = np.moveaxis(np.empty((n3, n1, n2)), 0, 2)
+    elif not (isinstance(out, np.ndarray) and out.shape == arr.shape
+              and out.dtype == np.float64):
+        raise ShapeMismatch(f"out must be a float64 array of shape {arr.shape}")
+    slices = n3 // 2 + 1
+    work = slices * n1 * n2 * min(n1, n2)
+    workers = min(threads, slices, work // tz.MIN_WORK_PER_THREAD)
+    mats = np.empty((slices, n1, n2), dtype=np.complex128)
+    s = np.empty((slices, min(n1, n2)))
+
+    def forward(rows: slice) -> None:
+        np.fft.rfft(arr[rows], axis=2, out=np.moveaxis(mats, 0, 2)[rows])
+
+    def shrink(j: int) -> None:
+        try:
+            if n1 >= n2:
+                mats[j], s[j] = _shrink_tall_into(mats[j], tau)
+            else:
+                _, s[j] = _shrink_tall_into(np.ascontiguousarray(mats[j].T).conj(), tau,
+                                            mats[j].T)
+                np.conjugate(mats[j], out=mats[j])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(
+                f"Gram eigendecomposition failed to converge on Fourier slice {j} "
+                f"of shape {arr.shape}"
+            ) from exc
+
+    def inverse(rows: slice) -> None:
+        np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=out[rows])
+
+    with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:
+        blocks = row_blocks(n1, workers)
+        run(forward, blocks)
+        run(shrink, range(slices))
+        run(inverse, blocks)
+    norms = s.sum(axis=1)
+    norm = float(norms.sum() + norms[1:(n3 + 1) // 2].sum()) / n3
+    if not (np.all(np.isfinite(out)) and np.isfinite(norm)):
+        raise NonFinite("smoothed tensor contains NaN or infinity")
+    return out, norm
 
 
 def tnn(t) -> float:

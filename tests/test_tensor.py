@@ -8,7 +8,11 @@ trigonometric cubic solver, and the rfft shrinkage and tnn against the
 full-spectrum slice-by-slice implementations in ``tensor_oracle``.  The
 thread-pooled per-slice shrinkage through each slice's Gram matrix must
 give the same bits at every thread count as on one thread, and agree with
-the batched-SVD pass kept in ``tensor_oracle`` to 1e-12 relative.
+the batched-SVD pass kept in ``tensor_oracle`` to 1e-12 relative.  A
+wide stack is shrunk through its transpose: the result must match the
+two-branch shrinkage kept in ``tensor_oracle`` bit for bit on tall and
+square stacks and to 1e-12 of the input's norm on wide ones, and a stack
+and its transpose must smooth to exact transposes.
 """
 
 import math
@@ -17,7 +21,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import tensor_oracle as oracle
@@ -397,8 +401,16 @@ class TestTruncatedTsvd:
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", flaky)
-        with pytest.raises(NoConvergence, match="Fourier slice 1"):
-            tz.truncated_tsvd(t, 0.1, threads=threads)
+        # The wide (4, 5, 4) stack is shrunk through its transpose, t, so
+        # the same Gram matrix fails; the message names the caller's shape.
+        for stack in (t, t.transpose(1, 0, 2)):
+            name = rf"Fourier slice 1 of shape \({', '.join(map(str, stack.shape))}\)"
+            with pytest.raises(NoConvergence, match=name):
+                tz.truncated_tsvd(stack, 0.1, threads=threads)
+            given = stack.copy()
+            with pytest.raises(NoConvergence, match=name):
+                tz.truncated_tsvd(given, 0.1, threads=threads, out=given)
+            assert given.tobytes() == stack.tobytes()
 
 
 @st.composite
@@ -469,6 +481,40 @@ class TestGramRouteMatchesBatchedSvd:
             assert abs(norm - want_norm) <= 1e-12 * oracle.tnn(t)
 
 
+class TestWideStacksShrinkThroughTheirTranspose:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(conditioned_stacks())
+    def test_agrees_with_the_two_branch_oracle(self, lifted_floors, case):
+        # The oracle shrinks a wide slice from a copy of its conjugate
+        # transpose, which rounds differently from its transpose; a tall
+        # or square slice takes the same steps on both sides.
+        t, tau = case
+        for threads in (1, 2):
+            want, want_norm = oracle.truncated_tsvd_wide_branch(t, tau, threads=threads)
+            for out in (None, t.copy()):
+                got, norm = tz.truncated_tsvd(t if out is None else out, tau,
+                                              threads=threads, out=out)
+                if t.shape[0] >= t.shape[1]:
+                    assert got.tobytes() == want.tobytes() and norm == want_norm
+                else:
+                    assert input_rel_err(got, want, t) <= 1e-12
+                    assert abs(norm - want_norm) <= 1e-12 * oracle.tnn(t)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(conditioned_stacks())
+    def test_a_stack_and_its_transpose_smooth_to_transposes(self, case):
+        # A square stack's transpose has other slices to shrink, A^T for A,
+        # which round differently; every other stack and its transpose
+        # shrink the same slices.
+        t, tau = case
+        assume(t.shape[0] != t.shape[1])
+        got, norm = tz.truncated_tsvd(t, tau)
+        got_t, norm_t = tz.truncated_tsvd(t.transpose(1, 0, 2).copy(), tau)
+        assert got_t.transpose(1, 0, 2).tobytes() == got.tobytes()
+        assert norm_t == norm
+
+
 class TestSliceParallel:
     # Bit identity is against the package's own serial result; agreement
     # with the batched-SVD oracle is to the bound of
@@ -491,11 +537,13 @@ class TestSliceParallel:
                 assert abs(norm - want_norm) <= 1e-12 * want_norm
 
     @pytest.mark.parametrize("shape", [(0, 4, 6), (1, 5, 6), (7, 3, 9), (3, 40, 8),
-                                       (2, 64, 5), (9, 9, 1)],
-                             ids=["n1=0", "n1=1", "odd-n1", "wide", "wide-n1=2", "n3=1"])
+                                       (2, 64, 5), (9, 9, 1), (1, 1, 6)],
+                             ids=["n1=0", "n1=1", "odd-n1", "wide", "wide-n1=2", "n3=1",
+                                  "1x1"])
     def test_row_blocks_of_the_transforms_keep_every_bit(self, small_pools, shape):
-        # The transforms split the n1 axis into one block per thread:
-        # fewer rows than threads, an odd split and wide slices.
+        # The transforms split the long side into one block per thread:
+        # fewer rows than threads, an odd split and wide slices, whose
+        # rows are the input's columns.
         t = np.random.default_rng(72).standard_normal(shape)
         want, want_norm = tz.truncated_tsvd(t, 0.3, threads=1)
         got, norm = tz.truncated_tsvd(t, 0.3, threads=2)
@@ -527,13 +575,17 @@ class TestSliceParallel:
             assert got.tobytes() == want.tobytes() and norm == want_norm
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_result_keeps_each_client_together(self, small_pools, threads):
-        # Client-major: a smoothed stack of uploads unstacks into a
-        # C-ordered (K, P) array, whose mean sums in the same order on
-        # any thread count.
-        t = np.random.default_rng(73).standard_normal((6, 5, 4))
-        out, _ = tz.truncated_tsvd(t, 0.3, threads=threads)
-        assert np.moveaxis(out, 2, 0).flags.c_contiguous
+    def test_result_is_laid_out_like_its_input(self, small_pools, threads):
+        # A C-ordered stack, and a client-major one as stack_clients views
+        # a (K, P) array, each of them tall and wide.
+        rng = np.random.default_rng(73)
+        for t in (rng.standard_normal((6, 5, 4)), rng.standard_normal((5, 6, 4)),
+                  np.moveaxis(rng.standard_normal((4, 6, 5)), 0, 2),
+                  np.moveaxis(rng.standard_normal((4, 5, 6)), 0, 2)):
+            out, _ = tz.truncated_tsvd(t, 0.3, threads=threads)
+            assert out.strides == t.strides
+            want, _ = tz.truncated_tsvd(np.ascontiguousarray(t), 0.3, threads=threads)
+            assert out.tobytes() == want.tobytes()
 
     def test_more_workers_than_cores_under_fast_switching(self, small_pools):
         # Each worker writes only its own slices of the shared buffers; a
