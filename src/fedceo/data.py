@@ -13,6 +13,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,14 +153,25 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
     return parts
 
 
+class Client(NamedTuple):
+    """One client's samples: its row indices into the split it was dealt
+    from, which stays the one copy of the features and labels."""
+    rows: np.ndarray  # (n,) int64
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
+
+
 def partition(data: Dataset, n_clients: int, mode: str, *,
               shards_per_client: int = 2, alpha: float = 0.5,
-              seed: int = 0) -> list[Dataset]:
-    """Split a dataset across clients; see :func:`partition_indices`."""
+              seed: int = 0) -> list[Client]:
+    """Split a dataset across clients, each a :class:`Client` holding its
+    rows of ``data``; see :func:`partition_indices`."""
     parts = partition_indices(data.labels, n_clients, mode,
                               shards_per_client=shards_per_client,
                               alpha=alpha, seed=seed)
-    return [data.subset(p) for p in parts]
+    return [Client(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------

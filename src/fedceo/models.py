@@ -225,17 +225,20 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray):
 MIN_PARAMS_PER_THREAD = 1 << 20
 
 
-def local_train(model: Model, features, labels, epochs: int, batch_size: int,
+def local_train(model: Model, features, labels, rows, epochs: int, batch_size: int,
                 lr: float, rngs, *, threads: int = 1) -> None:
     """Plain minibatch SGD for ``epochs`` passes over each of K clients'
     samples, the K clients in lock step, training the (K, P)
     ``model.params`` in place.
 
-    Client k starts from row k and trains on ``features[k]``,
-    ``labels[k]`` as it would alone: it redraws its shuffle from
-    ``rngs[k]`` each epoch and keeps its final short minibatch.  The rows
-    train ordered by client size, largest first (a stable sort), and go
-    back to the caller's order when training ends; rows already in that
+    ``features`` (n, d) and ``labels`` (n,) are one split's samples, and
+    client k's samples are its rows ``rows[k]`` of them: minibatches are
+    gathered from the split through those rows, and no client's samples
+    are copied out first.  Client k starts from row k of ``model.params``
+    and trains on its samples as it would alone: it redraws its shuffle
+    from ``rngs[k]`` each epoch and keeps its final short minibatch.  The
+    rows train ordered by client size, largest first (a stable sort), and
+    go back to the caller's order when training ends; rows already in that
     order are not moved.  Each lock step is then one :func:`_sgd_step` on
     a prefix of the rows, the clients that still have a minibatch in the
     epoch: a finished client sits out the steps left, so its row does not
@@ -252,60 +255,66 @@ def local_train(model: Model, features, labels, epochs: int, batch_size: int,
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
-    if k < 1 or not len(features) == len(labels) == len(rngs) == k:
-        raise ShapeMismatch(f"need one dataset and one generator per row of a (K, P) "
-                            f"parameter array, got {len(features)} datasets, "
+    if k < 1 or not len(rows) == len(rngs) == k:
+        raise ShapeMismatch(f"need one row set and one generator per row of a (K, P) "
+                            f"parameter array, got {len(rows)} row sets, "
                             f"{len(rngs)} generators and shape {params.shape}")
-    features = [np.asarray(x, dtype=np.float64) for x in features]
-    labels = [np.asarray(y) for y in labels]
-    for x, y in zip(features, labels):
-        _check_samples(model, x, y)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    _check_samples(model, features, labels)
+    rows = [np.asarray(r) for r in rows]
+    for c, r in enumerate(rows):
+        if r.ndim != 1 or r.dtype.kind not in "iu" or r.size == 0:
+            raise ShapeMismatch(f"client {c}'s rows must be a non-empty 1-d integer "
+                                f"array, got {r.dtype} of shape {r.shape}")
+        if r.min() < 0 or r.max() >= labels.size:
+            raise ShapeMismatch(f"client {c} has a row outside [0, {labels.size})")
 
-    rank = sorted(range(k), key=lambda c: -labels[c].shape[0])
+    rank = sorted(range(k), key=lambda c: -rows[c].shape[0])
     moved = rank != list(range(k))
     # Each permutation holds a copy of the rows only while no gradient
     # scratch is alive, so training's memory peak stays where it was.
     if moved:
         params[:] = params[rank]
     try:
-        _lock_steps(model, [features[c] for c in rank], [labels[c] for c in rank],
-                    epochs, batch_size, lr, [rngs[c] for c in rank],
+        _lock_steps(model, features, labels, [rows[c] for c in rank], epochs, batch_size,
+                    lr, [rngs[c] for c in rank],
                     max(1, min(threads, k, params.size // MIN_PARAMS_PER_THREAD)))
     finally:
         if moved:
             params[rank] = params.copy()
 
 
-def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
+def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: int,
                 lr: float, rngs, workers: int) -> None:
-    """The lock steps of :func:`local_train` on checked clients whose
-    sizes do not increase along the rows, in ``workers`` interleaved
-    blocks of rows.
+    """The lock steps of :func:`local_train` on checked clients, given as
+    row sets of the samples ``features``, ``labels``, whose sizes do not
+    increase along the rows, in ``workers`` interleaved blocks of rows.
 
     Each step runs on every client's next minibatch, padded to a common
-    row count, over the prefix of clients that still have one.  The
-    padding layout depends only on the client sizes, so it is built once
-    per call, and so is each block's plan: its steps, each with its width
-    and views of the block's active rows and of the one gradient array.
-    Each epoch writes the shuffles into the layout, gathers its samples
-    and runs every plan in one pool dispatch.  The gradient array and the
-    gathers are allocated on the calling thread: pool threads put them in
-    glibc's per-thread arenas, which raised stress's resident peak by 11%.
+    row count, over the prefix of clients that still have one; a padding
+    cell is an all-zero sample labelled 0.  The padding layout depends
+    only on the client sizes, so it is built once per call, and so is
+    each block's plan: its steps, each with its width and views of the
+    block's active rows and of the one gradient array.  Each epoch writes
+    the shuffled rows into the layout, gathers their samples from the
+    split into the call's one pair of gather arrays, zeroes the padding
+    cells, and runs every plan in one pool dispatch.  The gradient array
+    and the gathers are allocated on the calling thread: pool threads put
+    them in glibc's per-thread arenas, which raised stress's resident peak
+    by 11%.
     """
     params = model.params
-    sizes = [y.shape[0] for y in labels]
+    sizes = [r.shape[0] for r in rows]
     k = len(sizes)
     batch_size = min(batch_size, sizes[0])  # a wider minibatch would hold only padding
-    offsets = np.cumsum([0] + sizes[:-1])
-    pad = sum(sizes)  # the all-zero row, labelled 0, appended to the pooled samples
-    x_all = np.concatenate(features + [np.zeros((1, model.input_dim))])
-    onehot_all = np.eye(model.num_classes)[np.concatenate(labels + [[0]])]
     steps = -(-sizes[0] // batch_size)
-    order = np.full((k, steps * batch_size), pad)
+    order = np.zeros((k, steps * batch_size), dtype=np.intp)  # padding reads row 0
     # batches[t, c] is client c's t-th minibatch, its samples first
     batches = order.reshape(k, steps, batch_size).swapaxes(0, 1)
     slots = np.arange(steps * batch_size).reshape(steps, 1, batch_size)
     real = slots < np.array(sizes)[:, None]  # the cells of batches that hold samples
+    padding = None if real.all() else np.nonzero(~real)
     counts = real.sum(axis=2, keepdims=True)
     # a sample's gradient is divided by its minibatch's size, padding's by infinity
     batch_sizes = np.where(real, counts, np.inf)[..., None]
@@ -316,21 +325,32 @@ def _lock_steps(model: Model, features, labels, epochs: int, batch_size: int,
     for first in range(workers):
         parts = {}  # a: the block's rows in [:a], and those rows of params and grad
         for a in {a for a in active if a > first}:
-            rows = slice(first, a, workers)
-            parts[a] = rows, Model(model.shapes, params[rows]), Model(model.shapes, grad[rows])
+            block = slice(first, a, workers)
+            parts[a] = block, Model(model.shapes, params[block]), Model(model.shapes, grad[block])
         plans.append([(t, width, *parts[a])
                       for t, (width, a) in enumerate(zip(widths, active)) if a > first])
 
+    onehot = np.eye(model.num_classes)
+    xs = np.empty(batches.shape + features.shape[1:])
+    ys = np.empty(batches.shape, dtype=labels.dtype)
+    targets = np.empty(batches.shape + onehot.shape[1:])
+
     def run_plan(plan):  # on the epoch's gathers, xs and targets
-        for t, width, rows, part, part_grad in plan:
-            _sgd_step(part, part_grad, xs[t, rows, :width], targets[t, rows, :width],
-                      batch_sizes[t, rows, :width], lr)
+        for t, width, block, part, part_grad in plan:
+            _sgd_step(part, part_grad, xs[t, block, :width], targets[t, block, :width],
+                      batch_sizes[t, block, :width], lr)
 
     with thread_map(workers) as run:
         for _ in range(epochs):
-            for c, (n, rng) in enumerate(zip(sizes, rngs)):
-                order[c, :n] = offsets[c] + rng.permutation(n)
-            xs, targets = x_all[batches], onehot_all[batches]
+            for c, (r, rng) in enumerate(zip(rows, rngs)):
+                order[c, :r.shape[0]] = r[rng.permutation(r.shape[0])]
+            # the rows are checked, so "clip" clips nothing and gathers unbuffered
+            np.take(features, batches, axis=0, out=xs, mode="clip")
+            np.take(labels, batches, out=ys, mode="clip")
+            if padding is not None:
+                xs[padding] = 0.0
+                ys[padding] = 0
+            np.take(onehot, ys, axis=0, out=targets, mode="clip")
             run(run_plan, plans)
 
 

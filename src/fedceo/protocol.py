@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .config import DataSpec, ModelSpec, RunConfig, config_to_dict  # noqa: F401 (re-exported)
-from .data import Dataset, load_dataset, partition, split_train_test, synth_blobs
+from .data import Client, Dataset, load_dataset, partition, split_train_test, synth_blobs
 from .dp import PrivacyBudget, clip_update, gaussianize, privacy_budget, rng_stream
 from .errors import NonFinite, ShapeMismatch, ValidationError, write_file
 from .models import (
@@ -155,9 +155,11 @@ def whole_dataset(cfg: RunConfig) -> Dataset:
 
 
 def build_dataset(cfg: RunConfig, full: Dataset | None = None):
-    """(train, test, per-client datasets) for a run config.  ``full`` is
-    :func:`whole_dataset` of ``cfg``, already loaded (a sweep reads its data
-    file once for all cells); if None it is built here."""
+    """(train, test, clients) for a run config, each client a
+    :class:`fedceo.data.Client` of its rows of ``train``, so the train split
+    is the one copy of its samples.  ``full`` is :func:`whole_dataset` of
+    ``cfg``, already loaded (a sweep reads its data file once for all
+    cells); if None it is built here."""
     if full is None:
         full = whole_dataset(cfg)
     try:
@@ -191,19 +193,19 @@ def build_model(cfg: RunConfig, dim: int, classes: int) -> Model:
     return mlp_model(dim, hidden, classes, bias=bias, rng=rng)
 
 
-def _client_uploads(cfg: RunConfig, template: Model, clients: list[int],
-                    parts: list[Dataset], starts: list[np.ndarray],
+def _client_uploads(cfg: RunConfig, train: Dataset, template: Model, clients: list[int],
+                    parts: list[Client], starts: list[np.ndarray],
                     round_no: int, threads: int) -> np.ndarray:
     """The round's (K, P) uploads, start + lr * update: the selected clients
-    train in lock step from their starts, and each update is the client's
-    delta, clipped and noised unless the algorithm is ``fedavg``; training
-    and noise run on up to ``threads`` threads.  Raises :class:`NonFinite`
-    if any upload is not finite."""
+    train in lock step from their starts on their rows of ``train``, and
+    each update is the client's delta, clipped and noised unless the
+    algorithm is ``fedavg``; training and noise run on up to ``threads``
+    threads.  Raises :class:`NonFinite` if any upload is not finite."""
     uploads = np.stack(starts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         local_train(
-            Model(template.shapes, uploads),
-            [p.features for p in parts], [p.labels for p in parts],
+            Model(template.shapes, uploads), train.features, train.labels,
+            [p.rows for p in parts],
             cfg.local_epochs, cfg.batch, cfg.lr,
             [rng_stream(cfg.seed, round_no=round_no, client=c, purpose="train")
              for c in clients],
@@ -261,8 +263,13 @@ def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
     for round_no in range(1, cfg.rounds + 1):
         clients = [int(c) for c in
                    select_clients(cfg.n_total, cfg.k_selected, round_no, cfg.seed)]
+        # The resumed clients' slices move to one compact copy, so the last
+        # round's (K, P) array is freed before this round trains.
+        resumed = [c for c in clients if c in personalized]
+        personalized = dict(zip(resumed, np.array([personalized[c] for c in resumed])))
+        uploads = None
         uploads = _client_uploads(
-            cfg, template, clients, [parts[c] for c in clients],
+            cfg, train, template, clients, [parts[c] for c in clients],
             [personalized.get(c, global_vec) for c in clients], round_no, threads,
         )
         personalized = {}

@@ -12,11 +12,14 @@ and one ``forward_loss``/``backward`` pair at a time.
 round trained before.
 
 ``local_train_lockstep`` is the first lock-step trainer, kept as the
-bit-for-bit oracle of :func:`fedceo.models.local_train`: it rebuilds the
-padding layout every epoch and runs each lock step as a forward pass that
-caches its intermediates and each row's label index
-(:func:`forward_lockstep`), then a backward pass from that cache
-(:func:`backward_into`).
+bit-for-bit oracle of :func:`fedceo.models.local_train`: it takes each
+client's samples as its own arrays, pools them behind an appended
+all-zero padding row labelled 0, rebuilds the padding layout every epoch
+and runs each lock step as a forward pass that caches its intermediates
+and each row's label index (:func:`forward_lockstep`), then a backward
+pass from that cache (:func:`backward_into`).  These trainers all take
+per-client sample lists; :func:`pool_clients` turns such lists into the
+one split and row sets that :func:`fedceo.models.local_train` takes.
 """
 
 from __future__ import annotations
@@ -99,6 +102,31 @@ def local_train(model: Model, features: np.ndarray, labels: np.ndarray,
             _, cache = forward_loss(out, features[idx], labels[idx])
             out.params -= lr * backward(out, cache)
     return out
+
+
+def pool_clients(features, labels, *, scatter: int | None = None):
+    """(features, labels, rows): the per-client samples ``features[k]``,
+    ``labels[k]`` pooled into one split, client k's at its rows ``rows[k]``.
+
+    The clients are pooled in order, each a contiguous run of rows.  With a
+    seed ``scatter``, their samples land instead at random positions of a
+    split twice as large, the rest standard normal and labelled 0, so each
+    client's rows are a scattered, unsorted subset of the split.
+    """
+    features = [np.asarray(x, dtype=np.float64) for x in features]
+    labels = [np.asarray(y) for y in labels]
+    sizes = [y.shape[0] for y in labels]
+    ends = np.cumsum(sizes)
+    pooled_x, pooled_y = np.concatenate(features), np.concatenate(labels)
+    if scatter is None:
+        return pooled_x, pooled_y, [np.arange(e - n, e) for n, e in zip(sizes, ends)]
+    rng = np.random.default_rng(scatter)
+    at = rng.permutation(2 * pooled_y.size)[:pooled_y.size]  # where each sample lands
+    x = rng.standard_normal((2 * pooled_y.size, pooled_x.shape[1]))
+    y = np.zeros(2 * pooled_y.size, dtype=pooled_y.dtype)
+    x[at] = pooled_x
+    y[at] = pooled_y
+    return x, y, [at[e - n:e] for n, e in zip(sizes, ends)]
 
 
 def train_each(shapes, starts: np.ndarray, features, labels, epochs: int,

@@ -166,7 +166,9 @@ class TestPartition:
         data = synth_blobs(4, 5, 200, 1.0, seed=7)
         parts = partition(data, 5, "iid", seed=7)
         assert sum(p.n for p in parts) == 200
-        assert all(p.num_classes == 4 for p in parts)
+        # each client is its rows of the dataset, not a copy of its samples
+        want = partition_indices(data.labels, 5, "iid", seed=7)
+        assert all(np.array_equal(p.rows, w) for p, w in zip(parts, want))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

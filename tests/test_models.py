@@ -194,10 +194,18 @@ class TestFlattening:
         npt.assert_array_equal(vec, before)
 
 
+def train_pooled(model, xs, ys, epochs, batch_size, lr, rngs, *, scatter=None, **kwargs):
+    """local_train of the clients whose samples are xs[k], ys[k], pooled
+    into one split (sgd_oracle.pool_clients; scattered through it with a
+    seed ``scatter``)."""
+    local_train(model, *sgd_oracle.pool_clients(xs, ys, scatter=scatter), epochs, batch_size,
+                lr, rngs, **kwargs)
+
+
 def train_alone(model, x, y, epochs, batch_size, lr, rng):
     """A new model: ``model`` trained by local_train as a round of one client."""
     params = model.params[None].copy()
-    local_train(Model(model.shapes, params), [x], [y], epochs, batch_size, lr, [rng])
+    train_pooled(Model(model.shapes, params), [x], [y], epochs, batch_size, lr, [rng])
     return unflatten_params(model, params[0])
 
 
@@ -231,8 +239,8 @@ class TestLocalTrain:
         start = flatten_params(model)
         a, b = start[None].copy(), start[None].copy()
         for params in (a, b):
-            local_train(Model(model.shapes, params), [data.features], [data.labels],
-                        2, 16, 0.1, [rng_stream(3, round_no=4, client=1, purpose="train")])
+            train_pooled(Model(model.shapes, params), [data.features], [data.labels],
+                         2, 16, 0.1, [rng_stream(3, round_no=4, client=1, purpose="train")])
         npt.assert_array_equal(a, b)
         # trained in place; the model it started from is untouched
         assert not np.array_equal(a[0], flatten_params(model))
@@ -241,9 +249,23 @@ class TestLocalTrain:
     def test_empty_dataset_rejected(self):
         model = logistic_model(5, 3, rng=rng_stream(13, purpose="init"))
         with pytest.raises(ShapeMismatch):
-            local_train(Model(model.shapes, model.params[None].copy()),
-                        [np.zeros((0, 5))], [np.zeros(0, dtype=int)], 1, 8, 0.1,
-                        [rng_stream(0, purpose="train")])
+            train_pooled(Model(model.shapes, model.params[None].copy()),
+                         [np.zeros((0, 5))], [np.zeros(0, dtype=int)], 1, 8, 0.1,
+                         [rng_stream(0, purpose="train")])
+
+    @pytest.mark.parametrize("rows,match", [
+        (np.array([], dtype=np.int64), "non-empty"),
+        (np.array([0.0, 1.0]), "integer"),
+        (np.array([[0, 1]]), "1-d"),
+        (np.array([3, 9]), "outside"),
+        (np.array([-1, 2]), "outside"),
+    ])
+    def test_rows_must_index_the_split(self, rows, match):
+        model = logistic_model(5, 3, rng=rng_stream(13, purpose="init"))
+        x, y = make_batch(np.random.default_rng(0), n=9, dim=5, classes=3)
+        with pytest.raises(ShapeMismatch, match=match):
+            local_train(Model(model.shapes, model.params[None].copy()), x, y, [rows],
+                        1, 8, 0.1, [rng_stream(0, purpose="train")])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +277,7 @@ def train_streams(clients, seed=0):
 
 
 def lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients,
-              trainer=local_train):
+              trainer=train_pooled):
     """The (K, P) array ``trainer`` makes of ``starts``, trained in place."""
     params = np.array(starts, dtype=np.float64)
     trainer(Model(model.shapes, params), xs, ys, epochs, batch_size, lr,
@@ -290,8 +312,8 @@ def round_clients(cfg):
     train, _, parts = build_dataset(cfg)
     model = build_model(cfg, train.dim, train.num_classes)
     clients = [int(c) for c in select_clients(cfg.n_total, cfg.k_selected, 1, cfg.seed)]
-    return (model, [parts[c].features for c in clients],
-            [parts[c].labels for c in clients], clients)
+    return (model, [train.features[parts[c].rows] for c in clients],
+            [train.labels[parts[c].rows] for c in clients], clients)
 
 
 ARCHS = {
@@ -363,7 +385,7 @@ class TestLockStepMatchesOneByOne:
         model = ARCHS["logistic"](True)
         xs, ys = ragged_clients((4, 9))
         with pytest.raises(ShapeMismatch):  # a vector model has no client axis
-            local_train(model, xs[:1], ys[:1], 1, 4, 0.2, train_streams([0]))
+            train_pooled(model, xs[:1], ys[:1], 1, 4, 0.2, train_streams([0]))
         with pytest.raises(ShapeMismatch):
             lock_step(model, spread_starts(model, 2), xs[:1], ys[:1], 1, 4, 0.2, [0])
 
@@ -391,11 +413,12 @@ class TestLockStepMatchesOracle:
     cache: equal bit for bit, trained in the caller's array and order."""
 
     @staticmethod
-    def assert_same(model, starts, xs, ys, epochs, batch_size, lr, clients, threads=1):
+    def assert_same(model, starts, xs, ys, epochs, batch_size, lr, clients, threads=1,
+                    scatter=None):
         params = np.array(starts, dtype=np.float64)
         trained = Model(model.shapes, params)
-        local_train(trained, xs, ys, epochs, batch_size, lr, train_streams(clients),
-                    threads=threads)
+        train_pooled(trained, xs, ys, epochs, batch_size, lr, train_streams(clients),
+                     threads=threads, scatter=scatter)
         assert trained.params is params
         npt.assert_array_equal(
             params, lock_step(model, starts, xs, ys, epochs, batch_size, lr, clients,
@@ -430,6 +453,40 @@ class TestLockStepMatchesOracle:
         xs, ys = ragged_clients(sizes)
         self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, epochs,
                          batch_size, 0.2, list(range(len(sizes))), threads=threads)
+
+    # Each client's rows scattered, unsorted, through a split with other
+    # samples in it: a gather through offsets instead of the rows fails.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("sizes", [SIZE_ORDERS["interleaved"], SIZE_ORDERS["ties"]],
+                             ids=["interleaved", "ties"])
+    def test_scattered_rows(self, lifted_floors, threads, kind, sizes):
+        model = ARCHS[kind](True)
+        xs, ys = ragged_clients(sizes)
+        self.assert_same(model, spread_starts(model, len(sizes)), xs, ys, 3, 8, 0.2,
+                         list(range(len(sizes))), threads=threads, scatter=5)
+
+    # A padding cell is an all-zero sample labelled 0.  At these rates the
+    # rows overflow, and a padding cell that read a real sample would put
+    # NaNs where the oracle's zero row leaves numbers (row 0 does on the
+    # pooled split at 1e17 and 1e35 without bias, on the scattered one at
+    # 1e13 with it); assert_array_equal compares the NaN positions.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scatter", [None, 2], ids=["pooled", "scattered"])
+    @pytest.mark.parametrize("lr", [1e13, 1e17, 1e35])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_padding_is_a_zero_sample_when_rows_diverge(self, lifted_floors, threads, scatter,
+                                                         lr, bias):
+        model = ARCHS["mlp"](bias)
+        sizes = SIZE_ORDERS["interleaved"]
+        xs, ys = ragged_clients(sizes)
+        starts = spread_starts(model, len(sizes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = lock_step(model, starts, xs, ys, 3, 8, lr, list(range(len(sizes))),
+                             trainer=sgd_oracle.local_train_lockstep)
+            assert not np.isfinite(want).all()
+            self.assert_same(model, starts, xs, ys, 3, 8, lr, list(range(len(sizes))),
+                             threads=threads, scatter=scatter)
 
     @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
     def test_desk_clients(self, mode, threads=1):
@@ -470,7 +527,7 @@ class TestLockStepThreads:
         model = ARCHS["mlp"](True)
         xs, ys = ragged_clients((5, 23, 40))
         got = lock_step(model, spread_starts(model, 3), xs, ys, 2, 8, 0.2, [0, 1, 2],
-                        trainer=functools.partial(local_train, threads=10**6))
+                        trainer=functools.partial(train_pooled, threads=10**6))
         assert pool_sizes == [3]
         npt.assert_array_equal(got, lock_step(model, spread_starts(model, 3), xs, ys, 2, 8,
                                               0.2, [0, 1, 2]))
@@ -483,7 +540,7 @@ class TestLockStepThreads:
         for k, pools in [(4, []), (7, []), (8, [2]), (12, [3])]:
             pool_sizes.clear()
             lock_step(model, spread_starts(model, k), xs[:k], ys[:k], 1, 2, 0.2,
-                      list(range(k)), trainer=functools.partial(local_train, threads=8))
+                      list(range(k)), trainer=functools.partial(train_pooled, threads=8))
             assert pool_sizes == pools, k
 
     def test_one_pool_dispatch_per_epoch(self, lifted_floors, pool_spy):
@@ -493,7 +550,7 @@ class TestLockStepThreads:
         xs, ys = ragged_clients((40, 23, 5))
         epochs = 2
         lock_step(model, spread_starts(model, 3), xs, ys, epochs, 8, 0.2, [0, 1, 2],
-                  trainer=functools.partial(local_train, threads=2))
+                  trainer=functools.partial(train_pooled, threads=2))
         assert pool_spy.sizes == [2]
         assert [len(items) for items in pool_spy.maps] == [2] * epochs
         assert all(items == pool_spy.maps[0] for items in pool_spy.maps)
@@ -518,7 +575,7 @@ class TestLockStepWork:
         xs, ys = ragged_clients(sizes)
         lock_step(model, spread_starts(model, len(sizes)), xs, ys, epochs, batch_size,
                   0.2, list(range(len(sizes))),
-                  trainer=functools.partial(local_train, threads=threads))
+                  trainer=functools.partial(train_pooled, threads=threads))
         return sum(rows)
 
     def test_ragged_clients_step_once_per_minibatch(self, monkeypatch, lifted_floors):
@@ -544,18 +601,41 @@ class TestLockStepMemory:
     def test_no_second_row_array(self, lifted_floors, sizes):
         # 1 MiB a row against minibatches of 4 samples
         model = mlp_model(256, 512, 4, rng=rng_stream(22, purpose="init"))
-        xs, ys = ragged_clients(sizes, dim=256)
+        samples = sgd_oracle.pool_clients(*ragged_clients(sizes, dim=256))
         params = spread_starts(model, len(sizes))
         row = params.nbytes // len(sizes)
         for threads in (1, 2):
             tracemalloc.start()
             try:
-                local_train(Model(model.shapes, params), xs, ys, 2, 4, 0.2,
+                local_train(Model(model.shapes, params), *samples, 2, 4, 0.2,
                             train_streams(range(len(sizes))), threads=threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < params.nbytes + row // 2, (threads, peak, params.nbytes)
+
+    def test_no_copy_of_the_clients_samples(self, lifted_floors):
+        # A wide split against a small model: the clients' 114 samples of
+        # 4 KiB outweigh the gradient scratch, and a pooled copy of them
+        # (or a second epoch's gather beside the first) would break the bound.
+        sizes, batch_size, epochs = (40, 33, 24, 17), 8, 2
+        model = mlp_model(512, 16, 4, rng=rng_stream(24, purpose="init"))
+        features, labels, rows = sgd_oracle.pool_clients(
+            *ragged_clients(sizes, dim=512), scatter=1)
+        params = spread_starts(model, len(sizes))
+        cells = -(-max(sizes) // batch_size) * len(sizes) * batch_size
+        gather = cells * (features.shape[1] + model.num_classes) * 8  # samples, targets
+        half_client = max(sizes) * features.shape[1] * 8 // 2
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                local_train(Model(model.shapes, params), features, labels, rows, epochs,
+                            batch_size, 0.2, train_streams(range(len(sizes))),
+                            threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < params.nbytes + gather + half_client, (threads, peak)
 
 
 class TestGradientMatchesOracle:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -483,11 +484,14 @@ def test_fedavg_ignores_noise_settings():
 # run_experiment: lock-step training against clients trained one by one
 
 
-def train_one_by_one(model, features, labels, epochs, batch_size, lr, rngs, *, threads):
-    """A stand-in for local_train: the reference trainer, client by client,
-    on the caller's thread."""
-    model.params[:] = sgd_oracle.train_each(model.shapes, model.params, features,
-                                            labels, epochs, batch_size, lr, rngs)
+def train_one_by_one(model, features, labels, rows, epochs, batch_size, lr, rngs, *,
+                     threads):
+    """A stand-in for local_train: the reference trainer, client by client
+    on copies of its rows' samples, on the caller's thread."""
+    model.params[:] = sgd_oracle.train_each(model.shapes, model.params,
+                                            [features[r] for r in rows],
+                                            [labels[r] for r in rows],
+                                            epochs, batch_size, lr, rngs)
 
 
 @pytest.mark.parametrize("mode", ["iid", "label_shard", "dirichlet"])
@@ -545,6 +549,63 @@ def test_shared_data_seed_fixes_the_dataset():
     train_b, test_b, _ = build_dataset(b)
     assert np.array_equal(train_a.features, train_b.features)
     assert np.array_equal(test_a.labels, test_b.labels)
+
+
+def test_build_dataset_holds_one_copy_of_the_train_split():
+    # Each client is its rows of the train split, not a copy of its samples.
+    cfg = dataclasses.replace(TINY, n_total=20,
+                              data=dataclasses.replace(TINY.data, dim=64, samples=3600))
+    build_dataset(TINY)  # the modules a first call imports are not the data
+    tracemalloc.start()
+    try:
+        train, test, parts = build_dataset(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    split = train.features.nbytes + train.labels.nbytes
+    one_copy = (split + test.features.nbytes + test.labels.nbytes
+                + sum(p.rows.nbytes for p in parts))
+    assert sum(p.n for p in parts) == train.n
+    assert held < one_copy + split // 4, (held, one_copy)
+
+
+def test_a_round_trains_without_the_last_rounds_uploads(monkeypatch):
+    # fedceo smooths every round, so each round after the first resumes
+    # the clients it shares with the round before from their slices.  When
+    # a round starts training, the last round's (K, P) array is gone: the
+    # memory held beyond round 1's is one compact copy of those slices.
+    cfg = dataclasses.replace(
+        TINY, n_total=8, k_selected=4, rounds=4, interval=1, eval_every=4,
+        algorithm="fedceo", model=ModelSpec(kind="mlp", hidden=512),
+        data=dataclasses.replace(TINY.data, dim=256, samples=240))
+    rounds = [set(select_clients(8, 4, r, cfg.seed)) for r in range(1, 5)]
+    resumed = [0] + [len(a & b) for a, b in zip(rounds, rounds[1:])]
+    assert 0 < min(resumed[1:]) and max(resumed) < 4, resumed
+    smoothed, held, row_bytes = [], [], set()
+    smooth, train = protocol.server_smooth, protocol.local_train
+
+    def smooth_spy(*args, **kwargs):
+        uploads, norm = smooth(*args, **kwargs)
+        smoothed.append(weakref.ref(uploads))
+        return uploads, norm
+
+    def train_spy(model, *args, **kwargs):
+        assert all(ref() is None for ref in smoothed), "a last round's uploads are alive"
+        held.append(tracemalloc.get_traced_memory()[0])
+        row_bytes.add(model.params[0].nbytes)
+        train(model, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "server_smooth", smooth_spy)
+    monkeypatch.setattr(protocol, "local_train", train_spy)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, threads=1)
+    finally:
+        tracemalloc.stop()
+    (row,) = row_bytes
+    assert len(held) == 4 and row >= 2**20
+    for r in range(1, 4):
+        assert held[r] - held[0] < resumed[r] * row + row // 2, (r, resumed, held)
 
 
 def test_build_model_keeps_one_rounds_uploads_below_2_63_bytes(monkeypatch):

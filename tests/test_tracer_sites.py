@@ -105,5 +105,9 @@ def test_a_traced_cli_session_runs_end_to_end(tmp_path, capsys):
     assert [getattr(module, attr) for module, attr in sites] == originals
     metrics = tracer.layer_metrics(tr.spans, tr.counts())
     assert metrics["protocol.rounds"][0] == 4 * 5  # the run and four sweep cells
+    # The partition probe reads each client's n; a partition the run stops
+    # calling would read as 0 here.
+    assert metrics["data.partition.s"][0] > 0
+    assert metrics["data.client_size.min"][0] >= 1
     names = {span.name for span in tr.spans}
     assert {"tensor.truncated_tsvd", "dp.clip_update", "protocol.write_run_outputs"} <= names
