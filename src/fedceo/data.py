@@ -99,10 +99,22 @@ def split_train_test(data: Dataset, test_fraction: float, seed: int):
 # Client partitioning
 
 
-def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
-                      shards_per_client: int = 2, alpha: float = 0.5,
-                      seed: int = 0) -> list[np.ndarray]:
-    """Index sets of a disjoint cover of range(len(labels)), one per client.
+class Client(NamedTuple):
+    """One client's samples: its row indices into the split it was dealt
+    from, which stays the one copy of the features and labels."""
+    rows: np.ndarray  # (n,) int64
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
+
+
+def partition(labels: np.ndarray, n_clients: int, mode: str, *,
+              shards_per_client: int = 2, alpha: float = 0.5,
+              seed: int = 0) -> list[Client]:
+    """The ``n_clients`` clients that the samples labelled ``labels`` are
+    dealt to, each a :class:`Client` of its rows; together their rows
+    cover range(len(labels)) once.
 
     Every client receives at least one sample regardless of mode:
     label_shard needs at least one sample per shard, and a Dirichlet draw
@@ -150,27 +162,6 @@ def partition_indices(labels: np.ndarray, n_clients: int, mode: str, *,
         needy = next(i for i, p in enumerate(parts) if p.size == 0)
         parts[needy] = parts[donor][-1:]
         parts[donor] = parts[donor][:-1]
-    return parts
-
-
-class Client(NamedTuple):
-    """One client's samples: its row indices into the split it was dealt
-    from, which stays the one copy of the features and labels."""
-    rows: np.ndarray  # (n,) int64
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-
-def partition(data: Dataset, n_clients: int, mode: str, *,
-              shards_per_client: int = 2, alpha: float = 0.5,
-              seed: int = 0) -> list[Client]:
-    """Split a dataset across clients, each a :class:`Client` holding its
-    rows of ``data``; see :func:`partition_indices`."""
-    parts = partition_indices(data.labels, n_clients, mode,
-                              shards_per_client=shards_per_client,
-                              alpha=alpha, seed=seed)
     return [Client(p) for p in parts]
 
 

@@ -43,12 +43,12 @@ class ParseError(InputError, ValueError):
 
 
 class ValidationError(InputError, ValueError):
-    """A config value is syntactically fine but semantically invalid."""
+    """A config value is syntactically fine but semantically invalid;
+    ``message`` says why without naming ``field``."""
 
     def __init__(self, message, field=None):
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.message = message
         self.field = field
 
 

@@ -11,10 +11,8 @@ A model's ``params`` may also carry a leading client axis, ``(K, P)``:
 every layer view then has it too.  Only :func:`local_train` trains on that
 axis: it runs the K clients of a round in lock step, in place in the
 round's array, each lock step on only the clients that still have a
-minibatch, in interleaved blocks of rows fixed for the call, one per
-thread on up to ``threads`` threads when the round is large.
-:func:`forward_loss` (evaluation) and :func:`gradient` (the attack report)
-take one model and one batch of samples.  The lock step
+minibatch.  :func:`forward_loss` (evaluation) and :func:`gradient` (the
+attack report) take one model and one batch of samples.  The lock step
 (:func:`_sgd_step`), :func:`forward_loss` and :func:`gradient` share one
 forward pass, :func:`_forward`; the lock step and :func:`gradient` share
 one backward pass, :func:`_backward`.
@@ -244,14 +242,13 @@ def local_train(model: Model, features, labels, rows, epochs: int, batch_size: i
     epoch: a finished client sits out the steps left, so its row does not
     move.
 
-    The rows are cut once per call into interleaved blocks, one per thread
-    on up to ``threads`` threads (never more than there are clients or
-    multiples of :data:`MIN_PARAMS_PER_THREAD` in ``model.params``): with
-    w blocks, block b holds rows b, b + w, ..., so the blocks' shares of
-    the samples differ by at most one client's.  Each epoch makes one pool
-    dispatch, in which every block runs its rows' lock steps at each
-    step's full minibatch width, so each client's row is the same whatever
-    the thread count.
+    The rows are cut into interleaved blocks, one per thread on up to
+    ``threads`` threads (never more than there are clients or multiples of
+    :data:`MIN_PARAMS_PER_THREAD` in ``model.params``): with w blocks,
+    block b holds rows b, b + w, ..., so the blocks' shares of the samples
+    differ by at most one client's.  Every block runs its rows' lock steps
+    at each step's full minibatch width, so each client's row is the same
+    whatever the thread count; :func:`_lock_steps` plans them.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -294,15 +291,16 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     Each step runs on every client's next minibatch, padded to a common
     row count, over the prefix of clients that still have one; a padding
     cell is an all-zero sample labelled 0.  The padding layout depends
-    only on the client sizes, so it is built once per call, and so is
-    each block's plan: its steps, each with its width and views of the
-    block's active rows and of the one gradient array.  Each epoch writes
-    the shuffled rows into the layout, gathers their samples from the
-    split into the call's one pair of gather arrays, zeroes the padding
-    cells, and runs every plan in one pool dispatch.  The gradient array
-    and the gathers are allocated on the calling thread: pool threads put
-    them in glibc's per-thread arenas, which raised stress's resident peak
-    by 11%.
+    only on the client sizes, so the call builds it once, allocates the
+    gradient scratch and the gathers once, and then builds each block's
+    plan once: the list of its :func:`_sgd_step` calls' arguments, which
+    are views of the block's active rows of ``params``, of the scratch,
+    and of those rows' minibatches in the gathers.  Each epoch writes the
+    shuffled rows into the layout, gathers their samples from the split,
+    zeroes the padding cells, and runs every plan in one pool dispatch.
+    The scratch and the gathers are allocated on the calling thread: pool
+    threads put them in glibc's per-thread arenas, which raised stress's
+    resident peak by 11%.
     """
     params = model.params
     sizes = [r.shape[0] for r in rows]
@@ -321,24 +319,21 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     widths = counts[:, 0, 0].tolist()  # the largest client's minibatch is the widest
     active = (counts[:, :, 0] > 0).sum(axis=1).tolist()  # clients [:a] have one at step t
     grad = np.empty_like(params)
-    plans = []  # per block, the (step, width, rows, part, part_grad) of each step it runs
-    for first in range(workers):
-        parts = {}  # a: the block's rows in [:a], and those rows of params and grad
-        for a in {a for a in active if a > first}:
-            block = slice(first, a, workers)
-            parts[a] = block, Model(model.shapes, params[block]), Model(model.shapes, grad[block])
-        plans.append([(t, width, *parts[a])
-                      for t, (width, a) in enumerate(zip(widths, active)) if a > first])
-
     onehot = np.eye(model.num_classes)
     xs = np.empty(batches.shape + features.shape[1:])
     ys = np.empty(batches.shape, dtype=labels.dtype)
     targets = np.empty(batches.shape + onehot.shape[1:])
+    plans = [[] for _ in range(workers)]  # per block, the _sgd_step arguments of its steps
+    for t, (width, a) in enumerate(zip(widths, active)):
+        for first in range(min(workers, a)):
+            block = slice(first, a, workers)
+            plans[first].append((Model(model.shapes, params[block]),
+                                 Model(model.shapes, grad[block]), xs[t, block, :width],
+                                 targets[t, block, :width], batch_sizes[t, block, :width]))
 
-    def run_plan(plan):  # on the epoch's gathers, xs and targets
-        for t, width, block, part, part_grad in plan:
-            _sgd_step(part, part_grad, xs[t, block, :width], targets[t, block, :width],
-                      batch_sizes[t, block, :width], lr)
+    def run_plan(plan):
+        for step in plan:
+            _sgd_step(*step, lr)
 
     with thread_map(workers) as run:
         for _ in range(epochs):

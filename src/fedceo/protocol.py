@@ -167,8 +167,8 @@ def build_dataset(cfg: RunConfig, full: Dataset | None = None):
     except ValidationError as exc:  # it names data.samples, a key files do not take
         if cfg.data.source == "blobs":
             raise
-        raise ValidationError(str(exc).partition(": ")[2], field="data.path") from None
-    parts = partition(train, cfg.n_total, cfg.data.partition_mode,
+        raise ValidationError(exc.message, field="data.path") from None
+    parts = partition(train.labels, cfg.n_total, cfg.data.partition_mode,
                       shards_per_client=cfg.data.shards_per_client,
                       alpha=cfg.data.alpha, seed=cfg.data_seed)
     return train, test, parts

@@ -15,7 +15,10 @@ whole table:
   on 1 and on 2 threads;
 * the defaults an empty config file gives, as fedceo at seeds 0-2: its
   logistic model's bias stacks are wide, (1, 10, 5), beside cli's wide
-  (32, 64, 10) first layer.
+  (32, 64, 10) first layer;
+* the cli run again at seeds 0-1 on 2 threads with
+  ``models.MIN_PARAMS_PER_THREAD`` set to 1, so its rounds, too small to
+  pool otherwise, train their ragged clients in two interleaved blocks.
 
 OpenBLAS is pinned to one thread before NumPy loads it, since its thread
 count can change how a large matrix product rounds.  Run the script on
@@ -41,7 +44,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fedceo import cli, config, protocol  # noqa: E402
+from fedceo import cli, config, models, protocol  # noqa: E402
 from workloads import CLI_DATA, CLI_RUN_CONFIG, DESK, STRESS  # noqa: E402
 
 OUTPUTS = ("metrics.csv", "final_model.t3r")
@@ -67,6 +70,15 @@ def _run_cli(seed: int, threads: int, out: Path) -> None:
                 raise SystemExit(f"fedceo {' '.join(argv)} failed")
 
 
+def _run_cli_pooled(seed: int, out: Path) -> None:
+    saved = models.MIN_PARAMS_PER_THREAD
+    models.MIN_PARAMS_PER_THREAD = 1
+    try:
+        _run_cli(seed, 2, out)
+    finally:
+        models.MIN_PARAMS_PER_THREAD = saved
+
+
 def _run_defaults(seed: int, out: Path) -> None:
     empty = out.with_suffix(".cfg")
     empty.write_text("")
@@ -89,6 +101,8 @@ def identity_set():
             yield f"cli seed={seed} threads={threads}", partial(_run_cli, seed, threads)
     for seed in range(3):
         yield f"defaults fedceo seed={seed}", partial(_run_defaults, seed)
+    for seed in range(2):
+        yield f"cli pooled seed={seed} threads=2", partial(_run_cli_pooled, seed)
 
 
 def main() -> None:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from fedceo.config import DataSpec
 from fedceo.data import (
+    Client,
     Dataset,
     load_dataset,
     partition,
-    partition_indices,
     save_dataset,
     split_train_test,
     synth_blobs,
@@ -27,6 +27,11 @@ from fedceo.errors import ParseError, ShapeMismatch, ValidationError
 def assert_exact_cover(parts, n):
     joined = np.sort(np.concatenate(parts))
     npt.assert_array_equal(joined, np.arange(n))
+
+
+def partition_rows(labels, n_clients, mode, **kwargs):
+    """The rows of each client :func:`partition` deals."""
+    return [client.rows for client in partition(labels, n_clients, mode, **kwargs)]
 
 
 class TestSynthBlobs:
@@ -105,20 +110,20 @@ class TestSplitTrainTest:
 class TestPartition:
     def test_iid_cover_and_balance(self):
         labels = np.repeat(np.arange(10), 30)
-        parts = partition_indices(labels, 7, "iid", seed=0)
+        parts = partition_rows(labels, 7, "iid", seed=0)
         assert_exact_cover(parts, 300)
         sizes = [p.size for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
     def test_single_client_gets_everything(self):
         labels = np.repeat(np.arange(3), 5)
-        parts = partition_indices(labels, 1, "iid", seed=0)
+        parts = partition_rows(labels, 1, "iid", seed=0)
         assert_exact_cover(parts, 15)
         assert parts[0].size == 15
 
     def test_label_shard_concentrates_labels(self):
         labels = np.repeat(np.arange(10), 100)
-        parts = partition_indices(labels, 5, "label_shard", shards_per_client=2, seed=1)
+        parts = partition_rows(labels, 5, "label_shard", shards_per_client=2, seed=1)
         assert_exact_cover(parts, 1000)
         distinct = [len(np.unique(labels[p])) for p in parts]
         # two contiguous shards can straddle at most two label boundaries
@@ -129,7 +134,7 @@ class TestPartition:
         labels = np.repeat(np.arange(10), 100)
 
         def mean_top_share(alpha, seed):
-            parts = partition_indices(labels, 5, "dirichlet", alpha=alpha, seed=seed)
+            parts = partition_rows(labels, 5, "dirichlet", alpha=alpha, seed=seed)
             assert_exact_cover(parts, 1000)
             shares = []
             for c in range(10):
@@ -144,35 +149,35 @@ class TestPartition:
         labels = np.repeat(np.arange(4), 3)
         for mode in ("iid", "label_shard", "dirichlet"):
             for seed in range(5):
-                parts = partition_indices(labels, 6, mode, alpha=0.05, seed=seed)
+                parts = partition_rows(labels, 6, mode, alpha=0.05, seed=seed)
                 assert_exact_cover(parts, 12)
                 assert min(p.size for p in parts) >= 1
 
     def test_too_many_clients(self):
         with pytest.raises(ValidationError) as err:
-            partition_indices(np.zeros(5, dtype=int), 6, "iid", seed=0)
+            partition(np.zeros(5, dtype=int), 6, "iid", seed=0)
         assert str(err.value) == "n_total: 6 clients but only 5 samples to split"
 
     def test_more_shards_than_samples(self):
         # Checked before the shards are built: at a large shards_per_client
         # that would be an unbounded allocation.
         with pytest.raises(ValidationError) as err:
-            partition_indices(np.repeat(np.arange(4), 3), 6, "label_shard",
-                              shards_per_client=10**6, seed=0)
+            partition(np.repeat(np.arange(4), 3), 6, "label_shard",
+                      shards_per_client=10**6, seed=0)
         assert str(err.value) == ("partition.shards_per_client: n_total (6) x 1000000 "
                                   "is more shards than the 12 samples to split")
 
-    def test_dataset_wrapper(self):
+    def test_clients_are_rows(self):
         data = synth_blobs(4, 5, 200, 1.0, seed=7)
-        parts = partition(data, 5, "iid", seed=7)
+        parts = partition(data.labels, 5, "iid", seed=7)
         assert sum(p.n for p in parts) == 200
         # each client is its rows of the dataset, not a copy of its samples
-        want = partition_indices(data.labels, 5, "iid", seed=7)
-        assert all(np.array_equal(p.rows, w) for p, w in zip(parts, want))
+        assert all(isinstance(p, Client) and p.rows.dtype == np.int64 for p in parts)
+        assert_exact_cover([p.rows for p in parts], 200)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            partition_indices(np.zeros(5, dtype=int), 2, "sorted", seed=0)
+            partition(np.zeros(5, dtype=int), 2, "sorted", seed=0)
 
 
 class TestAsciiFormat:

@@ -591,6 +591,57 @@ class TestLockStepWork:
                     == 4 * 3 * epochs), threads
 
 
+class TestLockStepPlan:
+    """A call plans its lock steps once: every epoch passes ``_sgd_step``
+    the very same argument objects, in the same order."""
+
+    @staticmethod
+    def steps_per_epoch(monkeypatch, model, xs, ys, epochs, batch_size, threads):
+        """The arguments of every ``_sgd_step`` call of one round, one list
+        an epoch.  Holding them keeps any object from being freed and its
+        id reused."""
+        calls = []
+        step = models._sgd_step
+
+        def spy(*args):
+            calls.append(args)
+            step(*args)
+
+        monkeypatch.setattr(models, "_sgd_step", spy)
+        k = len(xs)
+        lock_step(model, spread_starts(model, k), xs, ys, epochs, batch_size, 0.2,
+                  list(range(k)), trainer=functools.partial(train_pooled, threads=threads))
+        per_epoch, rest = divmod(len(calls), epochs)
+        assert per_epoch > 0 and rest == 0, (len(calls), epochs)
+        return [calls[e * per_epoch:(e + 1) * per_epoch] for e in range(epochs)]
+
+    @staticmethod
+    def assert_planned_once(epochs):
+        first, *later = epochs
+        for e, calls in enumerate(later, start=2):
+            for t, (want, got) in enumerate(zip(first, calls)):
+                assert len(got) == len(want) == 6
+                assert all(g is w for g, w in zip(got, want)), (e, t)
+
+    def test_desk_round(self, monkeypatch, pool_spy):
+        model, xs, ys, _ = round_clients(DESK)
+        epochs = self.steps_per_epoch(monkeypatch, model, xs, ys, 3, DESK.batch, 1)
+        assert pool_spy.sizes == []  # one block
+        assert len(epochs[0]) == -(-80 // DESK.batch)
+        self.assert_planned_once(epochs)
+
+    def test_ragged_round_on_two_threads(self, monkeypatch, lifted_floors, pool_spy):
+        # The spy pool maps on the caller, block after block, so the calls'
+        # order is fixed.
+        model = ARCHS["mlp"](True)
+        xs, ys = ragged_clients((5, 40, 1, 23, 17, 40))
+        epochs = self.steps_per_epoch(monkeypatch, model, xs, ys, 3, 8, 2)
+        assert pool_spy.sizes == [2]
+        prefixes = {(args[0].params.shape[0], args[2].shape[1]) for args in epochs[0]}
+        assert len(prefixes) > 2, prefixes  # several active prefixes and widths
+        self.assert_planned_once(epochs)
+
+
 class TestLockStepMemory:
     """The gradient scratch is the one (K, P) array a round allocates: rows
     are reordered by size only while it is not alive, and every step uses
