@@ -90,10 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen-data", help="write a synthetic blob dataset file")
     gen_p.add_argument("--out", required=True, help="destination dataset file")
-    gen_p.add_argument("--classes", type=int, default=10)
-    gen_p.add_argument("--dim", type=int, default=20)
-    gen_p.add_argument("--samples", type=int, default=2000)
-    gen_p.add_argument("--spread", type=float, default=1.0)
+    gen_p.add_argument("--classes", type=int, default=DataSpec.classes)
+    gen_p.add_argument("--dim", type=int, default=DataSpec.dim)
+    gen_p.add_argument("--samples", type=int, default=DataSpec.samples)
+    gen_p.add_argument("--spread", type=float, default=DataSpec.spread)
+    # DataSpec's seed, None, means the run's seed, and gen-data has no run.
     gen_p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ValidationError
-from .parallel import row_blocks, thread_map
+from .parallel import blocks, thread_map
 
 # Stable codes for the stream purposes; values are part of the on-disk
 # reproducibility contract, so append only, never renumber.
@@ -101,13 +101,13 @@ def gaussianize(clipped: np.ndarray, dp: DpConfig, k_selected: int,
 
     The 1/K variance split makes the K aggregated uploads carry the same
     total noise a central server would have added once.  The rows are
-    split into contiguous blocks on up to ``threads`` threads, never more
-    than there are rows or multiples of :data:`MIN_DRAWS_PER_THREAD` in
-    the array; a row's noise does not depend on the thread count.
+    split over up to ``threads`` threads by the rule of
+    :mod:`fedceo.parallel`, with the array's draws as the work and
+    :data:`MIN_DRAWS_PER_THREAD` as the floor; a row's noise does not
+    depend on the thread count.
     """
     scale = dp.sigma * dp.clip_c / math.sqrt(k_selected)
     k, p = clipped.shape
-    workers = min(threads, k, clipped.size // MIN_DRAWS_PER_THREAD)
 
     def add_noise(rows: slice) -> None:
         noise = np.empty(p)
@@ -116,8 +116,8 @@ def gaussianize(clipped: np.ndarray, dp: DpConfig, k_selected: int,
             noise *= scale
             row += noise
 
-    with thread_map(workers) as run:
-        run(add_noise, row_blocks(k, workers))
+    with thread_map(threads, k, clipped.size, MIN_DRAWS_PER_THREAD) as (run, workers):
+        run(add_noise, blocks(k, workers))
 
 
 class PrivacyBudget(NamedTuple):

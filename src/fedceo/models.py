@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import check_samples
 from .errors import ShapeMismatch
-from .parallel import thread_map
+from .parallel import blocks, thread_map
 
 
 def param_blocks(shapes) -> list[tuple[int, int]]:
@@ -242,13 +242,13 @@ def local_train(model: Model, features, labels, rows, epochs: int, batch_size: i
     epoch: a finished client sits out the steps left, so its row does not
     move.
 
-    The rows are cut into interleaved blocks, one per thread on up to
-    ``threads`` threads (never more than there are clients or multiples of
-    :data:`MIN_PARAMS_PER_THREAD` in ``model.params``): with w blocks,
-    block b holds rows b, b + w, ..., so the blocks' shares of the samples
-    differ by at most one client's.  Every block runs its rows' lock steps
-    at each step's full minibatch width, so each client's row is the same
-    whatever the thread count; :func:`_lock_steps` plans them.
+    The rows are split over up to ``threads`` threads by the rule of
+    :mod:`fedceo.parallel`, with the clients as the items and
+    :data:`MIN_PARAMS_PER_THREAD` as the floor.  Its interleaved blocks
+    give each thread a share of the samples that differs from another's by
+    at most one client's.  Every block runs its rows' lock steps at each
+    step's full minibatch width, so each client's row is the same whatever
+    the thread count; :func:`_lock_steps` plans them.
     """
     params = model.params
     k = params.shape[0] if params.ndim == 2 else 0
@@ -275,18 +275,17 @@ def local_train(model: Model, features, labels, rows, epochs: int, batch_size: i
         params[:] = params[rank]
     try:
         _lock_steps(model, features, labels, [rows[c] for c in rank], epochs, batch_size,
-                    lr, [rngs[c] for c in rank],
-                    max(1, min(threads, k, params.size // MIN_PARAMS_PER_THREAD)))
+                    lr, [rngs[c] for c in rank], threads)
     finally:
         if moved:
             params[rank] = params.copy()
 
 
 def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: int,
-                lr: float, rngs, workers: int) -> None:
+                lr: float, rngs, threads: int) -> None:
     """The lock steps of :func:`local_train` on checked clients, given as
     row sets of the samples ``features``, ``labels``, whose sizes do not
-    increase along the rows, in ``workers`` interleaved blocks of rows.
+    increase along the rows, on up to ``threads`` threads.
 
     Each step runs on every client's next minibatch, padded to a common
     row count, over the prefix of clients that still have one; a padding
@@ -294,10 +293,12 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     only on the client sizes, so the call builds it once, allocates the
     gradient scratch and the gathers once, and then builds each block's
     plan once: the list of its :func:`_sgd_step` calls' arguments, which
-    are views of the block's active rows of ``params``, of the scratch,
-    and of those rows' minibatches in the gathers.  Each epoch writes the
-    shuffled rows into the layout, gathers their samples from the split,
-    zeroes the padding cells, and runs every plan in one pool dispatch.
+    are views of the block's rows of ``params``, of the scratch, and of
+    those rows' minibatches in the gathers.  A step's blocks are the
+    :func:`~fedceo.parallel.blocks` of its prefix of active rows.  Each
+    epoch writes the shuffled rows into the layout, gathers their samples
+    from the split, zeroes the padding cells, and runs every plan in one
+    pool dispatch.
     The scratch and the gathers are allocated on the calling thread: pool
     threads put them in glibc's per-thread arenas, which raised stress's
     resident peak by 11%.
@@ -318,24 +319,23 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     batch_sizes = np.where(real, counts, np.inf)[..., None]
     widths = counts[:, 0, 0].tolist()  # the largest client's minibatch is the widest
     active = (counts[:, :, 0] > 0).sum(axis=1).tolist()  # clients [:a] have one at step t
-    grad = np.empty_like(params)
-    onehot = np.eye(model.num_classes)
-    xs = np.empty(batches.shape + features.shape[1:])
-    ys = np.empty(batches.shape, dtype=labels.dtype)
-    targets = np.empty(batches.shape + onehot.shape[1:])
-    plans = [[] for _ in range(workers)]  # per block, the _sgd_step arguments of its steps
-    for t, (width, a) in enumerate(zip(widths, active)):
-        for first in range(min(workers, a)):
-            block = slice(first, a, workers)
-            plans[first].append((Model(model.shapes, params[block]),
-                                 Model(model.shapes, grad[block]), xs[t, block, :width],
-                                 targets[t, block, :width], batch_sizes[t, block, :width]))
 
     def run_plan(plan):
         for step in plan:
             _sgd_step(*step, lr)
 
-    with thread_map(workers) as run:
+    with thread_map(threads, k, params.size, MIN_PARAMS_PER_THREAD) as (run, workers):
+        grad = np.empty_like(params)
+        onehot = np.eye(model.num_classes)
+        xs = np.empty(batches.shape + features.shape[1:])
+        ys = np.empty(batches.shape, dtype=labels.dtype)
+        targets = np.empty(batches.shape + onehot.shape[1:])
+        plans = [[] for _ in range(workers)]  # per block, the _sgd_step arguments of its steps
+        for t, (width, a) in enumerate(zip(widths, active)):
+            for b, block in enumerate(blocks(a, workers)):
+                plans[b].append((Model(model.shapes, params[block]),
+                                 Model(model.shapes, grad[block]), xs[t, block, :width],
+                                 targets[t, block, :width], batch_sizes[t, block, :width]))
         for _ in range(epochs):
             for c, (r, rng) in enumerate(zip(rows, rngs)):
                 order[c, :r.shape[0]] = r[rng.permutation(r.shape[0])]

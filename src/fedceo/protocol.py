@@ -51,6 +51,7 @@ from .models import (
     param_blocks,
     unflatten_params,
 )
+from .parallel import usable_cpus
 # tnn goes unused here, but the benchmark tracer wraps fedceo.protocol.tnn by name.
 from .tensor import tnn, truncated_tsvd  # noqa: F401
 
@@ -225,13 +226,6 @@ def _client_uploads(cfg: RunConfig, train: Dataset, template: Model, clients: li
     return uploads
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
                    threads: int | None = None) -> ExperimentResult:
     """Run the configured algorithm for cfg.rounds rounds, on ``full`` if
@@ -243,8 +237,9 @@ def run_experiment(cfg: RunConfig, full: Dataset | None = None, *,
     split, summed tensor nuclear norm of the (smoothed) stack when the row
     lands on a smoothing round, and the closed-form privacy budget.
     Lock steps, noise draws and smoothing passes run on up to ``threads``
-    threads (default: :func:`usable_cpus`), each only when its round is
-    large enough to gain; no result depends on the count.
+    threads (default: :func:`~fedceo.parallel.usable_cpus`), each pool
+    sized by the rule of :mod:`fedceo.parallel`; no result depends on the
+    count.
     """
     if threads is None:
         threads = usable_cpus()

@@ -40,7 +40,7 @@ import struct
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, ParseError, ShapeMismatch, naming_file, write_file
-from .parallel import row_blocks, thread_map
+from .parallel import blocks, thread_map
 
 
 def as_tensor3(t) -> np.ndarray:
@@ -165,12 +165,13 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
     :class:`NoConvergence` ``out`` is untouched, and on :class:`NonFinite`
     it already holds the result that failed the check.
 
-    The distinct slices are shrunk on up to ``threads`` threads, never
-    more than there are slices or multiples of :data:`MIN_WORK_PER_THREAD`
-    in their work, and each thread holds one slice's factors at a time.
-    When that pool starts, the forward and inverse transforms run on it
-    too, each thread transforming a block of rows along the long side.
-    The result does not depend on the thread count.
+    The distinct slices are shrunk on up to ``threads`` threads by the
+    rule of :mod:`fedceo.parallel`, with the slices as the items and
+    :data:`MIN_WORK_PER_THREAD` as the floor, and each thread holds one
+    slice's factors at a time.  When that pool starts, the forward and
+    inverse transforms run on it too, each thread transforming a block of
+    rows along the long side.  The result does not depend on the thread
+    count.
     """
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -187,7 +188,6 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
     n1, n2, n3 = src.shape
     slices = n3 // 2 + 1
     work = slices * n1 * n2 * n2
-    workers = min(threads, slices, work // MIN_WORK_PER_THREAD)
     # Slice-major: each Fourier slice is one contiguous matrix.
     mats = np.empty((slices, n1, n2), dtype=np.complex128)
     s = np.empty((slices, n2))
@@ -210,11 +210,12 @@ def truncated_tsvd(t, tau: float, *, threads: int = 1,
         np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=dst[rows])
 
     # Checked below; the pool's threads run under this error state too.
-    with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:
-        blocks = row_blocks(n1, workers)
-        run(forward, blocks)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          thread_map(threads, slices, work, MIN_WORK_PER_THREAD) as (run, workers)):
+        rows = blocks(n1, workers)
+        run(forward, rows)
         run(shrink, range(slices))
-        run(inverse, blocks)
+        run(inverse, rows)
     norm = _tnn_of(s, n3)
     # A singular value past float64 leaves the tensor finite but not its norm.
     if not (np.all(np.isfinite(out)) and np.isfinite(norm)):

@@ -16,9 +16,12 @@ whole table:
 * the defaults an empty config file gives, as fedceo at seeds 0-2: its
   logistic model's bias stacks are wide, (1, 10, 5), beside cli's wide
   (32, 64, 10) first layer;
-* the cli run again at seeds 0-1 on 2 threads with
-  ``models.MIN_PARAMS_PER_THREAD`` set to 1, so its rounds, too small to
-  pool otherwise, train their ragged clients in two interleaved blocks.
+* the cli run again at seeds 0-1 on 2 threads with the three thread floors
+  (``dp.MIN_DRAWS_PER_THREAD``, ``models.MIN_PARAMS_PER_THREAD``,
+  ``tensor.MIN_WORK_PER_THREAD``) set to 1, so its rounds, too small to
+  pool otherwise, train their ragged clients and draw their noise in two
+  interleaved blocks of rows, and its smoothing passes transform two
+  interleaved blocks of each stack's rows along the long side.
 
 OpenBLAS is pinned to one thread before NumPy loads it, since its thread
 count can change how a large matrix product rounds.  Run the script on
@@ -44,7 +47,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fedceo import cli, config, models, protocol  # noqa: E402
+from fedceo import cli, config, dp, models, protocol, tensor  # noqa: E402
 from workloads import CLI_DATA, CLI_RUN_CONFIG, DESK, STRESS  # noqa: E402
 
 OUTPUTS = ("metrics.csv", "final_model.t3r")
@@ -70,13 +73,19 @@ def _run_cli(seed: int, threads: int, out: Path) -> None:
                 raise SystemExit(f"fedceo {' '.join(argv)} failed")
 
 
+FLOORS = ((dp, "MIN_DRAWS_PER_THREAD"), (models, "MIN_PARAMS_PER_THREAD"),
+          (tensor, "MIN_WORK_PER_THREAD"))
+
+
 def _run_cli_pooled(seed: int, out: Path) -> None:
-    saved = models.MIN_PARAMS_PER_THREAD
-    models.MIN_PARAMS_PER_THREAD = 1
+    saved = [getattr(module, name) for module, name in FLOORS]
+    for module, name in FLOORS:
+        setattr(module, name, 1)
     try:
         _run_cli(seed, 2, out)
     finally:
-        models.MIN_PARAMS_PER_THREAD = saved
+        for (module, name), value in zip(FLOORS, saved):
+            setattr(module, name, value)
 
 
 def _run_defaults(seed: int, out: Path) -> None:

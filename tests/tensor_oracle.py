@@ -35,7 +35,7 @@ import numpy as np
 
 from fedceo import tensor as tz
 from fedceo.errors import NoConvergence, NonFinite, ShapeMismatch
-from fedceo.parallel import row_blocks, thread_map
+from fedceo.parallel import thread_map
 from fedceo.tensor import as_tensor3
 
 
@@ -285,13 +285,21 @@ def _shrink_tall_into(a: np.ndarray, tau: float, out=None) -> tuple[np.ndarray, 
     return out, np.concatenate([kept, low_kept])
 
 
+def _row_blocks(n: int, parts: int) -> list[slice]:
+    """``parts`` contiguous blocks of ``range(n)`` whose sizes differ by at
+    most one, never more blocks than rows; one block, maybe empty, when
+    ``n`` or ``parts`` is below 2."""
+    parts = max(1, min(parts, n))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
 def truncated_tsvd_wide_branch(t, tau: float, *, threads: int = 1,
                                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """``fedceo.tensor.truncated_tsvd`` with a branch per slice orientation:
     a tall slice is shrunk through A^H A, a wide one through a contiguous
     copy of A^H, whose result is written over A transposed and conjugated
     back.  The pool and the transforms' row blocks follow n1, whatever the
-    orientation."""
+    orientation, and the blocks are contiguous, as they were then."""
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     arr = as_tensor3(t)
@@ -303,7 +311,6 @@ def truncated_tsvd_wide_branch(t, tau: float, *, threads: int = 1,
         raise ShapeMismatch(f"out must be a float64 array of shape {arr.shape}")
     slices = n3 // 2 + 1
     work = slices * n1 * n2 * min(n1, n2)
-    workers = min(threads, slices, work // tz.MIN_WORK_PER_THREAD)
     mats = np.empty((slices, n1, n2), dtype=np.complex128)
     s = np.empty((slices, min(n1, n2)))
 
@@ -327,8 +334,9 @@ def truncated_tsvd_wide_branch(t, tau: float, *, threads: int = 1,
     def inverse(rows: slice) -> None:
         np.fft.irfft(np.moveaxis(mats, 0, 2)[rows], n=n3, axis=2, out=out[rows])
 
-    with np.errstate(over="ignore", invalid="ignore"), thread_map(workers) as run:
-        blocks = row_blocks(n1, workers)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          thread_map(threads, slices, work, tz.MIN_WORK_PER_THREAD) as (run, workers)):
+        blocks = _row_blocks(n1, workers)
         run(forward, blocks)
         run(shrink, range(slices))
         run(inverse, blocks)

@@ -15,7 +15,8 @@ import pytest
 
 from fedceo import __version__, tensor
 from fedceo.cli import main
-from fedceo.config import parse_config
+from fedceo.config import DataSpec, parse_config
+from fedceo.data import save_dataset, synth_blobs
 from fedceo.errors import NoConvergence
 from fedceo.protocol import build_dataset, run_experiment
 from fedceo.sweep import SWEEPABLE
@@ -431,6 +432,15 @@ def test_gen_data_then_run_from_file(tmp_path):
     code, out = do_run(tmp_path, text=text)
     assert code == 0
     assert (out / "metrics.csv").exists()
+
+
+def test_gen_data_defaults_are_the_data_spec_defaults(tmp_path):
+    # Seed 0 stands in for DataSpec's "the run seed", which gen-data has not.
+    assert main(["gen-data", "--out", str(tmp_path / "cli.ds")]) == 0
+    spec = DataSpec()
+    save_dataset(tmp_path / "spec.ds",
+                 synth_blobs(spec.classes, spec.dim, spec.samples, spec.spread, 0))
+    assert (tmp_path / "cli.ds").read_bytes() == (tmp_path / "spec.ds").read_bytes()
 
 
 def test_data_file_that_cannot_be_split_names_data_path(tmp_path, capsys):

@@ -23,6 +23,7 @@ from fedceo.config import (
 from fedceo.dp import DpConfig, rng_stream
 from fedceo.errors import NoConvergence, ShapeMismatch, ValidationError
 from fedceo.models import flatten_params, logistic_model, mlp_model
+from fedceo.parallel import usable_cpus
 from fedceo.protocol import (
     MetricsRow,
     build_dataset,
@@ -33,7 +34,6 @@ from fedceo.protocol import (
     smoothing_threshold,
     stack_clients,
     unstack_clients,
-    usable_cpus,
     whole_dataset,
     write_run_outputs,
 )
