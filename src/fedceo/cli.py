@@ -10,14 +10,18 @@ maps the library's exceptions to exit codes.  Subcommands::
 
 gen-data's flags follow the rules of the ``data.*`` keys they name.  Exit
 codes (mapped in :mod:`fedceo.errors`): 0 on success, 2 for an input error,
-including a path that cannot be read or written, 3 for a numeric failure.
+including a path that cannot be read or written, 3 for a numeric failure,
+130 on an interrupt (SIGINT) and 141 when stdout's reader has gone; each
+failure prints one line to stderr, except 141, which prints none.
 ``run`` and ``sweep`` check --out before any training and create nothing
 when it cannot become a directory.  --threads caps the threads that
 share each round's lock steps, noise draws and smoothing pass (default:
 the CPUs this process may use); it changes no byte of any file ``run`` or
-``sweep`` writes.  ``run`` writes its manifest last.  Sweep cells run one
-after another, and a file-backed sweep reads its data file once for all
-of them.
+``sweep`` writes.  ``run`` writes its manifest last.  A sweep large enough
+to repay it runs its cells side by side on up to --threads forked worker
+processes, splitting the threads between them, and a file-backed sweep
+reads its data file once for all of them.  A sweep that fails or is
+interrupted keeps the rows of the cells before the failure in sweep.csv.
 ``analyze`` gets all three of its outputs from
 :func:`fedceo.analysis.analyze_run` before it writes any.  Every file is
 written by :func:`fedceo.errors.write_file`, which replaces it whole.
@@ -80,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seeds", required=True, help="comma-separated seeds")
     sweep_p.add_argument("--out", required=True, help="output directory")
     sweep_p.add_argument("--threads", type=int, default=None,
-                         help="threads that share each round of a cell; cells run "
-                              "serially (default: the usable CPU count)")
+                         help="threads the cells share: a large enough sweep runs "
+                              "up to this many cells side by side on worker processes; "
+                              "changes no output (default: the usable CPU count)")
 
     analyze_p = sub.add_parser("analyze", help="diagnostics for a finished run")
     analyze_p.add_argument("--run", required=True, help="directory written by `run`")
@@ -123,7 +128,7 @@ def _cmd_sweep(args) -> int:
         # sweep checks every cell config before the first cell runs, and
         # the directory is made only once there are rows to write.
         result = sweep(spec, args.threads)
-    except Exception as exc:
+    except BaseException as exc:  # an interrupt keeps the finished rows too
         partial = getattr(exc, "partial_rows", [])
         if partial:
             csv_path = _save_sweep_csv(args.out, SweepResult(spec, partial, []))
@@ -178,13 +183,24 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help, --version or a usage error: argparse's status
-        return exc.code
-    try:
         # run and sweep pass --threads on as given; None means every usable CPU.
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValidationError("must be >= 1", field="--threads")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except SystemExit as exc:  # --help, --version or a usage error: argparse's status
+        return exc.code
+    except BrokenPipeError:
+        # Whoever read stdout has gone: stop quietly, with the status a shell
+        # gives a pipeline member that SIGPIPE ends.  Pointing stdout at the
+        # null device keeps the flush at exit from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,24 @@
-"""Splitting a phase of a round over a few threads.
+"""Splitting a phase of a round over a few threads, and a sweep's cells
+over a few forked processes.
 
 NumPy releases the GIL in its BLAS, LAPACK, FFT and random-fill loops, so
 threads that each own a block of an array's rows run those loops side by
 side.  Each caller splits work whose rows are independent, so no result
-depends on the block a row lands in or on the thread count.
+depends on the block a row lands in or on the thread count.  Work that
+holds the GIL, such as a whole run's Python-level round loop, runs side by
+side only in processes: :func:`process_map` forks them.
 
-One rule, in :func:`thread_map`, sizes every phase's pool: never more
-threads than the phase has items, and none that would get less work than
-the phase's floor, the work below which a thread costs more than it
-saves.  One cut, :func:`blocks`, splits a phase's rows over that pool.
-Each phase sets only its own items, work and floor.
+One rule, in :func:`pool_size`, sizes every pool: never more workers than
+the budget or the items, and none that would get less work than the
+floor, the work below which a worker costs more than it saves.  One cut,
+:func:`blocks`, splits a phase's rows over a thread pool.  Each caller
+sets only its own items, work and floor.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,18 +39,25 @@ def blocks(n: int, parts: int) -> list[slice]:
     return [slice(b, n, parts) for b in range(parts)]
 
 
+def pool_size(budget: int, items: int, work: int, floor: int) -> int:
+    """The workers of a pool for ``items`` items and ``work`` units of work
+    on a budget of ``budget`` workers: ``max(1, min(budget, items, work //
+    floor))``, so each worker gets at least ``floor`` units."""
+    return max(1, min(budget, items, work // floor))
+
+
 @contextmanager
 def thread_map(threads: int, items: int, work: int, floor: int):
     """``(run, workers)`` for a phase of ``items`` items and ``work`` units
     of work, at least ``floor`` units a thread, on at most ``threads``
     threads: ``run(fn, xs)`` returns ``[fn(x) for x in xs]`` on one pool of
-    ``workers = max(1, min(threads, items, work // floor))`` threads, kept
-    for the ``with`` block, or on the caller when ``workers`` is 1.
+    ``workers = pool_size(threads, items, work, floor)`` threads, kept for
+    the ``with`` block, or on the caller when ``workers`` is 1.
 
     Each pool call runs under the caller's floating-point error state
     (:func:`numpy.errstate`), which a pool thread does not inherit.
     """
-    workers = max(1, min(threads, items, work // floor))
+    workers = pool_size(threads, items, work, floor)
     if workers == 1:
         yield (lambda fn, xs: list(map(fn, xs))), workers
         return
@@ -65,3 +76,61 @@ def thread_map(threads: int, items: int, work: int, floor: int):
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield run, workers
+
+
+class WorkerLost(MemoryError):
+    """A worker process of :func:`process_map` ended without a result."""
+
+
+def _start_worker(initializer, initargs) -> None:
+    # An interrupt reaches the whole process group; the parent reports it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    initializer(*initargs)
+
+
+@contextmanager
+def process_map(processes: int, items: int, work: int, floor: int,
+                initializer, initargs: tuple = ()):
+    """``(run, workers)`` for ``items`` items and ``work`` units of work, at
+    least ``floor`` units a process, on at most ``processes`` processes:
+    ``run(fn, xs)`` yields ``fn(x)`` for each ``x`` in ``xs``, in order, from
+    one pool of ``workers = pool_size(processes, items, work, floor)``
+    forked processes, kept for the ``with`` block, each of which ignores
+    SIGINT and runs ``initializer(*initargs)`` first.  When ``workers`` is 1,
+    or the platform cannot fork, ``initializer`` and ``fn`` run on the
+    caller.  Fork hands ``initargs`` to the workers without pickling them;
+    ``fn``, each ``x`` and each result or exception are pickled.
+
+    A worker that ends without a result raises :class:`WorkerLost`.  When
+    the block ends, by an exception too, the items that have not started
+    are cancelled and every worker is joined.
+    """
+    workers = pool_size(processes, items, work, floor)
+    if workers > 1:
+        # Imported here, so a process that never starts a pool does not pay
+        # for the import.
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        initializer(*initargs)
+        yield (lambda fn, xs: map(fn, xs)), workers
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def run(fn, xs):
+        for future in [pool.submit(fn, x) for x in xs]:
+            try:
+                yield future.result()
+            except BrokenProcessPool:
+                raise WorkerLost("its worker process ended without a result, most "
+                                 "likely killed when the system ran out of memory") from None
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _start_worker, (initializer, initargs))
+    try:
+        yield run, workers
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

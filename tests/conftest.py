@@ -1,4 +1,4 @@
-"""Fixtures shared by the thread-pool tests."""
+"""Fixtures shared by the thread-pool and process-pool tests."""
 
 import concurrent.futures
 from types import SimpleNamespace
@@ -40,6 +40,34 @@ def pool_sizes(pool_spy):
     """The ``max_workers`` of every thread pool fedceo makes (see
     :func:`pool_spy`)."""
     return pool_spy.sizes
+
+
+@pytest.fixture
+def process_spy(monkeypatch):
+    """Record every process pool fedceo makes: ``sizes`` holds each pool's
+    ``max_workers`` and ``items`` the items submitted to it, in call order.
+    A spy stands in for the executor and runs each item on the caller, so
+    no process is started (nor the pool's worker initializer run)."""
+    spy = SimpleNamespace(sizes=[], items=[])
+
+    class SpyExecutor:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            spy.sizes.append(max_workers)
+
+        def submit(self, fn, item):
+            spy.items.append(item)
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(item))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+    return spy
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Digests of the run outputs that a change which keeps the numerics must
 leave as they are.
 
-    python tests/run_digests.py
+    python tests/run_digests.py            # the whole identity set
+    python tests/run_digests.py --write    # regenerate tests/digests.json
+    python tests/run_digests.py --checked  # the pinned rows, as JSON
 
-Runs the identity set and prints, one line a run, the sha256 of its
-``metrics.csv`` and of its ``final_model.t3r``, then one sha256 over the
-whole table:
+With no flag it runs the identity set and prints, one line a run, the
+sha256 of its ``metrics.csv`` and of its ``final_model.t3r``, then one
+sha256 over the whole table:
 
 * the benchmark's desk config (``perfbench/workloads.py`` ``DESK``) as
   fedavg, ldp_fedavg and fedceo at seeds 0-4;
@@ -23,26 +25,37 @@ whole table:
   interleaved blocks of rows, and its smoothing passes transform two
   interleaved blocks of each stack's rows along the long side.
 
-OpenBLAS is pinned to one thread before NumPy loads it, since its thread
-count can change how a large matrix product rounds.  Run the script on
+BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS``) before NumPy loads it, since its thread count can
+change how a large matrix product rounds.  Run the script on
 two commits and compare the last line.  It is not a test: pytest does not
 collect it, and it takes about 30 s on two CPUs.
+
+``tests/digests.json`` pins a few seconds' subset of it (:func:`checked_set`),
+with the NumPy version and BLAS build the digests were taken under, and
+``tests/test_digests.py`` compares a fresh run of that subset with it: a
+change that moves a byte of these outputs updates the file with
+``--write`` and says why.
 """
 
 from __future__ import annotations
 
 import os
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -51,6 +64,11 @@ from fedceo import cli, config, dp, models, protocol, tensor  # noqa: E402
 from workloads import CLI_DATA, CLI_RUN_CONFIG, DESK, STRESS  # noqa: E402
 
 OUTPUTS = ("metrics.csv", "final_model.t3r")
+DIGESTS = Path(__file__).with_name("digests.json")
+
+# The rows of the identity set that tests/digests.json pins, and one more.
+CHECKED = ("desk fedavg seed=0", "desk ldp_fedavg seed=0", "desk fedceo seed=0",
+           "defaults fedceo seed=0", "cli seed=0 threads=1", "cli pooled seed=0 threads=2")
 
 
 def _sha(path: Path) -> str:
@@ -114,18 +132,53 @@ def identity_set():
         yield f"cli pooled seed={seed} threads=2", partial(_run_cli_pooled, seed)
 
 
-def main() -> None:
-    table = []
+def checked_set():
+    """The :data:`CHECKED` rows of :func:`identity_set`, then stress cut to
+    one round on 2 threads: one (256, 256, 50) smoothing pass, whose bits
+    move with the BLAS thread count."""
+    yield from (row for row in identity_set() if row[0] in CHECKED)
+    yield ("stress rounds=1 seed=0 threads=2",
+           partial(_run_config, dataclasses.replace(STRESS, rounds=1), 2))
+
+
+def digests(rows):
+    """(label, {output name: sha256}) per row, each run in a scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, write) in enumerate(identity_set()):
+        for i, (label, write) in enumerate(rows):
             out = Path(tmp) / f"run{i}"
             write(out)
-            line = "  ".join([label.ljust(32)] + [_sha(out / name) for name in OUTPUTS])
-            print(line, flush=True)
-            table.append(line)
+            yield label, {name: _sha(out / name) for name in OUTPUTS}
+
+
+def build():
+    """The NumPy version and its BLAS build, which the digests hold under."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def checked() -> dict:
+    return {**build(), "rows": [{"label": label, **shas}
+                                for label, shas in digests(checked_set())]}
+
+
+def main(argv) -> None:
+    if argv == ["--write"]:
+        DIGESTS.write_text(json.dumps(checked(), indent=1) + "\n")
+        print(f"wrote {DIGESTS}")
+        return
+    if argv == ["--checked"]:
+        print(json.dumps(checked()))
+        return
+    if argv:
+        raise SystemExit("usage: run_digests.py [--write | --checked]")
+    table = []
+    for label, shas in digests(identity_set()):
+        line = "  ".join([label.ljust(32)] + [shas[name] for name in OUTPUTS])
+        print(line, flush=True)
+        table.append(line)
     text = "\n".join(table) + "\n"
     print(f"table  {hashlib.sha256(text.encode('ascii')).hexdigest()}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

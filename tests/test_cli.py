@@ -3,10 +3,12 @@
 import itertools
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -782,3 +784,93 @@ def test_sweep_failure_keeps_partial_rows(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 3  # cells before the failing one
     assert lines[1].startswith("0.5,0,")
     assert lines[3].startswith("1.0,0,")
+
+
+# ---------------------------------------------------------------------------
+# interrupts and closed pipes
+
+
+# Cells and runs of seed 1 mark that they started and then wait, so the
+# test can interrupt them mid-flight.  A shell starts a background job with
+# SIGINT ignored, and a child inherits that, so the child restores Python's
+# handler, which an interactive session has.
+INTERRUPTED_MAIN = """\
+import signal, sys, time
+from pathlib import Path
+from fedceo import cli, sweep
+signal.signal(signal.SIGINT, signal.default_int_handler)
+started, floor, argv = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
+sweep.MIN_WORK_PER_PROCESS = floor
+real = sweep.run_experiment
+
+def waiting(cfg, *args, **kwargs):
+    if cfg.seed == 1:
+        started.touch()
+        time.sleep(1.5)
+    return real(cfg, *args, **kwargs)
+
+cli.run_experiment = sweep.run_experiment = waiting
+sys.exit(cli.main(argv))
+"""
+
+
+def interrupted(tmp_path, floor, argv):
+    """Run ``main(argv)`` in a child and send SIGINT to its process group,
+    as a terminal's Ctrl-C does, once a seed-1 run has started:
+    (exit code, stdout, stderr)."""
+    started = tmp_path / "started"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_MAIN, str(started),
+                             str(floor), *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not started.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    return proc.returncode, out, err
+
+
+def test_an_interrupted_run_exits_130_with_one_line(tmp_path):
+    cfg = write_config(tmp_path, TINY_CONFIG + "seed = 1\n")
+    code, out, err = interrupted(tmp_path, 1, ["run", "--config", cfg,
+                                               "--out", str(tmp_path / "out")])
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("floor", [10**18, 1], ids=["on the caller", "on workers"])
+def test_an_interrupted_sweep_exits_130_and_keeps_the_rows_before_it(tmp_path, floor):
+    cfg = write_config(tmp_path)
+    sweep_argv = ["sweep", "--config", cfg, "--axis", "dp.sigma", "--values", "0.5,1.0"]
+    code, out, err = interrupted(tmp_path, floor, sweep_argv + [
+        "--seeds", "0,1", "--out", str(tmp_path / "sw"), "--threads", "2"])
+    assert (code, err) == (130, "interrupted\n")
+    assert main(sweep_argv + ["--seeds", "0", "--out", str(tmp_path / "first")]) == 0
+    first = (tmp_path / "first" / "sweep.csv").read_text().splitlines()[:2]
+    kept = tmp_path / "sw" / "sweep.csv"
+    # The interrupt lands in cell (0.5, 1).  On the caller, cell (0.5, 0) has
+    # finished by then; a worker may not have sent its row back yet.
+    if floor > 1 or kept.exists():
+        assert kept.read_text().splitlines() == first
+
+
+def test_a_closed_stdout_exits_141_quietly(tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fedceo", "gen-data", "--out",
+                               str(tmp_path / "blobs.ds"), "--samples", "60"],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")

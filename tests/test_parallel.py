@@ -1,13 +1,18 @@
-"""The one thread rule of ``fedceo.parallel``: how many threads a phase's
-pool gets, and how its rows are cut over them.  The per-phase tests in
-``test_dp.py``, ``test_models.py`` and ``test_tensor.py`` check that each
-phase passes its own items, work and floor."""
+"""The one pool rule of ``fedceo.parallel``: how many threads a phase's
+pool gets, and how its rows are cut over them, and how many forked
+processes a process pool gets and how it hands back results and failures.
+The per-phase tests in ``test_dp.py``, ``test_models.py`` and
+``test_tensor.py`` check that each phase passes its own items, work and
+floor, and ``test_sweep.py`` that a sweep does."""
+
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedceo.parallel import blocks, thread_map
+from fedceo.parallel import WorkerLost, blocks, pool_size, process_map, thread_map
 
 
 @pytest.mark.parametrize("threads, items, work, floor, workers", [
@@ -39,3 +44,62 @@ def test_blocks_interleave_every_index_once(n, parts):
     sizes = [len(block) for block in members]
     assert max(sizes) - min(sizes) <= 1
     assert [(block.start, block.step) for block in cut] == [(b, len(cut)) for b in range(len(cut))]
+
+
+@pytest.mark.parametrize("processes, items, work, floor, workers", [
+    (10**6, 3, 10**9, 1, 3),  # a huge budget is capped by the items
+    (10**6, 100, 5 * 1024, 1024, 5),  # ... and by the work
+    (2, 8, 10**9, 1, 2),  # ... and the budget caps the rest
+    (4, 8, 1023, 1024, 1),  # work under one floor: no pool
+    (4, 1, 10**9, 1, 1),  # one item
+    (1, 8, 10**9, 1, 1),  # one process
+])
+def test_process_pool_size(process_spy, processes, items, work, floor, workers):
+    assert pool_size(processes, items, work, floor) == workers
+    inits = []
+    with process_map(processes, items, work, floor, inits.append, ("data",)) as (run, chosen):
+        assert list(run(lambda x: x * x, range(items))) == [x * x for x in range(items)]
+    assert chosen == workers
+    assert process_spy.sizes == ([workers] if workers > 1 else [])
+    # On the caller the initializer runs there, once; a pool runs it per worker.
+    assert inits == (["data"] if workers == 1 else [])
+
+
+def square(x):
+    return x * x
+
+
+def test_a_process_pool_runs_its_items_in_order_on_forked_workers():
+    pids = []
+    with process_map(2, 5, 10, 1, pids.append, (os.getpid(),)) as (run, workers):
+        assert workers == 2
+        assert list(run(square, range(5))) == [0, 1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
+    assert pids == []  # the initializer ran in the workers, not here
+
+
+def fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"item {x}")
+    return x
+
+
+def test_the_first_failing_item_raises_after_the_workers_are_joined():
+    got = []
+    with pytest.raises(ValueError, match="item 2"):
+        with process_map(2, 6, 10, 1, int) as (run, workers):
+            got.extend(run(fail_on_two, range(6)))
+    assert got == [0, 1]
+    assert multiprocessing.active_children() == []
+
+
+def die(x):
+    os._exit(1)
+
+
+def test_a_worker_that_dies_raises_worker_lost():
+    with pytest.raises(WorkerLost) as err:
+        with process_map(2, 2, 10, 1, int) as (run, workers):
+            list(run(die, range(2)))
+    assert isinstance(err.value, MemoryError)
+    assert multiprocessing.active_children() == []

@@ -1,7 +1,15 @@
-"""Parameter sweeps: grid construction, thread-flag determinism, CSV output."""
+"""Parameter sweeps: grid construction, thread-flag and worker-count
+determinism, failures on workers, CSV output."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +261,141 @@ def test_csv_full_precision_roundtrip():
     cell = sweep_csv_text(res).splitlines()[1].split(",")
     assert float(cell[2]) == res.rows[0].acc
     assert float(cell[3]) == res.rows[0].loss
+
+
+# ---------------------------------------------------------------------------
+# cells on worker processes
+
+
+@pytest.fixture
+def forked_cells(monkeypatch):
+    """Let a sweep of any size run its cells on worker processes.  The list
+    gains the worker count each sweep chooses, and the test fails if a
+    worker is left running."""
+    import fedceo.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "MIN_WORK_PER_PROCESS", 1)
+    chosen, real = [], sweep_mod.process_map
+
+    @contextlib.contextmanager
+    def spy(*args):
+        with real(*args) as (run, workers):
+            chosen.append(workers)
+            yield run, workers
+
+    monkeypatch.setattr(sweep_mod, "process_map", spy)
+    yield chosen
+    assert multiprocessing.active_children() == []
+
+
+def run_sweep(tmp_path, spec, threads, values="0.5,1.0", axis="dp.sigma"):
+    """``fedceo sweep`` of ``spec``'s base over ``values`` and seeds 0 and 1:
+    (exit code, stdout with the out directory as OUT, stderr, sweep.csv
+    bytes or None)."""
+    config = tmp_path / "base.cfg"
+    config.write_text(config_file_text(spec.base))
+    out = tmp_path / f"threads{threads}"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["sweep", "--config", str(config), "--axis", axis, "--values", values,
+                     "--seeds", "0,1", "--out", str(out), "--threads", str(threads)])
+    csv = out / "sweep.csv"
+    return (code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(),
+            csv.read_bytes() if csv.exists() else None)
+
+
+@pytest.mark.parametrize("source", ["blobs", "file"])
+def test_sweep_csv_is_the_same_on_any_worker_count(tmp_path, forked_cells, source):
+    spec = tiny_spec() if source == "blobs" else file_spec(tmp_path)
+    runs = [run_sweep(tmp_path, spec, threads) for threads in (1, 2, 3)]
+    assert forked_cells == [1, 2, 3]
+    assert runs[0][0] == 0 and runs[0][3] == oracle_sweep_csv(spec).encode()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_numeric_failure_in_a_middle_cell_ends_as_on_one_worker(tmp_path, forked_cells):
+    # Cells (1e300, 0) and (1e300, 1) diverge; the cells after them may
+    # finish on a worker first, and their rows are dropped.
+    runs = [run_sweep(tmp_path, tiny_spec(), threads, values="0.1,1e300,0.2", axis="lr")
+            for threads in (1, 2, 3)]
+    assert forked_cells == [1, 2, 3]
+    code, out, err, csv = runs[0]
+    assert (code, out) == (3, "sweep failed after 2 cells; partial rows kept in "
+                              f"{os.path.join('OUT', 'sweep.csv')}\n")
+    assert err == "numeric failure: update norm is not finite: local training diverged\n"
+    assert len(csv.splitlines()) == 1 + 2
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_an_error_in_a_middle_cell_raises_as_on_one_worker(tmp_path, forked_cells,
+                                                           monkeypatch):
+    import fedceo.sweep as sweep_mod
+
+    real = sweep_mod.run_experiment
+
+    def sabotaged(cfg, *args, **kwargs):
+        if cfg.dp.sigma == 1.0 and cfg.seed == 0:
+            raise RuntimeError("boom")
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_experiment", sabotaged)
+    csvs = []
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="^boom$") as err:
+            run_sweep(tmp_path, tiny_spec(), threads)
+        assert [(r.value, r.seed) for r in err.value.partial_rows] == [("0.5", 0), ("0.5", 1)]
+        csvs.append((tmp_path / f"threads{threads}" / "sweep.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+    assert forked_cells == [1, 2]
+    assert csvs[1] == csvs[0] and len(csvs[0].splitlines()) == 1 + 2
+
+
+def test_a_cell_whose_worker_dies_exits_2_naming_the_cell(tmp_path, forked_cells,
+                                                         monkeypatch):
+    import fedceo.sweep as sweep_mod
+
+    real, caller = sweep_mod.run_experiment, os.getpid()
+
+    def dies(cfg, *args, **kwargs):
+        if os.getpid() == caller:
+            raise AssertionError("a cell ran on the caller")
+        if cfg.dp.sigma == 0.5 and cfg.seed == 0:
+            os._exit(1)  # as the kernel's out-of-memory killer ends a process
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_experiment", dies)
+    code, out, err, csv = run_sweep(tmp_path, tiny_spec(), 2)
+    assert forked_cells == [2]
+    assert (code, out, csv) == (2, "", None)
+    assert err == ("config error: sweep cell dp.sigma=0.5 seed=0: its worker process "
+                   "ended without a result, most likely killed when the system ran out "
+                   "of memory\n")
+
+
+def test_a_large_thread_budget_is_capped_by_the_cells(monkeypatch, process_spy, pool_sizes):
+    # 10**6 threads make one worker a cell, none started, and each cell's
+    # share, 250000 threads, is capped again by its own small rounds.
+    import fedceo.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "MIN_WORK_PER_PROCESS", 1)
+    rows = sweep(tiny_spec(), threads=10**6).rows
+    assert process_spy.sizes == [4]
+    assert [threads for cfg, threads in process_spy.items] == [10**6 // 4] * 4
+    assert pool_sizes == []
+    assert rows == sweep(tiny_spec(), threads=1).rows
+
+
+
+def test_a_sweep_on_the_caller_imports_no_pool_machinery():
+    # Importing them costs about 15 ms, a tenth of the desk benchmark's set-up.
+    code = (
+        "import sys\n"
+        "from fedceo.config import RunConfig\n"
+        "from fedceo.sweep import SweepSpec, sweep\n"
+        "sweep(SweepSpec(RunConfig(rounds=1), 'dp.sigma', (0.5,), (0, 1)))\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert child.stdout == "[]\n"
