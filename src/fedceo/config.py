@@ -50,7 +50,6 @@ class DataSpec:
     seed: int | None = None    # defaults to the run seed
     path: str | None = None    # for source=file
     partition_mode: str = "iid"
-    shards_per_client: int = 2
     alpha: float = 0.5
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class DataSpec:
             raise ValidationError(
                 f"unknown mode {self.partition_mode!r}", field="partition.mode"
             )
-        if self.shards_per_client < 1:
-            raise ValidationError("must be >= 1", field="partition.shards_per_client")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValidationError("must be finite and > 0", field="partition.alpha")
 
@@ -184,8 +181,6 @@ _SCHEMA = {
     "data.test_fraction": ("data", "test_fraction", float),
     "data.seed": ("data", "seed", int),
     "partition.mode": ("data", "partition_mode", str),
-    "partition.shards_per_client": ("data", "shards_per_client", int,
-                                    "partition_mode", "label_shard"),
     "partition.alpha": ("data", "alpha", float, "partition_mode", "dirichlet"),
 }
 

@@ -20,7 +20,7 @@ import numpy as np
 from .dp import rng_stream
 from .errors import ParseError, ShapeMismatch, ValidationError, naming_file, write_file
 
-PARTITION_MODES = ("iid", "label_shard", "dirichlet")
+PARTITION_MODES = ("iid", "dirichlet")
 
 
 def check_samples(features: np.ndarray, labels: np.ndarray, num_classes: int) -> None:
@@ -110,15 +110,14 @@ class Client(NamedTuple):
 
 
 def partition(labels: np.ndarray, n_clients: int, mode: str, *,
-              shards_per_client: int = 2, alpha: float = 0.5,
-              seed: int = 0) -> list[Client]:
+              alpha: float = 0.5, seed: int = 0) -> list[Client]:
     """The ``n_clients`` clients that the samples labelled ``labels`` are
     dealt to, each a :class:`Client` of its rows; together their rows
     cover range(len(labels)) once.
 
-    Every client receives at least one sample regardless of mode:
-    label_shard needs at least one sample per shard, and a Dirichlet draw
-    that leaves someone empty steals singletons from the largest client.
+    Every client receives at least one sample regardless of mode: a
+    Dirichlet draw that leaves someone empty steals singletons from the
+    largest client.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -127,22 +126,10 @@ def partition(labels: np.ndarray, n_clients: int, mode: str, *,
                               field="n_total")
     if mode not in PARTITION_MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
-    if mode == "label_shard" and n_clients * shards_per_client > n:
-        raise ValidationError(
-            f"n_total ({n_clients}) x {shards_per_client} is more shards than "
-            f"the {n} samples to split", field="partition.shards_per_client")
     rng = rng_stream(seed, purpose="partition")
 
     if mode == "iid":
         parts = np.array_split(rng.permutation(n), n_clients)
-    elif mode == "label_shard":
-        order = np.argsort(labels, kind="stable")
-        shards = np.array_split(order, n_clients * shards_per_client)
-        dealt = rng.permutation(len(shards))
-        parts = [
-            np.concatenate([shards[s] for s in dealt[i::n_clients]])
-            for i in range(n_clients)
-        ]
     else:  # dirichlet
         parts = [[] for _ in range(n_clients)]
         for c in np.flatnonzero(np.bincount(labels)):  # the labels present

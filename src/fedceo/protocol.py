@@ -170,7 +170,6 @@ def build_dataset(cfg: RunConfig, full: Dataset | None = None):
             raise
         raise ValidationError(exc.message, field="data.path") from None
     parts = partition(train.labels, cfg.n_total, cfg.data.partition_mode,
-                      shards_per_client=cfg.data.shards_per_client,
                       alpha=cfg.data.alpha, seed=cfg.data_seed)
     return train, test, parts
 

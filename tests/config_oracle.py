@@ -40,8 +40,6 @@ def config_to_dict(cfg) -> dict:
     if data.seed is not None:
         out["data.seed"] = data.seed
     out["partition.mode"] = data.partition_mode
-    if data.partition_mode == "label_shard":
-        out["partition.shards_per_client"] = data.shards_per_client
     if data.partition_mode == "dirichlet":
         out["partition.alpha"] = data.alpha
     return out

@@ -184,6 +184,18 @@ def test_run_bad_config_exits_2(tmp_path, capsys, bad_text, needle):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad_text,line", [  # the label-shard partition is gone
+    ("partition.mode = label_shard\n",
+     "partition.mode: unknown mode 'label_shard'"),
+    ("partition.shards_per_client = 2\n",
+     "partition.shards_per_client: unknown config key"),
+])
+def test_removed_partition_inputs_exit_2_with_one_line(tmp_path, capsys, bad_text, line):
+    cfg = write_config(tmp_path, TINY_CONFIG + bad_text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
 @pytest.mark.parametrize("header,needle", [
     ("2 99999999999 6", "line 1: header num_classes"),
     ("99999999999 2 6", "line 2: expected 100000000000 fields"),

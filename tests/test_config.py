@@ -200,8 +200,8 @@ def test_render_parse_identity_on_custom_config():
         eval_every=7,
         model=ModelSpec(kind="mlp", hidden=16, bias=True),
         data=DataSpec(classes=4, dim=6, samples=300, spread=2.5,
-                      test_fraction=0.3, seed=11, partition_mode="label_shard",
-                      shards_per_client=3),
+                      test_fraction=0.3, seed=11, partition_mode="dirichlet",
+                      alpha=0.3),
     )
     assert parse_config_text(config_file_text(cfg)) == cfg
 
@@ -243,8 +243,7 @@ BASE = RunConfig(
 )
 SOURCES = {"blobs": dict(classes=4, dim=6, samples=300, spread=2.5),
            "file": dict(path="data/six.ds")}
-PARTITIONS = {"iid": {}, "label_shard": dict(shards_per_client=3),
-              "dirichlet": dict(alpha=0.3)}
+PARTITIONS = {"iid": {}, "dirichlet": dict(alpha=0.3)}
 # the axes: data source, partition mode, model.bias, logistic (else mlp), data.seed
 GRID = list(itertools.product(SOURCES, PARTITIONS, (None, True, False), (False, True),
                               (None, 11)))

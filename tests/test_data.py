@@ -121,15 +121,6 @@ class TestPartition:
         assert_exact_cover(parts, 15)
         assert parts[0].size == 15
 
-    def test_label_shard_concentrates_labels(self):
-        labels = np.repeat(np.arange(10), 100)
-        parts = partition_rows(labels, 5, "label_shard", shards_per_client=2, seed=1)
-        assert_exact_cover(parts, 1000)
-        distinct = [len(np.unique(labels[p])) for p in parts]
-        # two contiguous shards can straddle at most two label boundaries
-        assert max(distinct) <= 4
-        assert np.mean(distinct) < 10
-
     def test_dirichlet_alpha_controls_concentration(self):
         labels = np.repeat(np.arange(10), 100)
 
@@ -147,7 +138,7 @@ class TestPartition:
 
     def test_every_client_nonempty(self):
         labels = np.repeat(np.arange(4), 3)
-        for mode in ("iid", "label_shard", "dirichlet"):
+        for mode in ("iid", "dirichlet"):
             for seed in range(5):
                 parts = partition_rows(labels, 6, mode, alpha=0.05, seed=seed)
                 assert_exact_cover(parts, 12)
@@ -157,15 +148,6 @@ class TestPartition:
         with pytest.raises(ValidationError) as err:
             partition(np.zeros(5, dtype=int), 6, "iid", seed=0)
         assert str(err.value) == "n_total: 6 clients but only 5 samples to split"
-
-    def test_more_shards_than_samples(self):
-        # Checked before the shards are built: at a large shards_per_client
-        # that would be an unbounded allocation.
-        with pytest.raises(ValidationError) as err:
-            partition(np.repeat(np.arange(4), 3), 6, "label_shard",
-                      shards_per_client=10**6, seed=0)
-        assert str(err.value) == ("partition.shards_per_client: n_total (6) x 1000000 "
-                                  "is more shards than the 12 samples to split")
 
     def test_clients_are_rows(self):
         data = synth_blobs(4, 5, 200, 1.0, seed=7)

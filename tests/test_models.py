@@ -341,7 +341,7 @@ class TestLockStepMatchesOneByOne:
         npt.assert_array_equal(lock_step(model, starts, *args),
                                one_by_one(model, starts, *args))
 
-    @pytest.mark.parametrize("mode", ["iid", "label_shard", "dirichlet"])
+    @pytest.mark.parametrize("mode", ["iid", "dirichlet"])
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("bias", [False, True])
     def test_partitions_agree(self, mode, kind, bias):

@@ -450,6 +450,32 @@ def test_personalized_restarts_alter_the_run_even_at_zero_threshold():
                            flatten_params(soft.final_model), atol=1e-9)
 
 
+# The benchmark's cli run config, on blobs of its data file's shape.
+CLI_BLOBS = RunConfig(
+    n_total=40, k_selected=10, rounds=20, interval=5, algorithm="fedceo",
+    model=ModelSpec(kind="mlp", hidden=64),
+    data=DataSpec(classes=10, dim=32, samples=10000, partition_mode="dirichlet", alpha=0.5))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_no_resume_at_a_vanishing_threshold_is_ldp_fedavg(monkeypatch, seed):
+    # Every smoothed row replaced by the rows' mean takes the personalized
+    # resume away; at tau0 = 5e-10 the smoothing pass keeps every singular
+    # value, so fedceo is ldp_fedavg up to the pass's rounding.
+    def no_resume(uploads, template, threshold, *, threads=1):
+        smoothed, norm = server_smooth(uploads, template, threshold, threads=threads)
+        smoothed[:] = smoothed.mean(axis=0)
+        return smoothed, norm
+
+    ldp = run_experiment(dataclasses.replace(CLI_BLOBS, algorithm="ldp_fedavg", seed=seed),
+                         threads=1)
+    monkeypatch.setattr(protocol, "server_smooth", no_resume)
+    got = run_experiment(dataclasses.replace(CLI_BLOBS, lambda0=1e9, seed=seed), threads=1)
+    assert [(r.round, r.acc) for r in got.metrics] == [(r.round, r.acc) for r in ldp.metrics]
+    for g, w in zip(got.metrics, ldp.metrics):
+        assert abs(g.loss - w.loss) <= 1e-8 * w.loss
+
+
 def test_clip_and_noise_limits_recover_plain_averaging():
     plain = run_experiment(dataclasses.replace(TINY, algorithm="fedavg"))
     limits = run_experiment(dataclasses.replace(
@@ -494,12 +520,12 @@ def train_one_by_one(model, features, labels, rows, epochs, batch_size, lr, rngs
                                             epochs, batch_size, lr, rngs)
 
 
-@pytest.mark.parametrize("mode", ["iid", "label_shard", "dirichlet"])
+@pytest.mark.parametrize("mode", ["iid", "dirichlet"])
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
 @pytest.mark.parametrize("bias", [False, True])
 def test_rounds_match_clients_trained_one_by_one(monkeypatch, mode, kind, bias):
-    # 30 samples per client (a short last minibatch) for iid and label
-    # shards; ragged Dirichlet clients.  fedceo smooths every other round,
+    # 30 samples per client (a short last minibatch) for iid; ragged
+    # Dirichlet clients.  fedceo smooths every other round,
     # so personalized restarts reach the later rounds.
     cfg = dataclasses.replace(
         TINY, n_total=8, k_selected=4, rounds=5, local_epochs=2, interval=2,
@@ -789,9 +815,6 @@ def test_data_spec_validation_uses_dotted_fields():
         with pytest.raises(ValidationError) as err:
             DataSpec(alpha=alpha)
         assert err.value.field == "partition.alpha"
-    with pytest.raises(ValidationError) as err:
-        DataSpec(shards_per_client=0)
-    assert err.value.field == "partition.shards_per_client"
     with pytest.raises(ValidationError) as err:
         DataSpec(test_fraction=1.0)
     assert err.value.field == "data.test_fraction"

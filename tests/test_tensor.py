@@ -480,8 +480,26 @@ class TestGramRouteMatchesBatchedSvd:
             assert input_rel_err(got, want, t) <= 1e-12
             assert abs(norm - want_norm) <= 1e-12 * oracle.tnn(t)
 
+    @pytest.mark.parametrize("tau,calls", [(2.0 ** -6.5, 1), (2.0 ** -8, 2)])
+    def test_resolved_share_decides_the_re_shrink(self, monkeypatch, tau, calls):
+        # Singular values 1, 0.5 and 2**-9: the smallest lies below
+        # RESOLVED = 2**-7 of the largest, so it is shrunk again through
+        # its own Gram matrix only when tau lies below that share too.
+        rng = np.random.default_rng(76)
+        s = np.array([1.0, 0.5, 2.0 ** -9])
+        q1 = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        t = ((q1 * s) @ q2.T)[:, :, None]
+        shrink, seen = tz._shrink_tall, []
 
-class TestWideStacksShrinkThroughTheirTranspose:
+        def spy(a, tau):  # the re-shrink calls it through the module too
+            seen.append(a.shape)
+            return shrink(a, tau)
+
+        monkeypatch.setattr(tz, "_shrink_tall", spy)
+        _, norm = tz.truncated_tsvd(t, tau)
+        assert seen == [(6, 3), (6, 1)][:calls]  # the slice, then its block a @ v
+        assert abs(norm - np.maximum(s - tau, 0.0).sum()) <= 1e-15
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(conditioned_stacks())
