@@ -243,17 +243,21 @@ BASE = RunConfig(
 )
 SOURCES = {"blobs": dict(classes=4, dim=6, samples=300, spread=2.5),
            "file": dict(path="data/six.ds")}
-PARTITIONS = {"iid": {}, "dirichlet": dict(alpha=0.3)}
+# dirichlet_default leaves alpha at its default: partition.alpha is written
+# whenever the mode is dirichlet, not only when alpha differs from the default.
+PARTITIONS = {"iid": dict(partition_mode="iid"),
+              "dirichlet": dict(partition_mode="dirichlet", alpha=0.3),
+              "dirichlet_default": dict(partition_mode="dirichlet")}
 # the axes: data source, partition mode, model.bias, logistic (else mlp), data.seed
 GRID = list(itertools.product(SOURCES, PARTITIONS, (None, True, False), (False, True),
                               (None, 11)))
 CORPUS = [
     dataclasses.replace(
         BASE, model=ModelSpec(kind="logistic" if logistic else "mlp", hidden=16, bias=bias),
-        data=DataSpec(source=source, test_fraction=0.3, seed=seed, partition_mode=mode,
-                      **SOURCES[source], **PARTITIONS[mode]),
+        data=DataSpec(source=source, test_fraction=0.3, seed=seed,
+                      **SOURCES[source], **PARTITIONS[partition]),
     )
-    for source, mode, bias, logistic, seed in GRID
+    for source, partition, bias, logistic, seed in GRID
 ]
 CORPUS_IDS = ["-".join(map(str, cell)) for cell in GRID]
 STRAY_PATH = dataclasses.replace(BASE, data=DataSpec(path="data/six.ds"))

@@ -500,6 +500,9 @@ class TestGramRouteMatchesBatchedSvd:
         _, norm = tz.truncated_tsvd(t, tau)
         assert seen == [(6, 3), (6, 1)][:calls]  # the slice, then its block a @ v
         assert abs(norm - np.maximum(s - tau, 0.0).sum()) <= 1e-15
+
+
+class TestWideStacksShrinkThroughTheirTranspose:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(conditioned_stacks())
