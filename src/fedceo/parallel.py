@@ -6,7 +6,8 @@ threads that each own a block of an array's rows run those loops side by
 side.  Each caller splits work whose rows are independent, so no result
 depends on the block a row lands in or on the thread count.  Work that
 holds the GIL, such as a whole run's Python-level round loop, runs side by
-side only in processes: :func:`process_map` forks them.
+side only in processes: :func:`process_map` forks them, and they inherit
+the caller's memory, so the data they share is never pickled.
 
 One rule, in :func:`pool_size`, sizes every pool: never more workers than
 the budget or the items, and none that would get less work than the
@@ -82,28 +83,23 @@ class WorkerLost(MemoryError):
     """A worker process of :func:`process_map` ended without a result."""
 
 
-def _start_worker(initializer, initargs) -> None:
-    # An interrupt reaches the whole process group; the parent reports it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    initializer(*initargs)
-
-
 @contextmanager
-def process_map(processes: int, items: int, work: int, floor: int,
-                initializer, initargs: tuple = ()):
+def process_map(processes: int, items: int, work: int, floor: int):
     """``(run, workers)`` for ``items`` items and ``work`` units of work, at
     least ``floor`` units a process, on at most ``processes`` processes:
     ``run(fn, xs)`` yields ``fn(x)`` for each ``x`` in ``xs``, in order, from
     one pool of ``workers = pool_size(processes, items, work, floor)``
     forked processes, kept for the ``with`` block, each of which ignores
-    SIGINT and runs ``initializer(*initargs)`` first.  When ``workers`` is 1,
-    or the platform cannot fork, ``initializer`` and ``fn`` run on the
-    caller.  Fork hands ``initargs`` to the workers without pickling them;
-    ``fn``, each ``x`` and each result or exception are pickled.
+    SIGINT.  When ``workers`` is 1, or the platform cannot fork, ``fn`` runs
+    on the caller.  The workers fork at the first ``run`` call and inherit
+    the caller's memory as it is then, so what ``fn`` reads from module
+    globals need not be pickled; ``fn``, each ``x`` and each result or
+    exception are.
 
     A worker that ends without a result raises :class:`WorkerLost`.  When
-    the block ends, by an exception too, the items that have not started
-    are cancelled and every worker is joined.
+    the block ends by an exception, the pool's own workers are terminated,
+    so the items still running stop too; either way the items that have
+    not started are cancelled and every worker is joined.
     """
     workers = pool_size(processes, items, work, floor)
     if workers > 1:
@@ -114,7 +110,6 @@ def process_map(processes: int, items: int, work: int, floor: int,
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        initializer(*initargs)
         yield (lambda fn, xs: map(fn, xs)), workers
         return
     from concurrent.futures import ProcessPoolExecutor
@@ -128,9 +123,15 @@ def process_map(processes: int, items: int, work: int, floor: int,
                 raise WorkerLost("its worker process ended without a result, most "
                                  "likely killed when the system ran out of memory") from None
 
+    others = set(multiprocessing.active_children())
+    # An interrupt reaches the whole process group; the parent reports it.
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _start_worker, (initializer, initargs))
+                               signal.signal, (signal.SIGINT, signal.SIG_IGN))
     try:
         yield run, workers
+    except BaseException:
+        for worker in set(multiprocessing.active_children()) - others:
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

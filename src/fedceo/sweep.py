@@ -6,8 +6,9 @@ and reports per-cell final accuracy and privacy budget plus per-value
 mean/std summaries.  Every cell's config is built before the first cell
 runs, so a bad value fails before any training or file read.  No sweepable
 field is a ``data.*`` key, so every cell of a file-backed sweep reads the
-same file: the sweep reads it once and hands the loaded dataset to each
-cell, which still splits and partitions it by its own seed.
+same file: the sweep reads it once, and each cell, on the caller or on a
+forked worker that inherited it, splits and partitions the loaded dataset
+by its own seed.
 
 The cells are independent, and a whole run holds the GIL for much of its
 time, so a sweep large enough to repay a forked process runs its cells
@@ -15,8 +16,10 @@ side by side on a few (:func:`fedceo.parallel.process_map`), each cell on
 its share of the thread budget; a smaller one runs them one after another
 on the caller.  Rows come back in (value index, seed index) order either
 way, and no byte of a result depends on the worker count.  If a cell
-fails, the cells before it in that order ride along on the raised
-exception's ``partial_rows`` attribute; so they do on an interrupt.
+fails, or the sweep is interrupted, the cells still running on workers
+are stopped, and the rows that came back before it, those of the cells
+before it in that order, ride along on the raised exception's
+``partial_rows`` attribute.
 """
 
 from __future__ import annotations
@@ -100,13 +103,9 @@ def cell_config(spec: SweepSpec, value, seed: int) -> RunConfig:
 # on less work than this.
 MIN_WORK_PER_PROCESS = 2**25
 
-# The dataset of the sweep running in this process, set for its cells.
+# The dataset of the sweep running in this process, set for its cells
+# before its workers fork, so they inherit it.
 _full: Dataset | None = None
-
-
-def _share(full: Dataset | None) -> None:
-    global _full
-    _full = full
 
 
 def _run_cell(cell: tuple[RunConfig, int]) -> MetricsRow:
@@ -143,17 +142,17 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     ends without a result raises :class:`~fedceo.parallel.WorkerLost`, a
     ``MemoryError``, naming the first cell without a row.
     """
+    global _full
     if threads is None:
         threads = usable_cpus()
     grid = [(value, int(seed)) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in grid]
     # Blobs are drawn from each cell's data seed; a data file is the same for all.
-    full = whole_dataset(spec.base) if spec.base.data.source == "file" else None
-    work = sum(cell_work(cfg, full) for cfg in configs)
+    _full = whole_dataset(spec.base) if spec.base.data.source == "file" else None
+    work = sum(cell_work(cfg, _full) for cfg in configs)
     rows = []
     try:
-        with process_map(threads, len(configs), work, MIN_WORK_PER_PROCESS,
-                         _share, (full,)) as (run, workers):
+        with process_map(threads, len(configs), work, MIN_WORK_PER_PROCESS) as (run, workers):
             cells = [(cfg, threads // workers) for cfg in configs]
             for (value, seed), last in zip(grid, run(_run_cell, cells)):
                 rows.append(SweepRow(value, seed, last.acc, last.loss, last.eps_p))
@@ -164,7 +163,7 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
         exc.partial_rows = rows
         raise
     finally:
-        _share(None)
+        _full = None
 
     summaries = []
     per_value = len(spec.seeds)

@@ -47,7 +47,7 @@ def process_spy(monkeypatch):
     """Record every process pool fedceo makes: ``sizes`` holds each pool's
     ``max_workers`` and ``items`` the items submitted to it, in call order.
     A spy stands in for the executor and runs each item on the caller, so
-    no process is started (nor the pool's worker initializer run)."""
+    no process is started or terminated."""
     spy = SimpleNamespace(sizes=[], items=[])
 
     class SpyExecutor:

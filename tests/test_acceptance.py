@@ -57,6 +57,7 @@ from fedceo.models import (
 )
 from fedceo.protocol import run_experiment, smoothing_threshold
 from fedceo.tensor import truncated_tsvd
+from noise_ledger import Pass, ledger
 from tensor_oracle import (
     bcirc,
     dft_mode3,
@@ -433,6 +434,23 @@ def test_high_noise_loss_gap_favors_smoothing(high_noise_battery):
     gap_ldp = float(np.mean(high_noise_battery["ldp"]["loss"])) - clean
     gap_geo = float(np.mean(high_noise_battery["geo"]["loss"])) - clean
     assert gap_ldp >= gap_geo, (gap_ldp, gap_geo)
+
+
+def test_high_noise_smoothing_moves_the_stack_toward_the_noiseless_uploads():
+    # The noise ledger of the geo runs: the one pass leaves the stack of
+    # client slices nearer the noiseless uploads than the noised stack was,
+    # and the evaluated mean farther from the noiseless mean than the
+    # aggregate noise alone put it (README, "Acceptance 07 at desk scale").
+    geo = dataclasses.replace(DESK, algorithm="fedceo", ratio=1.05)
+    passes = [ledger(dataclasses.replace(geo, seed=s), threads=1) for s in SEEDS]
+    assert [len(p) for p in passes] == [1] * len(SEEDS)  # interval == rounds
+    stack, mean, moved = (list(column) for column in zip(*(p[0] for p in passes)))
+    print("\nnoise ledger, acceptance 07 geo, seeds 0-4: " + "; ".join(
+        name + " " + "/".join(f"{r:.3f}" for r in column)
+        for name, column in zip(Pass._fields, (stack, mean, moved))))
+    assert all(r < 1 for r in stack), stack
+    assert stack == pytest.approx([0.902, 0.872, 0.811, 0.864, 0.756], abs=1e-3)
+    assert mean == pytest.approx([1.948, 1.831, 1.820, 2.071, 1.838], abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -818,7 +818,7 @@ real = sweep.run_experiment
 def waiting(cfg, *args, **kwargs):
     if cfg.seed == 1:
         started.touch()
-        time.sleep(1.5)
+        time.sleep(60)
     return real(cfg, *args, **kwargs)
 
 cli.run_experiment = sweep.run_experiment = waiting
@@ -828,8 +828,10 @@ sys.exit(cli.main(argv))
 
 def interrupted(tmp_path, floor, argv):
     """Run ``main(argv)`` in a child and send SIGINT to its process group,
-    as a terminal's Ctrl-C does, once a seed-1 run has started:
-    (exit code, stdout, stderr)."""
+    as a terminal's Ctrl-C does, once a seed-1 run has started and while it
+    waits out a minute: (exit code, stdout, stderr).  The child must end
+    well before that minute is up, and leave no process of its group
+    running."""
     started = tmp_path / "started"
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
@@ -844,7 +846,11 @@ def interrupted(tmp_path, floor, argv):
             assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
             time.sleep(0.01)
         os.killpg(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
         out, err = proc.communicate(timeout=120)
+        assert time.monotonic() - sent < 10
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
     finally:
         proc.kill()
     return proc.returncode, out, err

@@ -7,6 +7,7 @@ floor, and ``test_sweep.py`` that a sweep does."""
 
 import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -56,26 +57,28 @@ def test_blocks_interleave_every_index_once(n, parts):
 ])
 def test_process_pool_size(process_spy, processes, items, work, floor, workers):
     assert pool_size(processes, items, work, floor) == workers
-    inits = []
-    with process_map(processes, items, work, floor, inits.append, ("data",)) as (run, chosen):
+    with process_map(processes, items, work, floor) as (run, chosen):
         assert list(run(lambda x: x * x, range(items))) == [x * x for x in range(items)]
     assert chosen == workers
     assert process_spy.sizes == ([workers] if workers > 1 else [])
-    # On the caller the initializer runs there, once; a pool runs it per worker.
-    assert inits == (["data"] if workers == 1 else [])
 
 
-def square(x):
-    return x * x
+# Set by a test before its pool starts; the forked workers inherit it.
+inherited = {}
 
 
-def test_a_process_pool_runs_its_items_in_order_on_forked_workers():
-    pids = []
-    with process_map(2, 5, 10, 1, pids.append, (os.getpid(),)) as (run, workers):
+def offset_square(x):
+    return x * x + inherited["offset"], os.getpid()
+
+
+def test_a_process_pool_runs_its_items_in_order_on_forked_workers(monkeypatch):
+    monkeypatch.setitem(inherited, "offset", 100)
+    with process_map(2, 5, 10, 1) as (run, workers):
         assert workers == 2
-        assert list(run(square, range(5))) == [0, 1, 4, 9, 16]
+        got = list(run(offset_square, range(5)))
+    assert [value for value, pid in got] == [100, 101, 104, 109, 116]
+    assert os.getpid() not in {pid for value, pid in got}
     assert multiprocessing.active_children() == []
-    assert pids == []  # the initializer ran in the workers, not here
 
 
 def fail_on_two(x):
@@ -87,7 +90,7 @@ def fail_on_two(x):
 def test_the_first_failing_item_raises_after_the_workers_are_joined():
     got = []
     with pytest.raises(ValueError, match="item 2"):
-        with process_map(2, 6, 10, 1, int) as (run, workers):
+        with process_map(2, 6, 10, 1) as (run, workers):
             got.extend(run(fail_on_two, range(6)))
     assert got == [0, 1]
     assert multiprocessing.active_children() == []
@@ -99,7 +102,24 @@ def die(x):
 
 def test_a_worker_that_dies_raises_worker_lost():
     with pytest.raises(WorkerLost) as err:
-        with process_map(2, 2, 10, 1, int) as (run, workers):
+        with process_map(2, 2, 10, 1) as (run, workers):
             list(run(die, range(2)))
     assert isinstance(err.value, MemoryError)
     assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_the_block_stops_the_running_items_and_no_other_child():
+    other = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    other.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="stop"):
+            with process_map(2, 2, 10, 1) as (run, workers):
+                got = run(time.sleep, [0, 60])
+                assert next(got) is None
+                raise RuntimeError("stop")
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == [other]
+    finally:
+        other.terminate()
+        other.join()

@@ -196,11 +196,25 @@ def oracle_sweep_csv(spec):
     return sweep_csv_text(SweepResult(spec, rows, summaries))
 
 
-def test_file_backed_sweep_loads_its_data_file_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2], ids=["on the caller", "on workers"])
+def test_file_backed_sweep_loads_its_data_file_once(tmp_path, request, monkeypatch, threads):
+    # Two threads let two forked workers run the cells; they get the data
+    # through the fork, and a load on a worker raises.
     spec = file_spec(tmp_path)
-    paths = count_loads(monkeypatch)
-    assert len(sweep(spec).rows) == 4
-    assert paths == [spec.base.data.path]
+    oracle = oracle_sweep_csv(spec)
+    chosen = request.getfixturevalue("forked_cells") if threads > 1 else [1]
+    parent, real, loads = os.getpid(), protocol.load_dataset, []
+
+    def parent_only(path):
+        if os.getpid() != parent:
+            raise AssertionError("a worker loaded the data file")
+        loads.append((os.getpid(), path))
+        return real(path)
+
+    monkeypatch.setattr(protocol, "load_dataset", parent_only)
+    assert sweep_csv_text(sweep(spec, threads)) == oracle
+    assert loads == [(parent, spec.base.data.path)]
+    assert chosen == [threads]
 
 
 def test_blobs_sweep_builds_its_data_per_cell(monkeypatch):
