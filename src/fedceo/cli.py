@@ -22,6 +22,9 @@ to repay it runs its cells side by side on up to --threads forked worker
 processes, splitting the threads between them, and a file-backed sweep
 reads its data file once for all of them.  A sweep that fails or is
 interrupted keeps the rows of the cells before the failure in sweep.csv.
+``gen-data`` formats a file large enough to repay it on forked worker
+processes, one per usable CPU at most, and a small one on the caller;
+it has no flag for this, and the file's bytes do not depend on it.
 ``analyze`` gets all three of its outputs from
 :func:`fedceo.analysis.analyze_run` before it writes any.  Every file is
 written by :func:`fedceo.errors.write_file`, which replaces it whole.

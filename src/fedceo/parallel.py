@@ -1,13 +1,14 @@
-"""Splitting a phase of a round over a few threads, and a sweep's cells
-over a few forked processes.
+"""Splitting a phase of a round over a few threads, and a sweep's cells or
+a dataset file's rows over a few forked processes.
 
 NumPy releases the GIL in its BLAS, LAPACK, FFT and random-fill loops, so
 threads that each own a block of an array's rows run those loops side by
 side.  Each caller splits work whose rows are independent, so no result
 depends on the block a row lands in or on the thread count.  Work that
-holds the GIL, such as a whole run's Python-level round loop, runs side by
-side only in processes: :func:`process_map` forks them, and they inherit
-the caller's memory, so the data they share is never pickled.
+holds the GIL, such as a whole run's Python-level round loop or the text
+of a dataset file, runs side by side only in processes: :func:`process_map`
+forks them, and they inherit the caller's memory, so the data a sweep's
+cells share is never pickled.
 
 One rule, in :func:`pool_size`, sizes every pool: never more workers than
 the budget or the items, and none that would get less work than the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import signal
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -94,7 +96,8 @@ def process_map(processes: int, items: int, work: int, floor: int):
     on the caller.  The workers fork at the first ``run`` call and inherit
     the caller's memory as it is then, so what ``fn`` reads from module
     globals need not be pickled; ``fn``, each ``x`` and each result or
-    exception are.
+    exception are.  ``run`` holds no result it has yielded, so a consumer
+    that drops each result holds only those still to come.
 
     A worker that ends without a result raises :class:`WorkerLost`.  When
     the block ends by an exception, the pool's own workers are terminated,
@@ -116,12 +119,13 @@ def process_map(processes: int, items: int, work: int, floor: int):
     from concurrent.futures.process import BrokenProcessPool
 
     def run(fn, xs):
-        for future in [pool.submit(fn, x) for x in xs]:
-            try:
-                yield future.result()
-            except BrokenProcessPool:
-                raise WorkerLost("its worker process ended without a result, most "
-                                 "likely killed when the system ran out of memory") from None
+        futures = deque(pool.submit(fn, x) for x in xs)
+        try:
+            while futures:  # each future is dropped as its result is yielded
+                yield futures.popleft().result()
+        except BrokenProcessPool:
+            raise WorkerLost("its worker process ended without a result, most "
+                             "likely killed when the system ran out of memory") from None
 
     others = set(multiprocessing.active_children())
     # An interrupt reaches the whole process group; the parent reports it.

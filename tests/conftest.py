@@ -1,11 +1,13 @@
 """Fixtures shared by the thread-pool and process-pool tests."""
 
 import concurrent.futures
+import contextlib
+import multiprocessing
 from types import SimpleNamespace
 
 import pytest
 
-from fedceo import dp, models, tensor
+from fedceo import data, dp, models, sweep, tensor
 
 
 @pytest.fixture
@@ -77,3 +79,36 @@ def lifted_floors(monkeypatch):
     monkeypatch.setattr(dp, "MIN_DRAWS_PER_THREAD", 1)
     monkeypatch.setattr(models, "MIN_PARAMS_PER_THREAD", 1)
     monkeypatch.setattr(tensor, "MIN_WORK_PER_THREAD", 1)
+
+
+def _forked(monkeypatch, module, floor):
+    """Set ``module``'s process floor ``floor`` to 1, so work of any size
+    runs on worker processes, and yield the list that gains the worker
+    count each of its ``process_map`` pools chooses; the test fails if a
+    worker is left running."""
+    monkeypatch.setattr(module, floor, 1)
+    chosen, real = [], module.process_map
+
+    @contextlib.contextmanager
+    def spy(*args):
+        with real(*args) as (run, workers):
+            chosen.append(workers)
+            yield run, workers
+
+    monkeypatch.setattr(module, "process_map", spy)
+    yield chosen
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forked_cells(monkeypatch):
+    """Let a sweep of any size run its cells on worker processes (see
+    :func:`_forked`)."""
+    yield from _forked(monkeypatch, sweep, "MIN_WORK_PER_PROCESS")
+
+
+@pytest.fixture
+def forked_chunks(monkeypatch):
+    """Let a dataset file of any size be formatted on worker processes (see
+    :func:`_forked`)."""
+    yield from _forked(monkeypatch, data, "MIN_VALUES_PER_PROCESS")

@@ -1,20 +1,34 @@
-"""Reference dataset reader that the tests compare the package against.
+"""Reference dataset reader and writer that the tests compare the package
+against.
 
-Nothing in ``fedceo`` calls this.  It is ``fedceo.data.load_dataset`` as
-it was before the one-pass reader took it over: it reads the whole file,
-splits it with ``str.splitlines()``, counts the non-blank lines against
-the header, checks every line's field count, and only then allocates and
-parses the samples.  For any file, :func:`fedceo.data.load_dataset` must
-give the same verdict: the same arrays bit for bit, or a ``ParseError``
-naming the file.
+Nothing in ``fedceo`` calls these.  :func:`load_dataset` is
+``fedceo.data.load_dataset`` as it was before the one-pass reader took it
+over: it reads the whole file, splits it with ``str.splitlines()``, counts
+the non-blank lines against the header, checks every line's field count,
+and only then allocates and parses the samples.  For any file,
+:func:`fedceo.data.load_dataset` must give the same verdict: the same
+arrays bit for bit, or a ``ParseError`` naming the file.
+
+:func:`save_dataset` is ``fedceo.data.save_dataset`` as it was before the
+rows were formatted in chunks, on worker processes for a large file: one
+row at a time, on the caller.  For any dataset and worker count,
+:func:`fedceo.data.save_dataset` must write the same bytes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from fedceo.data import Dataset
-from fedceo.errors import ParseError, naming_file
+from fedceo.errors import ParseError, naming_file, write_file
+
+
+def save_dataset(path, data: Dataset) -> None:
+    rows = zip(data.features, data.labels)
+    write_file(path, chain([f"{data.dim} {data.num_classes} {data.n}\n"], (
+        f"{int(label)} {' '.join(repr(float(v)) for v in row)}\n" for row, label in rows)))
 
 
 def load_dataset(path) -> Dataset:

@@ -7,7 +7,8 @@ leave as they are.
 
 With no flag it runs the identity set and prints, one line a run, the
 sha256 of its ``metrics.csv`` and of its ``final_model.t3r`` (of a sweep,
-its ``sweep.csv``), then one sha256 over the whole table:
+its ``sweep.csv``; of a gen-data file, the file), then one sha256 over the
+whole table:
 
 * the benchmark's desk config (``perfbench/workloads.py`` ``DESK``) as
   fedavg, ldp_fedavg and fedceo at seeds 0-4;
@@ -26,7 +27,10 @@ its ``sweep.csv``), then one sha256 over the whole table:
   interleaved blocks of each stack's rows along the long side;
 * the cli benchmark's sweep through ``fedceo sweep`` (axis ``dp.sigma``
   over ``CLI_SWEEP_VALUES``, seeds 0 and ``SEED_SLOTS``) on its gen-data
-  file of seed 0, on 2 threads: its four cells run on two forked workers.
+  file of seed 0, on 2 threads: its four cells run on two forked workers;
+* that gen-data file of seed 0 itself, the sha256 of its bytes: its
+  320,000 values are formatted on two forked workers on a host with two
+  usable CPUs.
 
 BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS``) before NumPy loads it, since its thread count can
@@ -79,7 +83,7 @@ DIGESTS = Path(__file__).with_name("digests.json")
 # The rows of the identity set that tests/digests.json pins, and one more.
 CHECKED = ("desk fedavg seed=0", "desk ldp_fedavg seed=0", "desk fedceo seed=0",
            "defaults fedceo seed=0", "cli seed=0 threads=1", "cli pooled seed=0 threads=2",
-           "cli sweep seed=0 threads=2")
+           "cli sweep seed=0 threads=2", "cli gen-data seed=0")
 
 
 def _sha(path: Path) -> str:
@@ -91,17 +95,32 @@ def _run_config(cfg, threads: int, out: Path) -> tuple:
     return OUTPUTS
 
 
+def _main(*argv: str) -> None:
+    """``fedceo`` with ``argv``, its stdout dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(list(argv)) != 0:
+            raise SystemExit(f"fedceo {' '.join(argv)} failed")
+
+
+def _gen_data(seed: int, path: Path) -> None:
+    """``fedceo gen-data`` of the cli data at ``seed`` to ``path``."""
+    _main("gen-data", "--out", str(path), f"--seed={seed}",
+          *(f"--{key}={value}" for key, value in CLI_DATA.items()))
+
+
 def _cli(seed: int, out: Path, command: str, *flags: str) -> None:
     """``fedceo gen-data`` of the cli data at ``seed``, then ``fedceo
     command`` with ``flags`` on the cli run config of that seed and file."""
     data, config = out.with_suffix(".ds"), out.with_suffix(".cfg")
-    data_flags = [f"--{key}={value}" for key, value in CLI_DATA.items()]
     config.write_text(CLI_RUN_CONFIG.format(seed=seed, path=data))
-    with contextlib.redirect_stdout(io.StringIO()):
-        for argv in (["gen-data", "--out", str(data), f"--seed={seed}", *data_flags],
-                     [command, "--config", str(config), "--out", str(out), *flags]):
-            if cli.main(argv) != 0:
-                raise SystemExit(f"fedceo {' '.join(argv)} failed")
+    _gen_data(seed, data)
+    _main(command, "--config", str(config), "--out", str(out), *flags)
+
+
+def _run_gen_data(seed: int, out: Path) -> tuple:
+    out.mkdir()
+    _gen_data(seed, out / "cli.ds")
+    return ("cli.ds",)
 
 
 def _run_cli(seed: int, threads: int, out: Path) -> tuple:
@@ -156,6 +175,7 @@ def identity_set():
     for seed in range(2):
         yield f"cli pooled seed={seed} threads=2", partial(_run_cli_pooled, seed)
     yield "cli sweep seed=0 threads=2", partial(_run_cli_sweep, 0, 2)
+    yield "cli gen-data seed=0", partial(_run_gen_data, 0)
 
 
 def checked_set():

@@ -473,6 +473,47 @@ def test_data_file_that_cannot_be_split_names_data_path(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_default_gen_data_imports_no_pool_machinery(tmp_path):
+    # A default file, 40,000 values, is formatted on the caller on any host.
+    code = (
+        "import contextlib, io, sys\n"
+        "from fedceo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['gen-data', '--out', {str(tmp_path / 'blobs.ds')!r}]) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert child.stdout == "[]\n"
+
+
+CALLER = os.getpid()
+
+
+def dies_on_a_worker(chunk):
+    if os.getpid() == CALLER:
+        raise AssertionError("a chunk ran on the caller")
+    os._exit(1)  # as the kernel's out-of-memory killer ends a process
+
+
+def test_a_gen_data_whose_worker_dies_exits_2_and_keeps_the_old_file(
+        tmp_path, capsys, forked_chunks, monkeypatch):
+    import fedceo.data as data_mod
+
+    monkeypatch.setattr(data_mod, "_format_rows", dies_on_a_worker)
+    monkeypatch.setattr(data_mod, "usable_cpus", lambda: 2)  # two workers on any host
+    data_path = tmp_path / "blobs.ds"
+    data_path.write_bytes(b"old\n")
+    assert main(["gen-data", "--out", str(data_path)]) == 2
+    assert forked_chunks == [2]
+    assert capsys.readouterr() == ("", f"config error: {data_path}: its worker process "
+                                       "ended without a result, most likely killed when "
+                                       "the system ran out of memory\n")
+    assert data_path.read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["blobs.ds"]
+
+
 @pytest.mark.parametrize("flag,value", [("--samples", "1999"), ("--spread", "inf"),
                                         ("--seed", "-1"), ("--classes", "1"),
                                         ("--spread", "1e308")])
@@ -802,17 +843,18 @@ def test_sweep_failure_keeps_partial_rows(tmp_path, capsys, monkeypatch):
 # interrupts and closed pipes
 
 
-# Cells and runs of seed 1 mark that they started and then wait, so the
-# test can interrupt them mid-flight.  A shell starts a background job with
+# Cells and runs of seed 1, and every chunk of a dataset file, mark that
+# they started and then wait, so the test can interrupt them mid-flight.
+# gen-data gets two CPUs on any host.  A shell starts a background job with
 # SIGINT ignored, and a child inherits that, so the child restores Python's
 # handler, which an interactive session has.
 INTERRUPTED_MAIN = """\
 import signal, sys, time
 from pathlib import Path
-from fedceo import cli, sweep
+from fedceo import cli, data, sweep
 signal.signal(signal.SIGINT, signal.default_int_handler)
 started, floor, argv = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
-sweep.MIN_WORK_PER_PROCESS = floor
+sweep.MIN_WORK_PER_PROCESS = data.MIN_VALUES_PER_PROCESS = floor
 real = sweep.run_experiment
 
 def waiting(cfg, *args, **kwargs):
@@ -821,7 +863,13 @@ def waiting(cfg, *args, **kwargs):
         time.sleep(60)
     return real(cfg, *args, **kwargs)
 
+def waiting_rows(chunk):
+    started.touch()
+    time.sleep(60)
+
 cli.run_experiment = sweep.run_experiment = waiting
+data._format_rows = waiting_rows
+data.usable_cpus = lambda: 2
 sys.exit(cli.main(argv))
 """
 
@@ -878,6 +926,15 @@ def test_an_interrupted_sweep_exits_130_and_keeps_the_rows_before_it(tmp_path, f
     # finished by then; a worker may not have sent its row back yet.
     if floor > 1 or kept.exists():
         assert kept.read_text().splitlines() == first
+
+
+def test_an_interrupted_gen_data_on_workers_exits_130_and_keeps_the_old_file(tmp_path):
+    data_path = tmp_path / "blobs.ds"
+    data_path.write_bytes(b"old\n")
+    code, out, err = interrupted(tmp_path, 1, ["gen-data", "--out", str(data_path)])
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert data_path.read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["blobs.ds", "started"]
 
 
 def test_a_closed_stdout_exits_141_quietly(tmp_path):

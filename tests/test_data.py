@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedceo import data as data_mod
 from fedceo.config import DataSpec
 from fedceo.data import (
+    CHUNK_ROWS,
+    MIN_VALUES_PER_PROCESS,
     Client,
     Dataset,
     load_dataset,
@@ -271,6 +274,55 @@ class TestAsciiFormat:
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(path), peak
+
+
+# ---------------------------------------------------------------------------
+# The chunked writer against the row-at-a-time writer it replaced
+
+
+def awkward(rows: int, dim: int = 3) -> Dataset:
+    """``rows`` samples whose features span float64's exponents, with a
+    negative zero, the smallest subnormal and a float past 2**53 first."""
+    rng = np.random.default_rng(rows)
+    features = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 300, (rows, dim))
+    features.flat[:3] = [-0.0, 5e-324, 1e16]
+    return Dataset(features, rng.integers(0, 3, rows), 3)
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                  3 * CHUNK_ROWS + 5])
+def test_the_file_is_the_row_writers_bytes_on_any_worker_count(tmp_path, monkeypatch,
+                                                                forked_chunks, rows):
+    data = awkward(rows)
+    data_oracle.save_dataset(tmp_path / "oracle.ds", data)
+    want = (tmp_path / "oracle.ds").read_bytes()
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(data_mod, "usable_cpus", lambda: processes)
+        path = tmp_path / f"processes{processes}.ds"
+        save_dataset(path, data)
+        assert path.read_bytes() == want, processes
+    chunks = -(-rows // CHUNK_ROWS)
+    assert forked_chunks == [min(processes, chunks) for processes in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("processes, rows, dim, floor, workers", [
+    (10**6, 3 * CHUNK_ROWS + 5, 1, 1, 4),  # a huge budget is capped by the chunks
+    (10**6, 3 * CHUNK_ROWS + 5, 2, 2 * CHUNK_ROWS, 3),  # ... and by the values
+    (2, 3 * CHUNK_ROWS + 5, 1, 1, 2),  # ... and the budget caps the rest
+    (4, CHUNK_ROWS, 1, 1, 1),  # one chunk: no pool
+    (2, 2000, 20, MIN_VALUES_PER_PROCESS, 1),  # a default gen-data file: no pool
+    (2, 10_000, 32, MIN_VALUES_PER_PROCESS, 2),  # the cli benchmark's file
+])
+def test_the_writers_pool_size(tmp_path, monkeypatch, process_spy, processes, rows, dim,
+                               floor, workers):
+    monkeypatch.setattr(data_mod, "MIN_VALUES_PER_PROCESS", floor)
+    monkeypatch.setattr(data_mod, "usable_cpus", lambda: processes)
+    data = awkward(rows, dim)
+    save_dataset(tmp_path / "blobs.ds", data)
+    assert process_spy.sizes == ([workers] if workers > 1 else [])
+    if workers > 1:
+        starts = [features[0, 0] for features, labels in process_spy.items]
+        assert starts == list(data.features[::CHUNK_ROWS, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ pool gets, and how its rows are cut over them, and how many forked
 processes a process pool gets and how it hands back results and failures.
 The per-phase tests in ``test_dp.py``, ``test_models.py`` and
 ``test_tensor.py`` check that each phase passes its own items, work and
-floor, and ``test_sweep.py`` that a sweep does."""
+floor, and ``test_sweep.py`` and ``test_data.py`` that a sweep and the
+dataset writer do."""
 
 import multiprocessing
 import os
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,27 @@ def test_a_process_pool_runs_its_items_in_order_on_forked_workers(monkeypatch):
         got = list(run(offset_square, range(5)))
     assert [value for value, pid in got] == [100, 101, 104, 109, 116]
     assert os.getpid() not in {pid for value, pid in got}
+    assert multiprocessing.active_children() == []
+
+
+class Box:
+    """A result that a weak reference can follow."""
+
+    def __init__(self, x):
+        self.x = x
+
+
+def test_a_process_pool_holds_no_result_it_has_yielded():
+    with process_map(2, 3, 10, 1) as (run, workers):
+        assert workers == 2
+        results = run(Box, range(3))
+        first = next(results)
+        first_ref = weakref.ref(first)
+        del first
+        # Once the next result is in, the pool has let go of the first.
+        assert next(results).x == 1
+        assert first_ref() is None
+        assert next(results).x == 2
     assert multiprocessing.active_children() == []
 
 

@@ -281,27 +281,6 @@ def test_csv_full_precision_roundtrip():
 # cells on worker processes
 
 
-@pytest.fixture
-def forked_cells(monkeypatch):
-    """Let a sweep of any size run its cells on worker processes.  The list
-    gains the worker count each sweep chooses, and the test fails if a
-    worker is left running."""
-    import fedceo.sweep as sweep_mod
-
-    monkeypatch.setattr(sweep_mod, "MIN_WORK_PER_PROCESS", 1)
-    chosen, real = [], sweep_mod.process_map
-
-    @contextlib.contextmanager
-    def spy(*args):
-        with real(*args) as (run, workers):
-            chosen.append(workers)
-            yield run, workers
-
-    monkeypatch.setattr(sweep_mod, "process_map", spy)
-    yield chosen
-    assert multiprocessing.active_children() == []
-
-
 def run_sweep(tmp_path, spec, threads, values="0.5,1.0", axis="dp.sigma"):
     """``fedceo sweep`` of ``spec``'s base over ``values`` and seeds 0 and 1:
     (exit code, stdout with the out directory as OUT, stderr, sweep.csv
