@@ -233,11 +233,13 @@ def local_train(model: Model, features, labels, rows, epochs: int, batch_size: i
     client k's samples are its rows ``rows[k]`` of them: minibatches are
     gathered from the split through those rows, and no client's samples
     are copied out first.  Client k starts from row k of ``model.params``
-    and trains on its samples as it would alone: it redraws its shuffle
-    from ``rngs[k]`` each epoch and keeps its final short minibatch.  The
-    rows train ordered by client size, largest first (a stable sort), and
-    go back to the caller's order when training ends; rows already in that
-    order are not moved.  Each lock step is then one :func:`_sgd_step` on
+    and trains on its samples as it would alone: it shuffles its rows anew
+    each epoch, as successive permutations drawn from ``rngs[k]``, and
+    keeps its final short minibatch.  Each client's shuffles of up to d
+    epochs (d features a sample) are drawn in one call.  The rows train
+    ordered by client size, largest first (a stable sort), and go back to
+    the caller's order when training ends; rows already in that order are
+    not moved.  Each lock step is then one :func:`_sgd_step` on
     a prefix of the rows, the clients that still have a minibatch in the
     epoch: a finished client sits out the steps left, so its row does not
     move.
@@ -295,10 +297,17 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     plan once: the list of its :func:`_sgd_step` calls' arguments, which
     are views of the block's rows of ``params``, of the scratch, and of
     those rows' minibatches in the gathers.  A step's blocks are the
-    :func:`~fedceo.parallel.blocks` of its prefix of active rows.  Each
-    epoch writes the shuffled rows into the layout, gathers their samples
-    from the split, zeroes the padding cells, and runs every plan in one
-    pool dispatch.
+    :func:`~fedceo.parallel.blocks` of its prefix of active rows.
+
+    The epochs run in blocks of up to d, the features a sample, so a
+    block's orders never hold more entries than the gather of one epoch's
+    samples.  Per block, each client's rows are preset into its cells of
+    every epoch of the block and shuffled there by one
+    ``Generator.permuted`` call along the sample axis, whose row e is the
+    e-th successive ``rng.permutation`` of the client's stream.  Each
+    epoch of the block then gathers its samples from the split through
+    its orders, zeroes the padding cells, and runs every plan in one pool
+    dispatch.
     The scratch and the gathers are allocated on the calling thread: pool
     threads put them in glibc's per-thread arenas, which raised stress's
     resident peak by 11%.
@@ -308,11 +317,13 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     k = len(sizes)
     batch_size = min(batch_size, sizes[0])  # a wider minibatch would hold only padding
     steps = -(-sizes[0] // batch_size)
-    order = np.zeros((k, steps * batch_size), dtype=np.intp)  # padding reads row 0
-    # batches[t, c] is client c's t-th minibatch, its samples first
-    batches = order.reshape(k, steps, batch_size).swapaxes(0, 1)
+    # a block of span epochs' orders never holds more entries than the xs gather
+    span = max(1, min(epochs, features.shape[1]))
+    order = np.zeros((span, k, steps * batch_size), dtype=np.intp)  # padding reads row 0
+    # batches[e, t, c] is client c's t-th minibatch in epoch e of a block, its samples first
+    batches = order.reshape(span, k, steps, batch_size).swapaxes(1, 2)
     slots = np.arange(steps * batch_size).reshape(steps, 1, batch_size)
-    real = slots < np.array(sizes)[:, None]  # the cells of batches that hold samples
+    real = slots < np.array(sizes)[:, None]  # the cells of an epoch that hold samples
     padding = None if real.all() else np.nonzero(~real)
     counts = real.sum(axis=2, keepdims=True)
     # a sample's gradient is divided by its minibatch's size, padding's by infinity
@@ -327,26 +338,30 @@ def _lock_steps(model: Model, features, labels, rows, epochs: int, batch_size: i
     with thread_map(threads, k, params.size, MIN_PARAMS_PER_THREAD) as (run, workers):
         grad = np.empty_like(params)
         onehot = np.eye(model.num_classes)
-        xs = np.empty(batches.shape + features.shape[1:])
-        ys = np.empty(batches.shape, dtype=labels.dtype)
-        targets = np.empty(batches.shape + onehot.shape[1:])
+        xs = np.empty(batches.shape[1:] + features.shape[1:])
+        ys = np.empty(batches.shape[1:], dtype=labels.dtype)
+        targets = np.empty(batches.shape[1:] + onehot.shape[1:])
         plans = [[] for _ in range(workers)]  # per block, the _sgd_step arguments of its steps
         for t, (width, a) in enumerate(zip(widths, active)):
             for b, block in enumerate(blocks(a, workers)):
                 plans[b].append((Model(model.shapes, params[block]),
                                  Model(model.shapes, grad[block]), xs[t, block, :width],
                                  targets[t, block, :width], batch_sizes[t, block, :width]))
-        for _ in range(epochs):
+        for first in range(0, epochs, span):
+            count = min(span, epochs - first)
             for c, (r, rng) in enumerate(zip(rows, rngs)):
-                order[c, :r.shape[0]] = r[rng.permutation(r.shape[0])]
-            # the rows are checked, so "clip" clips nothing and gathers unbuffered
-            np.take(features, batches, axis=0, out=xs, mode="clip")
-            np.take(labels, batches, out=ys, mode="clip")
-            if padding is not None:
-                xs[padding] = 0.0
-                ys[padding] = 0
-            np.take(onehot, ys, axis=0, out=targets, mode="clip")
-            run(run_plan, plans)
+                cells = order[:count, c, :r.shape[0]]
+                cells[:] = r
+                rng.permuted(cells, axis=1, out=cells)
+            for epoch in batches[:count]:
+                # the rows are checked, so "clip" clips nothing and gathers unbuffered
+                np.take(features, epoch, axis=0, out=xs, mode="clip")
+                np.take(labels, epoch, out=ys, mode="clip")
+                if padding is not None:
+                    xs[padding] = 0.0
+                    ys[padding] = 0
+                np.take(onehot, ys, axis=0, out=targets, mode="clip")
+                run(run_plan, plans)
 
 
 def _sgd_step(model: Model, grad: Model, x: np.ndarray, targets: np.ndarray,

@@ -937,6 +937,30 @@ def test_an_interrupted_gen_data_on_workers_exits_130_and_keeps_the_old_file(tmp
     assert sorted(os.listdir(tmp_path)) == ["blobs.ds", "started"]
 
 
+# NumPy's import is the slow part of starting the command line; an import
+# finder stands in for a Ctrl-C that lands while it runs.
+INTERRUPTED_IMPORT = """\
+import runpy, sys
+
+class InterruptNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            raise KeyboardInterrupt
+        return None
+
+sys.meta_path.insert(0, InterruptNumpy())
+runpy.run_module("fedceo", run_name="__main__")
+"""
+
+
+def test_an_interrupt_while_numpy_loads_exits_130_with_one_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT, "--version"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
+
+
 def test_a_closed_stdout_exits_141_quietly(tmp_path):
     read, write = os.pipe()
     os.close(read)

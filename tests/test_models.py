@@ -327,6 +327,7 @@ EDGE_CASES = [
     ((37,), 16, 2),            # K = 1
     ((7, 12, 3), 64, 3),       # the batch is larger than every client
     ((5, 23, 40, 17), 8, 3),   # ragged clients over several epochs
+    ((5, 23, 40, 17), 8, 13),  # shuffle blocks of 6, 6 and 1 epochs at dim 6
 ]
 
 
@@ -687,6 +688,49 @@ class TestLockStepMemory:
             finally:
                 tracemalloc.stop()
             assert peak < params.nbytes + gather + half_client, (threads, peak)
+
+    def test_peak_does_not_grow_with_epochs(self):
+        # 4 clients of 40 samples at dim 6 and batch 8: one xs gather is
+        # 5 steps x 4 clients x 8 cells x 6 features x 8 B = 7,680 B, and
+        # the orders of all 400 epochs at once would be 400 x 4 x 40 x 8 B.
+        model = ARCHS["logistic"](True)
+        samples = sgd_oracle.pool_clients(*ragged_clients((40,) * 4))
+        gather = 5 * 4 * 8 * 6 * 8
+        peaks = {}
+        for epochs in (2, 400):
+            params = spread_starts(model, 4)
+            tracemalloc.start()
+            try:
+                local_train(Model(model.shapes, params), *samples, epochs, 8, 0.2,
+                            train_streams(range(4)))
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= peaks[2] + gather, peaks
+
+
+class TestEpochShuffles:
+    """_lock_steps draws a block of epochs' shuffles of a client as one
+    Generator.permuted call on its rows, preset in place; the digests rest
+    on that matching one rng.permutation draw per epoch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 80])
+    @pytest.mark.parametrize("epochs", [1, 7])
+    def test_permuted_rows_are_successive_permutations(self, n, epochs):
+        rows = np.random.default_rng(n).choice(1000, size=n, replace=False)
+        order = np.full((epochs, 3, n + 4), -1, dtype=np.intp)
+        cells = order[:, 1, :n]  # a strided (epochs, n) view
+        cells[:] = rows
+        block = np.random.Generator(np.random.Philox(7))
+        block.permuted(cells, axis=1, out=cells)
+        each = np.random.Generator(np.random.Philox(7))
+        want = np.stack([rows[each.permutation(n)] for _ in range(epochs)])
+        assert np.array_equal(cells, want) and block.random() == each.random(), (
+            f"NumPy {np.__version__}: Generator.permuted(axis=1) no longer draws the "
+            f"rows of a block as successive rng.permutation calls, which "
+            f"fedceo.models._lock_steps relies on")
+        order[:, 1, :n] = -1
+        assert (order == -1).all(), "permuted wrote outside its view"
 
 
 class TestGradientMatchesOracle:
